@@ -44,13 +44,13 @@ skipped, exactly-once must hold across all waves, and the phi-accrual
 supervisor must ride out a gray manager link with zero promotions
 where the fixed-threshold one flaps.
 
-``--shard`` gates the P8 sharded-plane invariants on a freshly
-produced ``BENCH_shard.json``: full-fleet wave throughput at 4 shards
-must reach 3x the single-shard rung with per-shard efficiency >= 0.8
-(near-linear scaling), single-shard recovery must replay only the
-failed shard's journal (share of plane-wide entries under the
-recorded ceiling), and the live split mid-wave must lose nothing and
-apply the in-flight version exactly once everywhere.
+``--compaction`` gates the P8 one-manager invariants on a freshly
+produced ``BENCH_compaction.json``: announcement wave latency must stay
+flat across waves (within the recorded tolerance), every compacted
+checkpoint and the cold recovery replay must stay within the recorded
+bound of one entry per live instance plus a constant, and the recovered
+manager must hold an identical DCDO table and converge one more wave
+with no duplicate application.
 
 ``--selfheal`` gates the P9 self-healing invariants on a freshly
 produced ``BENCH_selfheal.json``: both the controller-driven run and
@@ -368,59 +368,53 @@ def check_p7(path):
 
 
 def check_p8(path):
-    """Gate the P8 sharded-plane invariants; returns failure strings."""
+    """Gate the P8 compaction invariants; returns failure strings."""
     with open(path) as handle:
         data = json.load(handle)
     try:
         extra = data["extra"]
-        rungs = extra["rungs"]
-        scaling = extra["scaling_4v1"]
-        scaling_floor = extra["scaling_floor"]
-        efficiency_floor = extra["efficiency_floor"]
+        waves = extra["waves"]
+        spread = extra["wave_spread"]
+        tolerance = extra["flatness_tolerance"]
+        bound = extra["replay_bound"]
         recovery = extra["recovery"]
-        recovery_ceiling = extra["recovery_share_ceiling"]
-        split = extra["split"]
     except KeyError as exc:
         raise SystemExit(f"{path}: missing {exc} — not a P8 result?")
     failures = []
-    for count in sorted(rungs, key=int):
-        entry = rungs[count]
+    for index, wave in enumerate(waves, start=1):
         print(
-            f"P8 {count:>2} shard(s): wave {entry['wave_s'] * 1000:8.2f} ms, "
-            f"{entry['throughput_per_s']:10,.0f} inst/s"
+            f"P8 wave {index}: {wave['wave_s'] * 1000:8.2f} ms, checkpoint "
+            f"{wave['checkpoint_entries']} entries (uncompacted "
+            f"{wave['uncompacted_entries']})"
         )
-    if scaling is None:
-        failures.append("shard ladder skipped the 4-shard rung — no scaling gate")
-    else:
-        if scaling < scaling_floor:
-            failures.append(
-                f"wave throughput at 4 shards only {scaling:.2f}x one shard "
-                f"(floor {scaling_floor:.0f}x)"
-            )
-        if scaling / 4.0 < efficiency_floor:
-            failures.append(
-                f"per-shard efficiency {scaling / 4.0:.2f} at 4 shards below "
-                f"the {efficiency_floor:.0%}-of-linear floor"
-            )
-    if recovery["replay_share"] > recovery_ceiling:
+    if spread > tolerance:
         failures.append(
-            f"single-shard recovery replayed {recovery['replay_share']:.1%} "
-            f"of the plane's journal entries (ceiling "
-            f"{recovery_ceiling:.0%}) — recovery is no longer per-shard"
+            f"announce wave latency spread {spread:.1%} across waves "
+            f"(tolerance {tolerance:.0%})"
         )
-    if split["lost"] != 0 or split["duplicated_applies"] != 0 or split["stragglers"] != 0:
+    worst = max(wave["checkpoint_entries"] for wave in waves)
+    if worst > bound:
         failures.append(
-            f"live split mid-wave: {split['lost']} lost, "
-            f"{split['duplicated_applies']} duplicated, "
-            f"{split['stragglers']} stragglers — exactly-once across the "
-            f"handoff broken"
+            f"compacted checkpoint held {worst} entries (bound {bound}) — "
+            f"replay grows with history again"
+        )
+    if recovery["replayed_entries"] > bound:
+        failures.append(
+            f"cold recovery replayed {recovery['replayed_entries']} entries "
+            f"(bound {bound})"
+        )
+    if not recovery["table_intact"] or recovery["duplicated_applies"] != 0:
+        failures.append(
+            f"recovery from the compacted journal: table intact "
+            f"{recovery['table_intact']}, {recovery['duplicated_applies']} "
+            f"duplicated applies"
         )
     status = "OK" if not failures else "REGRESSED"
     print(
-        f"P8 scaling {scaling:.2f}x at 4 shards (floor {scaling_floor:.0f}x, "
-        f"efficiency floor {efficiency_floor:.0%}), recovery replay share "
-        f"{recovery['replay_share']:.1%} (ceiling {recovery_ceiling:.0%}), "
-        f"split lost/dup {split['lost']}/{split['duplicated_applies']} {status}"
+        f"P8 wave spread {spread:.1%} (tolerance {tolerance:.0%}), recovery "
+        f"replayed {recovery['replayed_entries']} of "
+        f"{recovery['uncompacted_entries']} uncompacted entries (bound "
+        f"{bound}) {status}"
     )
     return failures
 
@@ -518,9 +512,9 @@ def main(argv=None):
         help="freshly generated BENCH_gray.json to gate P7 invariants",
     )
     parser.add_argument(
-        "--shard",
+        "--compaction",
         default=None,
-        help="freshly generated BENCH_shard.json to gate P8 invariants",
+        help="freshly generated BENCH_compaction.json to gate P8 invariants",
     )
     parser.add_argument(
         "--selfheal",
@@ -547,8 +541,8 @@ def main(argv=None):
         failures += check_p6(args.scale, args.scale_floor)
     if args.gray:
         failures += check_p7(args.gray)
-    if args.shard:
-        failures += check_p8(args.shard)
+    if args.compaction:
+        failures += check_p8(args.compaction)
     if args.selfheal:
         failures += check_p9(args.selfheal)
     if failures:

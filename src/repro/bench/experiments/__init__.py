@@ -17,7 +17,7 @@ from repro.bench.experiments.p4_availability import run_p4
 from repro.bench.experiments.p5_slo_waves import run_p5
 from repro.bench.experiments.p6_scale import run_p6
 from repro.bench.experiments.p7_gray import run_p7
-from repro.bench.experiments.p8_shard import run_p8
+from repro.bench.experiments.p8_compaction import run_p8
 from repro.bench.experiments.p9_selfheal import run_p9
 
 __all__ = [

@@ -35,23 +35,6 @@ from repro.net import (
 )
 
 
-def fleet_managers(runtime):
-    """Class objects plus attached shard managers.
-
-    Shards ``k >= 1`` of a :class:`ShardedManagerPlane` live outside
-    the runtime's class table (only shard 0 is *the* class object for
-    its type) but own instance records all the same, so crash and
-    recovery reconciliation must walk them too.
-    """
-    managers = list(runtime.classes())
-    seen = {id(manager) for manager in managers}
-    for obj in list(runtime._objects.values()):
-        if getattr(obj, "shard_id", None) is not None and id(obj) not in seen:
-            managers.append(obj)
-            seen.add(id(obj))
-    return managers
-
-
 def crash_host(runtime, host):
     """Fail-stop ``host`` and reconcile the runtime's object tables.
 
@@ -61,7 +44,7 @@ def crash_host(runtime, host):
     """
     host.crash()
     died = []
-    for class_object in fleet_managers(runtime):
+    for class_object in runtime.classes():
         for loid in class_object.instance_loids():
             record = class_object.record(loid)
             if record.host is host and record.active:
@@ -170,7 +153,7 @@ class ChaosCoordinator:
         cached the blob then cannot evolve.  Managers that survived
         re-create those servers here.
         """
-        for class_object in fleet_managers(self.runtime):
+        for class_object in self.runtime.classes():
             if class_object.is_active and hasattr(
                 class_object, "restore_components"
             ):
@@ -181,7 +164,7 @@ class ChaosCoordinator:
         from repro.legion.errors import LegionError
         from repro.net import TransportError
 
-        for class_object in fleet_managers(self.runtime):
+        for class_object in self.runtime.classes():
             if not class_object.is_active:
                 continue
             for loid in class_object.instance_loids():
@@ -235,23 +218,6 @@ class ChaosSchedule:
     limps:
         ``(host, factor, start, end)`` limping-host windows: CPU (and
         NIC) service times multiply by ``factor``, then heal.
-    shard_crashes:
-        ``(host_name, crash_at, restart_at)`` outages aimed at hosts
-        running shard managers of a :class:`ShardedManagerPlane` —
-        schedule-wise identical to ``crashes`` but drawn from the
-        shard-host pool, so a sweep can guarantee the fault lands on
-        the sharded control plane.
-    map_staleness:
-        ``(extra_s, start, end)`` partition-map staleness windows:
-        replica convergence after a fast-mode map apply is delayed by
-        ``extra_s`` inside the window, widening the stale-map bounce
-        race for routed RPCs.
-    rebalance_crashes:
-        ``(host_name, crash_at, restart_at, pick)`` mid-rebalance
-        crashes: at ``crash_at`` a live range move is triggered on the
-        plane (``pick`` deterministically selects the source shard)
-        and the named host is crashed while the handoff is in flight,
-        exercising the abort/prune path.
     bad_deploys:
         ``(at, added_latency_s, error_every)`` unguarded bad rollouts:
         at ``at`` the harness adopts a degraded build fleet-wide
@@ -280,9 +246,6 @@ class ChaosSchedule:
         duplicates=(),
         reorders=(),
         limps=(),
-        shard_crashes=(),
-        map_staleness=(),
-        rebalance_crashes=(),
         bad_deploys=(),
         flaky_limps=(),
     ):
@@ -296,9 +259,6 @@ class ChaosSchedule:
         self.duplicates = list(duplicates)
         self.reorders = list(reorders)
         self.limps = list(limps)
-        self.shard_crashes = list(shard_crashes)
-        self.map_staleness = list(map_staleness)
-        self.rebalance_crashes = list(rebalance_crashes)
         self.bad_deploys = list(bad_deploys)
         self.flaky_limps = list(flaky_limps)
         #: Simulated time :meth:`install` rebased the offsets onto.
@@ -329,10 +289,6 @@ class ChaosSchedule:
         gray_duplicates=0,
         gray_reorders=0,
         gray_limps=0,
-        shard_hosts=(),
-        max_shard_crashes=0,
-        max_map_staleness=0,
-        mid_rebalance_crashes=0,
         instance_hosts=(),
         max_bad_deploys=0,
         max_flaky_limps=0,
@@ -396,27 +352,9 @@ class ChaosSchedule:
         reordering) carry their own sub-seed drawn here, keeping the
         whole scenario a pure function of ``seed``.
 
-        The three ``shard``/``map``/``rebalance`` kinds (PR 9) target
-        the sharded manager plane; all default off and draw strictly
-        after every kind above — including every gray kind — in
-        exactly this order, so every legacy seed keeps its exact
-        schedule:
-
-        - ``max_shard_crashes`` (with ``shard_hosts`` naming hosts
-          that run shard managers) crashes shard hosts early in the
-          run, while a per-shard wave is typically mid-flight.
-        - ``max_map_staleness`` opens partition-map staleness windows:
-          after a fast-mode map apply, replica convergence inside the
-          window is delayed by an extra ``extra_s``, so stubs route on
-          stale epochs for longer and stale-map bounces multiply.
-        - ``mid_rebalance_crashes`` triggers a live range move on the
-          plane and crashes a shard host while the row handoff is in
-          flight — the aborted handoff must leave no range writable by
-          two shards and no row half-moved.
-
         The two controller kinds (PR 10) target the self-healing loop;
         both default off and draw strictly after every kind above —
-        including every shard kind — in exactly this order, so every
+        including every gray kind — in exactly this order, so every
         legacy seed keeps its exact schedule:
 
         - ``max_bad_deploys`` rolls unguarded degraded rollouts the
@@ -603,48 +541,6 @@ class ChaosSchedule:
                 start = rng.uniform(0.5, duration_s * 0.4)
                 end = start + rng.uniform(5.0, duration_s * 0.4)
                 limps.append((victim, round(factor, 2), start, end))
-        # Shard-plane kinds (PR 9), strictly after every kind above —
-        # legacy seeds keep their exact schedules.
-        shard_crashes = []
-        already_down = {name for name, __, __ in crashes}
-        shard_eligible = [
-            name
-            for name in shard_hosts
-            if name in host_names and name not in protect and name not in already_down
-        ]
-        if shard_eligible and max_shard_crashes > 0:
-            victims = rng.sample(
-                shard_eligible, k=min(max_shard_crashes, len(shard_eligible))
-            )
-            for name in victims:
-                crash_at = rng.uniform(0.5, 8.0)
-                restart_at = crash_at + rng.uniform(5.0, duration_s * 0.4)
-                shard_crashes.append((name, crash_at, restart_at))
-        map_staleness = []
-        if max_map_staleness > 0:
-            for __ in range(rng.randint(1, max_map_staleness)):
-                extra = round(rng.uniform(0.1, 1.5), 3)
-                start = rng.uniform(0.0, duration_s * 0.4)
-                end = start + rng.uniform(2.0, duration_s * 0.3)
-                map_staleness.append((extra, start, end))
-        rebalance_crashes = []
-        already_down |= {name for name, __, __ in shard_crashes}
-        rebalance_eligible = [
-            name
-            for name in shard_hosts
-            if name in host_names and name not in protect and name not in already_down
-        ]
-        if rebalance_eligible and mid_rebalance_crashes > 0:
-            victims = rng.sample(
-                rebalance_eligible,
-                k=min(mid_rebalance_crashes, len(rebalance_eligible)),
-            )
-            for name in victims:
-                crash_at = rng.uniform(1.0, 8.0)
-                restart_at = crash_at + rng.uniform(5.0, duration_s * 0.4)
-                rebalance_crashes.append(
-                    (name, crash_at, restart_at, rng.random())
-                )
         # Controller kinds (PR 10), strictly after every kind above —
         # legacy seeds keep their exact schedules.
         bad_deploys = []
@@ -676,9 +572,6 @@ class ChaosSchedule:
             duplicates=duplicates,
             reorders=reorders,
             limps=limps,
-            shard_crashes=shard_crashes,
-            map_staleness=map_staleness,
-            rebalance_crashes=rebalance_crashes,
             bad_deploys=bad_deploys,
             flaky_limps=flaky_limps,
         )
@@ -697,24 +590,16 @@ class ChaosSchedule:
         times += [entry[-1] for entry in self.duplicates]
         times += [entry[-1] for entry in self.reorders]
         times += [entry[-1] for entry in self.limps]
-        times += [restart_at for __, __, restart_at in self.shard_crashes]
-        times += [end for __, __, end in self.map_staleness]
-        times += [restart_at for __, __, restart_at, __ in self.rebalance_crashes]
         times += [at for at, __, __ in self.bad_deploys]
         times += [entry[-1] for entry in self.flaky_limps]
         return max(times) + (self.installed_at or 0.0)
 
-    def install(self, runtime, coordinator, plane=None):
+    def install(self, runtime, coordinator):
         """Arm the scenario on ``runtime`` via ``coordinator``'s plan.
 
         Generated times are *offsets*; they are rebased onto the
         current simulated time here, so a scenario can be installed on
         a testbed that has already been running.
-
-        ``plane`` is an optional :class:`ShardedManagerPlane`; the
-        shard-plane kinds (map staleness windows, mid-rebalance
-        triggers) need it and are skipped without it — plain shard
-        crashes install either way.
         """
         base = self.installed_at = runtime.sim.now
         for name, crash_at, restart_at in self.crashes:
@@ -791,24 +676,6 @@ class ChaosSchedule:
                 self._limp_window(runtime, host_name, factor, base + start, base + end),
                 name=f"limp:{host_name}@{start:g}",
             )
-        for name, crash_at, restart_at in self.shard_crashes:
-            coordinator.crash_plan.schedule_outage(
-                runtime.host(name), base + crash_at, base + restart_at
-            )
-        if self.map_staleness and plane is not None:
-            for extra, start, end in self.map_staleness:
-                plane.map.add_staleness_window(extra, base + start, base + end)
-        for name, crash_at, restart_at, pick in self.rebalance_crashes:
-            coordinator.crash_plan.schedule_outage(
-                runtime.host(name), base + crash_at, base + restart_at
-            )
-            if plane is not None:
-                runtime.sim.spawn(
-                    self._rebalance_trigger(
-                        runtime, plane, name, base + crash_at, pick
-                    ),
-                    name=f"rebalance:{name}@{crash_at:g}",
-                )
         # bad_deploys are harness-driven (like degradations): staging
         # and adopting the degraded build needs a manager, which the
         # schedule does not hold.
@@ -817,52 +684,6 @@ class ChaosSchedule:
                 self._limp_window(runtime, host_name, factor, base + start, base + end),
                 name=f"flaky-limp:{host_name}@{start:g}",
             )
-
-    @staticmethod
-    def _rebalance_trigger(runtime, plane, victim, crash_time, pick):
-        """Process body: start a live range move just before a crash.
-
-        Fires a hair *before* ``crash_time`` — inside the handoff's
-        per-row copy window — so the crash lands while rows are still
-        in flight.  The source shard is the one homed on the crash
-        victim when there is one (the crash then always hits a handoff
-        participant); ``pick`` deterministically selects otherwise, and
-        the target is the source's successor in shard id order.
-        Aborted handoffs (dead source or target) are the scenario
-        working as intended, not an error.
-        """
-        from repro.core.shardplane import HandoffAborted
-        from repro.legion.errors import LegionError
-        from repro.net import TransportError
-
-        sim = runtime.sim
-        lead = min(0.0002, max(0.0, crash_time - sim.now))
-        yield sim.timeout(max(0.0, crash_time - sim.now - lead), daemon=True)
-        shard_ids = sorted(plane.shard_ids)
-        if len(shard_ids) < 2:
-            return
-        source = None
-        for shard_id in shard_ids:
-            manager = plane.shards.get(shard_id)
-            if manager is not None and manager.host.name == victim:
-                source = shard_id
-                break
-        if source is None:
-            source = shard_ids[int(pick * len(shard_ids)) % len(shard_ids)]
-        target = shard_ids[(shard_ids.index(source) + 1) % len(shard_ids)]
-        spans = plane.map.current.spans_of(source)
-        if not spans:
-            return
-        lo, hi = spans[0]
-        if hi - lo < 2:
-            return
-        half = (lo + (hi - lo) // 2, hi)
-        try:
-            yield from plane.move_range(half, target, mode="fast")
-        except (HandoffAborted, LegionError, TransportError, ValueError, KeyError):
-            # The crash landed mid-handoff and aborted it — exactly the
-            # scenario this kind exists to exercise.
-            return
 
     @staticmethod
     def _limp_window(runtime, host_name, factor, start, end):
@@ -883,17 +704,12 @@ class ChaosSchedule:
             + len(self.reorders)
             + len(self.limps)
         )
-        shard = (
-            len(self.shard_crashes)
-            + len(self.map_staleness)
-            + len(self.rebalance_crashes)
-        )
         controller = len(self.bad_deploys) + len(self.flaky_limps)
         return (
             f"<ChaosSchedule crashes={len(self.crashes)} "
             f"partitions={len(self.partitions)} drops={len(self.drops)} "
             f"degradations={len(self.degradations)} gray={gray} "
-            f"shard={shard} controller={controller}>"
+            f"controller={controller}>"
         )
 
 

@@ -5,7 +5,7 @@ migrate, and roll back a fleet, but only when an operator tells it to.
 Every fault-tolerance layer grown since (supervisor failover, canary
 gates, gray-failure quarantine) reacts to one hazard it was built for.
 The :class:`ReactiveController` closes the remaining loop: a daemon
-per manager plane that *senses* degradation signals (health-score
+per managed DCDO type that *senses* degradation signals (health-score
 transitions, SLO breaches, detector suspicions, crash/restart events —
 all via the :class:`~repro.obs.bus.EventBus`), *decides* what to do
 through pluggable :mod:`~repro.core.policies.remediation` policies,
@@ -40,13 +40,9 @@ from collections import deque
 from repro.cluster.coordination import convergence_guard
 from repro.core.policies.remediation import default_remediation_policies
 
-#: EWMA smoothing for per-shard wave durations (RebalanceHotShard's
-#: signal).  0.3 ≈ the last ~5 waves dominate.
-_WAVE_EWMA_ALPHA = 0.3
-
 
 class ReactiveController:
-    """Self-healing daemon for one manager plane.
+    """Self-healing daemon for one managed DCDO type.
 
     Parameters
     ----------
@@ -56,10 +52,6 @@ class ReactiveController:
         The DCDO type to watch; the live manager is re-resolved from
         the runtime's class registry every tick, so promotions are
         followed automatically.
-    plane:
-        Optional :class:`~repro.core.shardplane.ShardedManagerPlane`;
-        enables shard policies and makes the lease live on the lowest
-        live shard's manager.
     supervisor:
         Optional supervisor to defer to explicitly (its promote /
         converge flags); without it, deference still happens through
@@ -70,7 +62,7 @@ class ReactiveController:
     interval_s / lease_ttl_s:
         Tick period and lease time-to-live.  The lease is renewed
         every tick, so ``lease_ttl_s`` only matters across controller
-        death: it bounds how long the plane stays formally "owned" by
+        death: it bounds how long the manager stays formally "owned" by
         a remediator that stopped renewing.
     budget / budget_window_s:
         At most ``budget`` remediation actions per sliding window.
@@ -82,7 +74,6 @@ class ReactiveController:
         self,
         runtime,
         type_name,
-        plane=None,
         supervisor=None,
         policies=None,
         interval_s=1.0,
@@ -94,7 +85,6 @@ class ReactiveController:
     ):
         self.runtime = runtime
         self.type_name = type_name
-        self.plane = plane
         self.supervisor = supervisor
         self.policies = (
             list(policies) if policies is not None else default_remediation_policies()
@@ -110,9 +100,6 @@ class ReactiveController:
         #: (at/policy/kind/target/outcome/result) — the drill example
         #: and reports print this.
         self.remediation_log = []
-        #: shard_id -> {"ewma": s, "samples": n} wave-duration stats,
-        #: folded from ``wave.complete`` events.
-        self.shard_wave_stats = {}
 
         self._inbox = deque(maxlen=512)
         self._cooldowns = {}  # (policy, target) -> last action time
@@ -157,18 +144,6 @@ class ReactiveController:
     def _on_event(self, event):
         """Bus callback: record only — all action happens in our tick."""
         self._inbox.append(event)
-        if event.topic == "wave.complete":
-            shard_id = event.details.get("shard_id")
-            duration = event.details.get("duration_s")
-            if shard_id is not None and duration is not None:
-                entry = self.shard_wave_stats.setdefault(
-                    shard_id, {"ewma": 0.0, "samples": 0}
-                )
-                if entry["samples"] == 0:
-                    entry["ewma"] = duration
-                else:
-                    entry["ewma"] += _WAVE_EWMA_ALPHA * (duration - entry["ewma"])
-                entry["samples"] += 1
 
     def _drain(self):
         events = list(self._inbox)
@@ -194,11 +169,6 @@ class ReactiveController:
                 self.runtime.network.count("controller.tick_errors")
 
     def _resolve_manager(self):
-        if self.plane is not None:
-            ids = self.plane.shard_ids
-            if not ids:
-                return None
-            return self.plane.shards.get(ids[0])
         if self.supervisor is not None and self.supervisor.manager is not None:
             return self.supervisor.manager
         try:
@@ -241,7 +211,6 @@ class ReactiveController:
         ctx = ControllerContext(
             runtime=self.runtime,
             manager=manager,
-            plane=self.plane,
             controller=self,
             events=events,
             retry_policy=self.retry_policy,
@@ -352,9 +321,6 @@ class ReactiveController:
             "log_tail": self.remediation_log[-5:],
             "deferred": counters.count_value("controller.deferred"),
             "rate_limited": counters.count_value("controller.rate_limited"),
-            "shard_wave_stats": {
-                shard: dict(entry) for shard, entry in self.shard_wave_stats.items()
-            },
         }
 
     def __repr__(self):
@@ -367,10 +333,9 @@ class ReactiveController:
 class ControllerContext:
     """What a policy sees each tick: sensed events plus live handles."""
 
-    def __init__(self, runtime, manager, plane, controller, events, retry_policy):
+    def __init__(self, runtime, manager, controller, events, retry_policy):
         self.runtime = runtime
         self.manager = manager
-        self.plane = plane
         self.controller = controller
         self.events = events
         self.retry_policy = retry_policy

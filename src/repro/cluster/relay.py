@@ -62,7 +62,6 @@ across layers, so runtime imports stay inside functions.
 
 import zlib
 
-from repro.core.partition import partition_slot
 from repro.legion.objects import LegionObject
 
 #: In-flight window for a relay applying its local batch.
@@ -130,11 +129,6 @@ class HostRelay(LegionObject):
         #: :func:`restore_relays` so fleet announcements can route by
         #: roster index instead of shipping a subtree table per hop.
         self.announce_roster = None
-        #: Named roster slices for sharded planes: ``roster_id ->
-        #: roster``.  Each shard manager announces over its own slice
-        #: of the host set (``bundle["roster"]`` selects it), so shard
-        #: waves fan out in parallel without sharing one tree root.
-        self.rosters = {}
         self.register_method("evolveBatch", self._m_evolve_batch)
         self.register_method("relayTree", self._m_relay_tree)
         self.register_method("announceTree", self._m_announce_tree)
@@ -279,20 +273,12 @@ class HostRelay(LegionObject):
         type_name = announcement["type_name"]
         diffs = announcement["diffs"]
         target_version = announcement["target_version"]
-        hash_range = announcement.get("hash_range")
         jobs = []
         applied = []
         for obj in self.runtime.objects_on_host(self.host.name):
             loid = obj.loid
             if loid.type_name != type_name or not obj.is_active:
                 continue
-            if hash_range is not None:
-                # Sharded plane: only the announcing shard's slice of
-                # this host's instances — siblings' colocated instances
-                # belong to other shards' (concurrent) waves.
-                slot = partition_slot(loid)
-                if not any(lo <= slot < hi for lo, hi in hash_range):
-                    continue
             version = getattr(obj, "version", None)
             if version == target_version:
                 applied.append(loid)
@@ -376,11 +362,7 @@ class HostRelay(LegionObject):
         from repro.net import TransportError, run_windowed
         from repro.legion.errors import LegionError
 
-        roster_id = bundle.get("roster")
-        if roster_id is None:
-            roster = self.announce_roster or ()
-        else:
-            roster = self.rosters.get(roster_id) or ()
+        roster = self.announce_roster or ()
         lo = bundle["lo"]
         hi = min(bundle["hi"], len(roster))
         window = bundle.get("window") or RELAY_APPLY_WINDOW
@@ -615,13 +597,8 @@ def deploy_relays(runtime, hosts=None, context_prefix="/relays"):
     return directory
 
 
-def seed_announce_roster(runtime, directory, roster_id=None):
+def seed_announce_roster(runtime, directory):
     """Hand every relay in ``directory`` the shared sorted roster.
-
-    ``roster_id`` names a per-shard roster slice instead of replacing
-    the deployment-wide default: sharded planes seed one named slice
-    per shard over that shard's hosts, and the shard's announcements
-    select it via ``bundle["roster"]``.
 
     The roster is the deployment-wide ``((host, relay_loid, binding),
     ...)`` list that fleet announcements route through by index range;
@@ -650,14 +627,11 @@ def seed_announce_roster(runtime, directory, roster_id=None):
     for loid in directory.values():
         relay = runtime.live_object(loid)
         if relay is not None:
-            if roster_id is None:
-                relay.announce_roster = roster
-            else:
-                relay.rosters[roster_id] = roster
+            relay.announce_roster = roster
     return roster
 
 
-def restore_relays(runtime, directory, roster_id=None):
+def restore_relays(runtime, directory):
     """Generator: re-activate relays that died with their hosts.
 
     Relays are stateless, so recovery after a host restart is a fresh
@@ -677,5 +651,5 @@ def restore_relays(runtime, directory, roster_id=None):
         runtime.network.count("relay.recoveries")
         restored.append(host_name)
     if restored:
-        seed_announce_roster(runtime, directory, roster_id=roster_id)
+        seed_announce_roster(runtime, directory)
     return restored

@@ -80,10 +80,7 @@ class Supervisor:
         retry_policy=None,
         max_convergence_rounds=10,
         reconcile_interval_s=15.0,
-        manager=None,
-        on_promote=None,
         relay_announce=False,
-        relay_roster_id=None,
     ):
         if not standby_hosts:
             raise ValueError("supervisor needs at least one standby host")
@@ -94,15 +91,7 @@ class Supervisor:
         self.relays = dict(relays or {})
         self.relay_fanout_k = relay_fanout_k
         self.relay_batch_window = relay_batch_window
-        # Sharded planes supervise one manager *per shard* under a
-        # shared type name: the shard's manager is passed explicitly
-        # (``class_of`` only knows shard 0), its announce roster slice
-        # rides along, and ``on_promote(manager)`` lets the plane remap
-        # routing to the promotee.
-        self._explicit_manager = manager
-        self.on_promote = on_promote
         self.relay_announce = relay_announce
-        self.relay_roster_id = relay_roster_id
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.suspicion_threshold = suspicion_threshold
@@ -141,7 +130,7 @@ class Supervisor:
         """Arm replication and the failure detector; returns self."""
         from repro.cluster.failure_detector import HeartbeatFailureDetector
 
-        manager = self._explicit_manager or self.runtime.class_of(self.type_name)
+        manager = self.runtime.class_of(self.type_name)
         if manager.journal is None:
             raise ValueError(
                 f"manager for {self.type_name!r} has no journal; "
@@ -376,19 +365,14 @@ class Supervisor:
         if self.relays:
             from repro.cluster.relay import restore_relays
 
-            yield from restore_relays(
-                runtime, self.relays, roster_id=self.relay_roster_id
-            )
+            yield from restore_relays(runtime, self.relays)
             manager.use_relays(
                 self.relays,
                 fanout_k=self.relay_fanout_k,
                 batch_window=self.relay_batch_window,
                 announce=self.relay_announce,
-                roster_id=self.relay_roster_id,
             )
         self._manager = manager
-        if self.on_promote is not None:
-            self.on_promote(manager)
         # Disarm until the detector actually sees this primary answer:
         # re-deposing it on the same stale evidence would thrash.
         self._armed = False

@@ -82,15 +82,6 @@ from repro.core.policies.canary import (
     CanaryWavePolicy,
     run_canary_wave,
 )
-from repro.core.partition import (
-    HASH_SPACE,
-    PartitionMap,
-    PartitionRouter,
-    ReplicatedPartitionMap,
-    ShardRange,
-    StalePartitionMap,
-    partition_slot,
-)
 from repro.core.recovery import (
     Delivery,
     DeliveryStatus,
@@ -100,7 +91,6 @@ from repro.core.recovery import (
     recover_manager,
 )
 from repro.core.replication import ReplicationLink, StandbyReplica
-from repro.core.shardplane import ShardedManagerPlane
 from repro.core.stub import DCDOStub, InterfaceCache
 from repro.core.version import VersionId, VersionTree
 
@@ -155,14 +145,6 @@ __all__ = [
     "ReplicationLink",
     "RollbackFailed",
     "StandbyReplica",
-    "HASH_SPACE",
-    "PartitionMap",
-    "PartitionRouter",
-    "ReplicatedPartitionMap",
-    "ShardRange",
-    "ShardedManagerPlane",
-    "StalePartitionMap",
-    "partition_slot",
     "UnknownVersion",
     "VersionId",
     "VersionNotConfigurable",

@@ -27,7 +27,6 @@ from repro.core.errors import (
     WaveAborted,
 )
 from repro.core.ico import ImplementationComponentObject
-from repro.core.partition import HASH_SPACE, StalePartitionMap, partition_slot
 from repro.core.policies.evolution import SingleVersionPolicy
 from repro.core.policies.update import ExplicitUpdatePolicy
 from repro.core.recovery import DeliveryStatus, PropagationTracker
@@ -196,7 +195,6 @@ class DCDOManager(ClassObject):
         propagation_retry_policy=None,
         fanout_window=8,
         wave_policy=None,
-        loid=None,
     ):
         super().__init__(
             runtime,
@@ -204,7 +202,6 @@ class DCDOManager(ClassObject):
             host,
             implementations=implementations,
             instance_factory=instance_factory,
-            loid=loid,
         )
         self.evolution_policy = evolution_policy or SingleVersionPolicy()
         self.update_policy = update_policy or ExplicitUpdatePolicy()
@@ -228,7 +225,6 @@ class DCDOManager(ClassObject):
         self._relay_fanout_k = 0
         self._relay_batch_window = None
         self._relay_announce = False
-        self._relay_roster_id = None
         self.wave_policy = wave_policy or WavePolicy.converge()
         self.evolutions_performed = 0
         #: Monotonic fencing term: every management RPC this manager
@@ -239,15 +235,6 @@ class DCDOManager(ClassObject):
         #: Set once a peer proves a newer term exists; the manager has
         #: deactivated itself and must never act again.
         self.deposed = False
-        #: Sharded-plane identity (see :mod:`repro.core.shardplane`).
-        #: None for the paper's unsharded one-manager-per-type shape.
-        #: ``_term_scope`` keys :class:`ManagerTerm` fencing — shards
-        #: fence independently, so one shard's failover never deposes
-        #: its siblings' in-flight waves.
-        self.shard_id = None
-        self._term_scope = type_name
-        self._partition_view = None
-        self._released_spans = []
         #: Remediation plane: one term-fenced lease gating automated
         #: (controller-originated) actions, plus the journaled intents
         #: of in-flight remediations (see the remediation section).
@@ -279,11 +266,6 @@ class DCDOManager(ClassObject):
         journal.meta["evolution_policy"] = self.evolution_policy
         journal.meta["update_policy"] = self.update_policy
         journal.meta["remove_policy"] = self._remove_policy
-        journal.meta["class_loid"] = self.loid
-        if self.shard_id is not None:
-            journal.meta["shard_id"] = self.shard_id
-            journal.meta["term_scope"] = self._term_scope
-            journal.meta["partition_map"] = self._partition_view
 
     def _journal_append(self, kind, **data):
         if self._journal is not None:
@@ -311,7 +293,7 @@ class DCDOManager(ClassObject):
 
     def current_term(self):
         """The :class:`~repro.net.ManagerTerm` stamped on outgoing RPCs."""
-        return ManagerTerm(self._term_scope, self._term)
+        return ManagerTerm(self.type_name, self._term)
 
     def bump_term(self):
         """Advance the fencing term (journaled); returns the new number.
@@ -352,180 +334,6 @@ class DCDOManager(ClassObject):
         # Stamp every outgoing management RPC with the current term.
         self._invoker.term_source = self.current_term
         return binding
-
-    # ------------------------------------------------------------------
-    # Sharded manager plane (partition-map ownership)
-    # ------------------------------------------------------------------
-
-    def configure_shard(self, shard_id, partition_map):
-        """Scope this manager to one shard of a partitioned plane.
-
-        ``partition_map`` is the plane's shared
-        :class:`~repro.core.partition.ReplicatedPartitionMap`; the map
-        — not the DCDO table — is the ownership authority, so this
-        manager answers only for LOIDs hashing into its mapped spans.
-        Fencing terms move to the per-shard scope
-        ``"<type>/s<shard_id>"``: shards fail over independently.
-        """
-        self.shard_id = shard_id
-        self._term_scope = f"{self.type_name}/s{shard_id}"
-        self._partition_view = partition_map
-        if self._journal is not None:
-            self._journal.meta["shard_id"] = shard_id
-            self._journal.meta["term_scope"] = self._term_scope
-            self._journal.meta["partition_map"] = partition_map
-        return self
-
-    @property
-    def partition_map(self):
-        """The plane's replicated partition map (None when unsharded)."""
-        return self._partition_view
-
-    @property
-    def replication_scope(self):
-        """Naming scope for standby journals/links (per-shard when sharded)."""
-        return self._term_scope
-
-    def owns(self, loid):
-        """Does this manager own ``loid`` under the *current* map?
-
-        Unsharded managers own everything.  Sharded managers consult
-        the map, not their table: after a handoff commit the source
-        still holds the moved rows for a moment, but must already
-        refuse writes for them.
-        """
-        if self._partition_view is None:
-            return True
-        return self._partition_view.current.shard_for(loid) == self.shard_id
-
-    def owned_spans(self):
-        """This shard's ``(lo, hi)`` slot spans under the current map."""
-        if self._partition_view is None:
-            return ((0, HASH_SPACE),)
-        return self._partition_view.current.spans_of(self.shard_id)
-
-    def _shard_guard(self, epoch, loid):
-        """Bounce a routed RPC whose map epoch no longer covers ``loid``.
-
-        The bounce piggybacks this shard's current map snapshot (the
-        PR 2 stale-epoch pattern), so the caller refreshes from the
-        rejection itself.  A *stale but correctly routed* caller is
-        served — ownership, not epoch equality, is what's guarded.
-        """
-        if self._partition_view is None:
-            return
-        current = self._partition_view.current
-        if current.shard_for(loid) != self.shard_id:
-            raise StalePartitionMap(epoch, current.epoch, snapshot=current)
-
-    def _announce_hash_range(self):
-        """Slot spans announcements should filter on (None unsharded).
-
-        Relays enumerate *their own* colocated instances when applying
-        an announcement; on a sharded plane several shards' instances
-        share every host, so the bundle must carry the announcing
-        shard's spans or the relay would evolve (and count into the
-        ack digest) its siblings' instances.
-        """
-        if self._partition_view is None:
-            return None
-        return self.owned_spans()
-
-    def adopt_component(self, component, ico_loid, host_name=None):
-        """Mirror a sibling shard's component registration.
-
-        Exactly one shard (shard 0) creates the ICO and binds the
-        context path; every other shard adopts the same live ICO so
-        descriptors resolve identically plane-wide.  The adoption is
-        journaled as a normal ``component`` entry — replay re-links the
-        shared ICO (or re-creates it if its host died).
-        """
-        if component.component_id in self._components:
-            raise ValueError(
-                f"component {component.component_id!r} already registered"
-            )
-        self._components[component.component_id] = (component, ico_loid)
-        self._journal_append(
-            "component",
-            component=component,
-            ico_loid=ico_loid,
-            host_name=host_name,
-        )
-        return ico_loid
-
-    def export_rows(self, span):
-        """DCDO-table rows whose slot falls in ``span``, for handoff."""
-        lo, hi = span
-        rows = []
-        for loid, record in self._instances.items():
-            if lo <= partition_slot(loid) < hi:
-                rows.append(
-                    (loid, record, self._instance_versions.get(loid))
-                )
-        return rows
-
-    def adopt_rows(self, rows):
-        """Install handed-off rows (journaled before the map commits).
-
-        The target journals each row as ordinary ``instance`` /
-        ``instance-version`` entries *before* the partition map's epoch
-        bump makes it the owner — a crash between the two leaves the
-        map (the authority) pointing at the source, and the target's
-        orphan rows are pruned by reconciliation against the map.
-        """
-        for loid, record, version in rows:
-            self._instances[loid] = record
-            if record.obj is not None:
-                self._instance_impl_types[loid] = record.obj.implementation_type
-            self._journal_append(
-                "instance", loid=loid, host_name=record.host.name
-            )
-            if version is not None:
-                self._instance_versions[loid] = version
-                self._journal_append(
-                    "instance-version", loid=loid, version=version
-                )
-
-    def release_span(self, span):
-        """Drop rows in ``span`` after the map has moved them away.
-
-        Journaled as ``range-released`` so replay of the source's
-        journal also forgets the rows; the fencing term bumps so any
-        in-flight wave delivery this shard still has queued for the
-        moved instances is rejected by instances the new owner already
-        touched.
-        """
-        lo, hi = span
-        dropped = []
-        for loid in list(self._instances):
-            if lo <= partition_slot(loid) < hi:
-                dropped.append(loid)
-                del self._instances[loid]
-                self._instance_versions.pop(loid, None)
-                self._instance_impl_types.pop(loid, None)
-        self._released_spans.append(span)
-        self._journal_append("range-released", span=span)
-        self.bump_term()
-        self._count("manager.shard.ranges_released")
-        return dropped
-
-    def prune_rows(self, loids):
-        """Drop specific rows the partition map assigns elsewhere.
-
-        Reconciliation uses this to clear orphans left by an aborted
-        handoff (rows adopted and journaled before the map commit
-        failed).  Journaled so replay forgets them too.
-        """
-        pruned = []
-        for loid in loids:
-            if loid in self._instances:
-                del self._instances[loid]
-                self._instance_versions.pop(loid, None)
-                self._instance_impl_types.pop(loid, None)
-                pruned.append(loid)
-        if pruned:
-            self._journal_append("rows-pruned", loids=tuple(pruned))
-        return pruned
 
     # ------------------------------------------------------------------
     # Component registration (ICOs)
@@ -1023,7 +831,6 @@ class DCDOManager(ClassObject):
             "wave.complete",
             self.type_name,
             version=str(version),
-            shard_id=self.shard_id,
             instances=len(tracker.deliveries()),
             duration_s=(
                 tracker.completed_at - tracker.started_at
@@ -1043,7 +850,6 @@ class DCDOManager(ClassObject):
         fanout_k=0,
         batch_window=None,
         announce=False,
-        roster_id=None,
     ):
         """Route propagation waves through per-host relays.
 
@@ -1075,12 +881,6 @@ class DCDOManager(ClassObject):
         when the relay's applied-set digest matches the instances it
         expected; any mismatch falls back to job batches / direct
         delivery, so guarantees are unchanged.
-
-        ``roster_id`` selects a named announce roster (a per-shard
-        slice seeded via :func:`repro.cluster.relay.
-        seed_announce_roster`); fleet announcements then carry the
-        roster and a ``hash_range`` filter so each relay only evolves
-        the shard's own colocated instances.
         """
         if fanout_k and fanout_k < 2:
             raise ValueError(f"fanout_k must be 0 or >= 2, got {fanout_k}")
@@ -1090,7 +890,6 @@ class DCDOManager(ClassObject):
         self._relay_fanout_k = fanout_k if directory else 0
         self._relay_batch_window = batch_window
         self._relay_announce = bool(announce) if directory else False
-        self._relay_roster_id = roster_id
 
     def _tree_order_key(self):
         """Tree ordering for relay fan-out: healthiest hosts first.
@@ -1442,8 +1241,6 @@ class DCDOManager(ClassObject):
             "lo": 0,
             "hi": len(roster),
             "fanout_k": self._relay_fanout_k,
-            "roster": self._relay_roster_id,
-            "hash_range": self._announce_hash_range(),
         }
         self._count("relay.announce_waves")
         try:
@@ -1530,7 +1327,6 @@ class DCDOManager(ClassObject):
             "window": self._relay_batch_window,
             "term": self.current_term(),
             "node": node,
-            "hash_range": self._announce_hash_range(),
         }
         self._count("relay.announce_waves")
         try:
@@ -2279,21 +2075,10 @@ class DCDOManager(ClassObject):
             self._current_version = data["version"]
         elif kind == "instance":
             self._restore_instance(data["loid"], data.get("host_name"))
+            if data.get("version") is not None:
+                self._instance_versions[data["loid"]] = data["version"]
         elif kind == "instance-version":
             self._instance_versions[data["loid"]] = data["version"]
-        elif kind == "range-released":
-            lo, hi = data["span"]
-            for loid in list(self._instances):
-                if lo <= partition_slot(loid) < hi:
-                    del self._instances[loid]
-                    self._instance_versions.pop(loid, None)
-                    self._instance_impl_types.pop(loid, None)
-            self._released_spans.append((lo, hi))
-        elif kind == "rows-pruned":
-            for loid in data["loids"]:
-                self._instances.pop(loid, None)
-                self._instance_versions.pop(loid, None)
-                self._instance_impl_types.pop(loid, None)
         elif kind == "propagation-started":
             tracker = PropagationTracker(
                 data["version"],
@@ -2424,11 +2209,26 @@ class DCDOManager(ClassObject):
         """Compact the journal: snapshot state, truncate the tail.
 
         The checkpoint is expressed as an equivalent minimal entry
-        list, so replay needs no second code path.
+        list, so replay needs no second code path; each instance is one
+        ``instance`` entry carrying its version.
+
+        Settled waves are forgotten first: a wave that completed with
+        every delivery acked, outside any open canary, is pure history
+        (the instance rows already record its outcome), so its tracker
+        is dropped instead of costing one replay entry per instance on
+        every later recovery.  Replay then scales with the live fleet,
+        not with the number of waves it has seen.
         """
         if self._journal is None:
             raise ValueError("no journal attached")
         from repro.core.recovery import JournalEntry
+
+        for version in [
+            version
+            for version, tracker in self._propagations.items()
+            if self._wave_settled(version, tracker)
+        ]:
+            del self._propagations[version]
 
         entries = []
         # The term leads the checkpoint: replay must outrank any older
@@ -2476,16 +2276,14 @@ class DCDOManager(ClassObject):
         for loid, record in self._instances.items():
             entries.append(
                 JournalEntry(
-                    "instance", {"loid": loid, "host_name": record.host.name}
+                    "instance",
+                    {
+                        "loid": loid,
+                        "host_name": record.host.name,
+                        "version": self._instance_versions.get(loid),
+                    },
                 )
             )
-            version = self._instance_versions.get(loid)
-            if version is not None:
-                entries.append(
-                    JournalEntry(
-                        "instance-version", {"loid": loid, "version": version}
-                    )
-                )
         # Canary states precede the trackers so a checkpointed
         # "wave-aborted" replay finds (and closes) the canary it ended.
         for version, state in self._canaries.items():
@@ -2600,6 +2398,16 @@ class DCDOManager(ClassObject):
         self._publish_journal_gauges()
         return len(entries)
 
+    def _wave_settled(self, version, tracker):
+        """True when a wave's tracker carries nothing recovery needs."""
+        state = self._canaries.get(version)
+        return (
+            tracker.complete
+            and not tracker.aborting
+            and tracker.all_acked
+            and (state is None or state.closed)
+        )
+
     # ------------------------------------------------------------------
     # Exported manager interface
     # ------------------------------------------------------------------
@@ -2611,13 +2419,6 @@ class DCDOManager(ClassObject):
         self.register_method("syncInstance", self._m_sync_instance)
         self.register_method("getDCDOTable", self._m_get_dcdo_table)
         self.register_method("ping", self._m_ping)
-        # Routed (sharded-plane) variants: first two args are the
-        # caller's partition-map epoch and the target LOID; the guard
-        # bounces with StalePartitionMap when this shard no longer owns
-        # the LOID's slot.
-        self.register_method("routedUpdateInstance", self._m_routed_update)
-        self.register_method("routedSyncInstance", self._m_routed_sync)
-        self.register_method("routedInstanceVersion", self._m_routed_version)
 
     def _m_ping(self, ctx):
         """Liveness probe for the failure detector; returns the term."""
@@ -2648,21 +2449,6 @@ class DCDOManager(ClassObject):
         """Lazy-update entry point: bring ``loid`` to the policy target."""
         version = yield from self.try_evolve_instance(loid)
         return version
-
-    def _m_routed_update(self, ctx, epoch, loid, target_version=None):
-        self._shard_guard(epoch, loid)
-        version = yield from self.evolve_instance(loid, target_version)
-        return version
-
-    def _m_routed_sync(self, ctx, epoch, loid):
-        self._shard_guard(epoch, loid)
-        version = yield from self.try_evolve_instance(loid)
-        return version
-
-    def _m_routed_version(self, ctx, epoch, loid):
-        self._shard_guard(epoch, loid)
-        return self._instance_versions.get(loid)
-        yield  # pragma: no cover - uniform generator shape
 
     def _m_get_dcdo_table(self, ctx):
         return [

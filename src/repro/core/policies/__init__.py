@@ -33,7 +33,6 @@ from repro.core.policies.remediation import (
     DemoteDegradedVersion,
     MigrateOffFlakyHost,
     PrewarmBlobCaches,
-    RebalanceHotShard,
     RemediationIntent,
     RemediationPolicy,
     default_remediation_policies,
@@ -61,7 +60,6 @@ __all__ = [
     "PrewarmBlobCaches",
     "ProactiveUpdatePolicy",
     "REMEDIATION_POLICIES",
-    "RebalanceHotShard",
     "ReliableUpdatePolicy",
     "RemediationIntent",
     "RemediationPolicy",

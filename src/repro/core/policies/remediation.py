@@ -4,13 +4,13 @@ The paper's configuration manager evolves objects when *told* to; the
 :class:`~repro.cluster.controller.ReactiveController` closes the loop
 by deciding *when* — and these policies are the deciding.  Each one
 looks at the controller's sensed state (bus events plus polled
-health/SLO/shard signals) and proposes :class:`RemediationIntent`\\ s;
+health/SLO signals) and proposes :class:`RemediationIntent`\\ s;
 the controller owns admission (lease, budget, cooldown, convergence
 guard) and then drives the policy's ``execute`` through the existing
 transactional machinery.  A policy never mutates manager state
-directly: everything goes through ``migrate_instance``,
-``propagate_version``, ``split_shard`` — the same paths an operator
-would call, with the same journaling and fencing.
+directly: everything goes through ``migrate_instance`` and
+``propagate_version`` — the same paths an operator would call, with
+the same journaling and fencing.
 
 The registry is extension-style: decorate a policy class with
 :func:`register_remediation_policy` and every controller built with
@@ -33,7 +33,7 @@ def default_remediation_policies(**overrides):
     """Fresh instances of every registered policy, registration order.
 
     ``overrides`` maps a policy name to a kwargs dict for its
-    constructor (e.g. ``{"rebalance-hot-shard": {"outlier_factor": 2}}``).
+    constructor (e.g. ``{"migrate-off-flaky-host": {"max_instances_per_action": 4}}``).
     """
     policies = []
     for name, cls in REMEDIATION_POLICIES.items():
@@ -335,66 +335,3 @@ class PrewarmBlobCaches(RemediationPolicy):
         ctx.runtime.network.count("controller.prewarmed_blobs", prewarmed)
         return {"prewarmed": prewarmed, "hosts": len(targets)}
 
-
-@register_remediation_policy
-class RebalanceHotShard(RemediationPolicy):
-    """Split a shard whose waves run persistently slower than its peers.
-
-    The controller folds every ``wave.complete`` event (per-shard
-    duration) into an EWMA per shard; a shard whose smoothed wave
-    latency exceeds ``outlier_factor``× the median of its peers — with
-    at least ``min_samples`` waves observed — is split via the PR 9
-    plane machinery, halving its widest range onto a new shard.
-    """
-
-    name = "rebalance-hot-shard"
-    cooldown_s = 120.0
-
-    def __init__(self, outlier_factor=2.0, min_samples=3, max_shards=8):
-        self.outlier_factor = outlier_factor
-        self.min_samples = min_samples
-        self.max_shards = max_shards
-
-    def evaluate(self, ctx):
-        plane = ctx.plane
-        if plane is None or len(plane.shards) >= self.max_shards:
-            return []
-        stats = ctx.controller.shard_wave_stats
-        if len(stats) < 2:
-            return []
-        eligible = {
-            shard_id: entry
-            for shard_id, entry in stats.items()
-            if entry["samples"] >= self.min_samples
-            and shard_id in plane.shards
-        }
-        if len(eligible) < 2:
-            return []
-        ewmas = sorted(entry["ewma"] for entry in eligible.values())
-        # Lower median: with two shards, the outlier must beat the
-        # *other* shard's latency, not its own.
-        median = ewmas[(len(ewmas) - 1) // 2]
-        if median <= 0:
-            return []
-        intents = []
-        for shard_id, entry in eligible.items():
-            if entry["ewma"] > self.outlier_factor * median:
-                intents.append(
-                    RemediationIntent(
-                        policy=self.name,
-                        kind="split",
-                        target=f"s{shard_id}",
-                        params={"shard_id": shard_id},
-                    )
-                )
-        return intents
-
-    def execute(self, ctx, intent):
-        shard_id = intent.params["shard_id"]
-        if shard_id not in ctx.plane.shards:
-            return {"split": False, "reason": "shard-gone"}
-        manager = yield from ctx.plane.split_shard(shard_id)
-        # The hot shard's history no longer describes its halved range.
-        ctx.controller.shard_wave_stats.pop(shard_id, None)
-        ctx.runtime.network.count("controller.shard_splits")
-        return {"split": True, "new_shard": manager.shard_id}

@@ -381,14 +381,7 @@ def recover_manager(
         evolution_policy=evolution_policy or journal.meta.get("evolution_policy"),
         update_policy=update_policy or journal.meta.get("update_policy"),
         remove_policy=remove_policy or journal.meta.get("remove_policy"),
-        loid=journal.meta.get("class_loid"),
     )
-    shard_id = journal.meta.get("shard_id")
-    if shard_id is not None:
-        # A shard rejoins its plane before replay: the per-shard term
-        # scope and the live partition map ref come from the journal's
-        # meta, so the bump below fences only this shard's range.
-        manager.configure_shard(shard_id, journal.meta.get("partition_map"))
     unreplayed = max(0, len(journal) - max(0, skip_entries))
     if unreplayed:
         yield host.cpu_work(REPLAY_ENTRY_S * unreplayed)
@@ -396,16 +389,7 @@ def recover_manager(
     manager.attach_journal(journal)
     manager.bump_term()
     yield from manager.activate()
-    if shard_id is None or shard_id == 0:
-        runtime.adopt_class(manager)
-    else:
-        # Non-zero shards never owned ``_classes[type_name]``; adopting
-        # them there would clobber shard 0.  They re-register under
-        # their own LOID and per-shard context path instead.
-        runtime.attach_object(manager)
-        runtime.context_space.bind(
-            f"/shards/{type_name}/{shard_id}", manager.loid
-        )
+    runtime.adopt_class(manager)
     runtime.network.count("manager.recoveries")
     runtime.network.metrics.timer("manager.recovery_time_s").record(
         runtime.sim.now - started

@@ -197,15 +197,11 @@ class ReplicationLink:
         self._journal = manager.journal
         self.mode = mode
         self.ship_interval_s = ship_interval_s
-        # Shards of one type replicate under their per-shard scope
-        # (e.g. "Sorter/s2"), so a plane's N standby journals never
-        # collide in naming or metrics.
-        scope = getattr(manager, "replication_scope", manager.type_name)
-        self.replica = StandbyReplica(runtime, scope, standby_host_name)
+        self.replica = StandbyReplica(runtime, manager.type_name, standby_host_name)
         from repro.net import Endpoint
 
         self.address = (
-            f"{manager.host.name}/repl:{scope}@{next(_link_ids)}"
+            f"{manager.host.name}/repl:{manager.type_name}@{next(_link_ids)}"
         )
         self._endpoint = Endpoint(runtime.network, self.address)
         self._seq = 0

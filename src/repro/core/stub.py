@@ -112,14 +112,12 @@ class DCDOStub:
         retry_on_disappearance=True,
         fallbacks=None,
         lease_ttl_s=None,
-        router=None,
     ):
         self._client = client
         self._loid = loid
         self._retry = retry_on_disappearance
         self._fallbacks = dict(fallbacks or {})
         self._lease_ttl_s = lease_ttl_s
-        self._router = router
         self.interface = InterfaceCache()
         self.disappearances = 0
         self.fallbacks_used = 0
@@ -137,42 +135,6 @@ class DCDOStub:
     def lease_ttl_s(self):
         """The lease TTL, or None when lease caching is off."""
         return self._lease_ttl_s
-
-    @property
-    def router(self):
-        """The attached :class:`~repro.core.partition.PartitionRouter`."""
-        return self._router
-
-    def attach_router(self, router):
-        """Route manager-plane calls through a sharded plane's map.
-
-        The router is the stub's client-side partition-map cache: a
-        call routed on a stale epoch bounces with the shard's current
-        map piggybacked and retries against the new owner — the same
-        shape as the interface lease's epoch validation.
-        """
-        self._router = router
-        return self
-
-    def request_update(self, target_version=None):
-        """Generator: routed §3.4 explicit update via the shard plane."""
-        if self._router is None:
-            raise ValueError("no partition router attached")
-        result = yield from self._router.call(
-            self._client, self._loid, "routedUpdateInstance", target_version,
-            timeout_schedule=(600.0,),
-        )
-        return result
-
-    def sync_with_manager(self):
-        """Generator: routed lazy-update sync via the shard plane."""
-        if self._router is None:
-            raise ValueError("no partition router attached")
-        result = yield from self._router.call(
-            self._client, self._loid, "routedSyncInstance",
-            timeout_schedule=(600.0,),
-        )
-        return result
 
     def _observed_epoch(self):
         """The latest epoch piggybacked by the target, if knowable."""

@@ -57,11 +57,8 @@ class ClassObject(LegionObject):
         host,
         implementations=(),
         instance_factory=None,
-        loid=None,
     ):
-        # ``loid`` overrides the canonical class LOID — shard managers
-        # of one type need distinct identities under a shared type name.
-        super().__init__(runtime, loid or class_loid(runtime.domain, type_name), host)
+        super().__init__(runtime, class_loid(runtime.domain, type_name), host)
         self._type_name = type_name
         self._implementations = list(implementations)
         self._instance_factory = instance_factory or LegionObject
@@ -179,18 +176,15 @@ class ClassObject(LegionObject):
     def _instance_created(self, record):
         """Hook: called after an instance is created and active."""
 
-    def create_instance(self, host_name=None, state=None, state_bytes=0, loid=None):
+    def create_instance(self, host_name=None, state=None, state_bytes=0):
         """Generator: create and activate a new instance.
 
         Returns the new instance's LOID.  Cost: (optional) binary
         download + process spawn + member-function registration +
-        binding registration.  ``loid`` lets a routing layer pre-mint
-        the identity (sharded planes hash the LOID to pick the owning
-        shard before the create lands anywhere).
+        binding registration.
         """
         host = self._pick_host(host_name)
-        if loid is None:
-            loid = mint_loid(self._runtime.domain, self._type_name)
+        loid = mint_loid(self._runtime.domain, self._type_name)
         process = yield from host.spawn_process(loid)
         obj, version_tag = yield from self._build_instance(loid, host)
         if state is not None:

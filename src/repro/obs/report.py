@@ -51,10 +51,6 @@ class SystemReport:
     #: sample count.  Empty unless some invoker armed adaptive
     #: timeouts or hedging and has taken samples.
     rtt: dict = field(default_factory=dict)
-    #: Per-shard manager state for sharded planes, keyed
-    #: ``"<type>/s<shard_id>"``: host, term, owned slot spans, table
-    #: size, journal size, and the plane's partition-map epoch.
-    shards: dict = field(default_factory=dict)
 
     @property
     def total_active_objects(self):
@@ -149,25 +145,6 @@ def collect_system_report(runtime):
                     class_object.remediation_status()
                 )
         report.types[type_name] = entry
-    for obj in runtime._objects.values():
-        shard_id = getattr(obj, "shard_id", None)
-        if shard_id is None:
-            continue
-        journal = obj.journal
-        partition_map = obj.partition_map
-        report.shards[f"{obj.type_name}/s{shard_id}"] = {
-            "type": obj.type_name,
-            "shard_id": shard_id,
-            "host": obj.host.name,
-            "active": obj.is_active,
-            "deposed": obj.deposed,
-            "term": obj.term,
-            "instances": len(obj.instance_loids()),
-            "spans": list(obj.owned_spans()),
-            "map_epoch": partition_map.epoch if partition_map else None,
-            "journal_entries": len(journal) if journal is not None else 0,
-            "journal_bytes": journal.bytes if journal is not None else 0,
-        }
     for obj in runtime._objects.values():
         invoker = getattr(obj, "_invoker", None)
         estimators = getattr(invoker, "_estimators", None)
@@ -287,32 +264,6 @@ def render_report(report):
                 f"({len(remediation['open'])} open, lease {holder})"
             )
         lines.append(line)
-    for key, shard in sorted(report.shards.items()):
-        if shard["deposed"]:
-            state = "DEPOSED"
-        elif shard["active"]:
-            state = "up"
-        else:
-            state = "down"
-        spans = ", ".join(f"[{lo},{hi})" for lo, hi in shard["spans"]) or "-"
-        lines.append(
-            f"  shard {key}: {state} on {shard['host']}, "
-            f"term {shard['term']}, {shard['instances']} instances, "
-            f"spans {spans}, map epoch {shard['map_epoch']}, "
-            f"journal {shard['journal_entries']} entries / "
-            f"{shard['journal_bytes']} B"
-        )
-    shard_counters = {
-        name: value
-        for name, value in report.faults.items()
-        if name.startswith("manager.shard.") and value
-    }
-    if shard_counters:
-        counters = ", ".join(
-            f"{name.split('manager.shard.', 1)[1]} {value}"
-            for name, value in sorted(shard_counters.items())
-        )
-        lines.append(f"  shard plane: {counters}")
     downtime = {
         name: entry
         for name, entry in report.availability.items()

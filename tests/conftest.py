@@ -156,47 +156,6 @@ def make_sorter_manager(runtime, type_name="Sorter", component_hosts=None, **pol
     return manager
 
 
-def make_sorter_plane(
-    runtime,
-    type_name="Sorter",
-    shard_count=2,
-    shard_hosts=None,
-    component_hosts=None,
-    journals=None,
-    **policy_kwargs,
-):
-    """A sharded manager plane mirroring :func:`make_sorter_manager`.
-
-    Same components, same version-1 configuration, applied plane-wide
-    (every shard ends byte-equivalent); ``compare-desc`` is registered
-    but unused, ready for evolution tests.
-    """
-    from repro.core import ShardedManagerPlane
-
-    plane = ShardedManagerPlane(
-        runtime,
-        type_name,
-        shard_count=shard_count,
-        shard_hosts=shard_hosts,
-        journals=journals,
-        **policy_kwargs,
-    )
-    sorter, compare_asc, compare_desc = make_sorter_components()
-    component_hosts = component_hosts or {}
-    for component in (sorter, compare_asc, compare_desc):
-        plane.register_component(
-            component, host_name=component_hosts.get(component.component_id)
-        )
-    version = plane.new_version()
-    plane.incorporate_into(version, "sorter")
-    plane.incorporate_into(version, "compare-asc")
-    plane.enable_function(version, "sort", "sorter")
-    plane.enable_function(version, "compare", "compare-asc")
-    plane.mark_instantiable(version)
-    plane.set_current_version(version)
-    return plane
-
-
 def create_dcdo(runtime, manager, host_name=None):
     """Create one DCDO instance and return (loid, live object)."""
     loid = runtime.sim.run_process(manager.create_instance(host_name=host_name))

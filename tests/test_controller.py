@@ -5,7 +5,7 @@ in anger: the event bus, the shared convergence guard (including the
 supervisor-vs-controller double-converge regression), the manager's
 term-fenced remediation lease / intent journal, policy admission
 (budget + cooldown), and end-to-end remediations — SLO-breach rollback,
-quarantine-driven migration, deploy prewarm, and hot-shard splits.
+quarantine-driven migration, and deploy prewarm.
 """
 
 import pytest
@@ -21,7 +21,6 @@ from repro.core.policies import (
     DemoteDegradedVersion,
     MigrateOffFlakyHost,
     PrewarmBlobCaches,
-    RebalanceHotShard,
     ReliableUpdatePolicy,
     RemediationIntent,
     RemediationPolicy,
@@ -561,53 +560,10 @@ def test_controller_prewarms_blob_caches():
     assert runtime.network.count_value("controller.prewarmed_blobs") >= 1
 
 
-def test_controller_splits_hot_shard():
-    from tests.conftest import make_sorter_plane
-
-    runtime = LegionRuntime(build_lan(6, seed=9))
-    plane = make_sorter_plane(runtime, shard_count=2)
-    controller = ReactiveController(
-        runtime,
-        "Sorter",
-        plane=plane,
-        policies=[RebalanceHotShard(outlier_factor=2.0, min_samples=3)],
-        interval_s=1.0,
-    )
-    # Feed the wave-latency signal directly: shard 1 is persistently 4x
-    # slower than shard 0.
-    for __ in range(5):
-        controller._on_event(_wave_event(runtime, shard_id=0, duration_s=1.0))
-        controller._on_event(_wave_event(runtime, shard_id=1, duration_s=4.0))
-    controller.start()
-    runtime.sim.run_process(_sleep(runtime, 30.0))
-    controller.stop()
-    runtime.sim.run()
-
-    assert len(plane.shard_ids) == 3, "hot shard was never split"
-    splits = [
-        e for e in controller.remediation_log
-        if e["policy"] == "rebalance-hot-shard"
-    ]
-    assert splits and splits[0]["outcome"] == "done"
-    assert runtime.network.count_value("controller.shard_splits") == 1
-
-
-def _wave_event(runtime, shard_id, duration_s):
-    from repro.obs.bus import Event
-
-    return Event(
-        at=runtime.sim.now,
-        topic="wave.complete",
-        subject="Sorter",
-        details={"shard_id": shard_id, "duration_s": duration_s},
-    )
-
-
 def test_default_policy_registry_complete():
     names = [policy.name for policy in default_remediation_policies()]
     assert names == [
         "migrate-off-flaky-host",
         "demote-degraded-version",
         "prewarm-blob-caches",
-        "rebalance-hot-shard",
     ]
