@@ -14,8 +14,8 @@ result.  The simulator is deterministic, so any movement here is a
 genuine behavior change in the delivery path, not noise.
 
 ``--scaleout`` additionally gates the P3 scale-out invariants on a
-freshly produced ``BENCH_scaleout.json``: the relay-batched wave must
-beat the flat wave at 256 instances and up, and the blob-cache hit
+freshly produced ``BENCH_scaleout.json``: the flat announce wave must
+beat the direct wave at 256 instances and up, and the blob-cache hit
 rate must reach ``(iph - 1) / iph`` for ``iph`` instances per host —
 i.e. every colocated incorporation after a host's first is served
 locally.
@@ -121,17 +121,17 @@ def check_p3(path):
     failures = []
     for size in sorted(scales, key=int):
         entry = scales[size]
-        flat_s = entry["flat"]["wave_s"]
-        relay_s = entry["relay"]["wave_s"]
+        direct_s = entry["direct"]["wave_s"]
+        announce_s = entry["announce"]["wave_s"]
         iph = entry["instances_per_host"]
         expected_hit_rate = (iph - 1) / iph if iph else 0.0
-        hit_rate = entry["relay"]["hit_rate"]
+        hit_rate = entry["announce"]["hit_rate"]
         status = "OK"
-        if int(size) >= 256 and relay_s >= flat_s:
+        if int(size) >= 256 and announce_s >= direct_s:
             status = "REGRESSED"
             failures.append(
-                f"scale {size}: relay wave {relay_s * 1000:.2f} ms did not "
-                f"beat flat {flat_s * 1000:.2f} ms"
+                f"scale {size}: announce wave {announce_s * 1000:.2f} ms did "
+                f"not beat direct {direct_s * 1000:.2f} ms"
             )
         if hit_rate < expected_hit_rate - 1e-9:
             status = "REGRESSED"
@@ -140,8 +140,8 @@ def check_p3(path):
                 f"(iph-1)/iph = {expected_hit_rate:.3f}"
             )
         print(
-            f"P3 scale {size:>4} instances: flat {flat_s * 1000:8.2f} ms, "
-            f"relay {relay_s * 1000:8.2f} ms, hit rate {hit_rate:.3f} "
+            f"P3 scale {size:>4} instances: direct {direct_s * 1000:8.2f} ms, "
+            f"announce {announce_s * 1000:8.2f} ms, hit rate {hit_rate:.3f} "
             f"(floor {expected_hit_rate:.3f}) {status}"
         )
     return failures

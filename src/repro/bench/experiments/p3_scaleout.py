@@ -4,10 +4,12 @@ The scale question §4's 16-host testbed could not ask: what happens to
 an evolution wave at 64, 256, 1024 instances?  Two mechanisms keep the
 cost curves host-shaped instead of instance-shaped:
 
-- **Per-host relays** — the manager ships one ``evolveBatch`` RPC per
-  host (optionally one bundle through a k-ary diffusion tree) instead
-  of one management RPC per instance, so manager-side wave cost is
-  O(hosts) and the per-instance applies run with per-host parallelism.
+- **Per-host relays** — the manager announces the wave to every
+  host's relay (*flat announce*: one ``announceFleet`` RPC per host, or
+  *tree announce*: one RPC whose roster range fans out as a k-ary
+  tree) instead of sending one management RPC per instance, so
+  manager-side wave cost is O(hosts) or less and the per-instance
+  applies run with per-host parallelism.
 - **Content-addressed blob caching** — an upgrade component's bytes
   cross the network once per host: the first colocated incorporation
   fills the host's cache (concurrent ones coalesce onto a single
@@ -70,13 +72,13 @@ def _build_fleet(seed, scale, type_name):
 def _run_wave(seed, scale, mode):
     """Drive one v1->v2 wave; returns the measured numbers.
 
-    ``mode`` is ``"flat"`` (direct windowed delivery), ``"relay"``
-    (one evolveBatch per host), or ``"tree"`` (one bundle to a k-ary
-    relay tree).
+    ``mode`` is ``"direct"`` (direct windowed delivery), ``"announce"``
+    (flat announce: one announcement per host), or ``"tree"`` (tree
+    announce: one announcement fanning out as a k-ary relay tree).
     """
     runtime, manager, v2 = _build_fleet(seed, scale, f"P3Fleet{scale}{mode}")
     hosts = len(runtime.hosts)
-    if mode != "flat":
+    if mode != "direct":
         manager.use_relays(
             deploy_relays(runtime),
             fanout_k=TREE_FANOUT if mode == "tree" else 0,
@@ -116,61 +118,65 @@ def run_p3(seed=0):
     )
     scales = {}
     for scale in SCALES:
-        flat = _run_wave(seed, scale, "flat")
-        relay = _run_wave(seed, scale, "relay")
-        hosts = relay["hosts"]
+        direct = _run_wave(seed, scale, "direct")
+        announce = _run_wave(seed, scale, "announce")
+        hosts = announce["hosts"]
         iph = scale // hosts
         expected_hit_rate = (iph - 1) / iph
-        scales[scale] = {"flat": flat, "relay": relay, "instances_per_host": iph}
+        scales[scale] = {
+            "direct": direct,
+            "announce": announce,
+            "instances_per_host": iph,
+        }
         result.add(
-            f"{scale} instances: flat wave",
+            f"{scale} instances: direct wave",
             "grows with instances",
-            millis(flat["wave_s"]),
+            millis(direct["wave_s"]),
             "ms",
         )
         result.add(
-            f"{scale} instances: relay wave",
-            "< flat" if scale >= 256 else "comparable",
-            millis(relay["wave_s"]),
+            f"{scale} instances: flat announce wave",
+            "< direct" if scale >= 256 else "comparable",
+            millis(announce["wave_s"]),
             "ms",
-            ok=relay["wave_s"] < flat["wave_s"] if scale >= 256 else True,
+            ok=announce["wave_s"] < direct["wave_s"] if scale >= 256 else True,
         )
         result.add(
-            f"{scale} instances: manager RPCs, relay wave",
+            f"{scale} instances: manager RPCs, flat announce wave",
             f"{hosts} (one per host)",
-            f"{relay['manager_rpcs']}",
+            f"{announce['manager_rpcs']}",
             "rpc",
-            ok=relay["manager_rpcs"] == hosts
-            and relay["relay_batches"] == hosts,
+            ok=announce["manager_rpcs"] == hosts
+            and announce["relay_batches"] == hosts,
         )
         result.add(
             f"{scale} instances: upgrade bytes served by ICO",
             f"{hosts * UPGRADE_BYTES} (hosts x blob, not instances x blob)",
-            f"{relay['ico_bytes']}",
+            f"{announce['ico_bytes']}",
             "B",
-            ok=relay["ico_bytes"] == hosts * UPGRADE_BYTES,
+            ok=announce["ico_bytes"] == hosts * UPGRADE_BYTES,
         )
         result.add(
             f"{scale} instances: blob cache hit rate",
             f">= {expected_hit_rate:.3f} ((iph-1)/iph)",
-            f"{relay['hit_rate']:.3f}",
+            f"{announce['hit_rate']:.3f}",
             "",
-            ok=relay["hit_rate"] >= expected_hit_rate - 1e-9,
+            ok=announce["hit_rate"] >= expected_hit_rate - 1e-9,
         )
     top = max(SCALES)
     tree = _run_wave(seed, top, "tree")
     scales[top]["tree"] = tree
     result.add(
-        f"{top} instances: diffusion-tree wave (k={TREE_FANOUT})",
-        "< flat, 1 manager RPC",
+        f"{top} instances: tree announce wave (k={TREE_FANOUT})",
+        "< direct, 1 manager RPC",
         millis(tree["wave_s"]),
         "ms",
-        ok=tree["wave_s"] < scales[top]["flat"]["wave_s"]
+        ok=tree["wave_s"] < scales[top]["direct"]["wave_s"]
         and tree["manager_rpcs"] == 1,
     )
-    speedup = scales[top]["flat"]["wave_s"] / scales[top]["relay"]["wave_s"]
+    speedup = scales[top]["direct"]["wave_s"] / scales[top]["announce"]["wave_s"]
     result.add(
-        f"{top}-instance speedup, relay vs flat",
+        f"{top}-instance speedup, flat announce vs direct",
         "> 1x, growing with scale",
         f"{speedup:.1f}",
         "x",

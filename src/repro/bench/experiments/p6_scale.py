@@ -288,9 +288,7 @@ def _run_wave(seed, scale):
     runtime, manager, v2 = _build_fleet(seed, scale)
     build_wall_s = time.perf_counter() - build_started
     fanout_k = tree_fanout(len(runtime.hosts))
-    manager.use_relays(
-        deploy_relays(runtime), fanout_k=fanout_k, announce=True
-    )
+    manager.use_relays(deploy_relays(runtime), fanout_k=fanout_k)
     events_before = runtime.sim.processed_events
     resolves_before = runtime.binding_agent.resolutions_served
     started = runtime.sim.now

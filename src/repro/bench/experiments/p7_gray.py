@@ -4,24 +4,25 @@ The paper's failure model is fail-stop: a host is up or it is crashed,
 and every recovery mechanism in §4 keys off that binary.  PR 8 adds
 the *gray* middle — hosts that limp instead of dying — and this
 experiment measures what the hardening buys when the limper sits in
-the worst possible place: the lexicographically-first relay host,
-which plain name ordering makes the **root** of the k-ary diffusion
-tree that every evolution bundle routes through.
+the worst possible place: the lexicographically-first instance host,
+which roster order makes the **root** of the announcement tree that
+every evolution wave routes through.
 
 - **Healthy baseline** — a 185-instance fleet over 24 instance hosts
-  runs one v1->v2 wave through the relay tree; per-instance latency is
-  ``acked_at - wave_start`` from the propagation tracker.
+  runs one v1->v2 announcement wave through the relay tree;
+  per-instance latency is ``acked_at - wave_start`` from the
+  propagation tracker.
 - **Unhardened under gray** — the root relay's host limps (CPU and
-  NIC) behind a slow, jittery link.  Every bundle crosses it twice, so
-  the whole wave inherits the gray host's latency: p99 blows up by >=
-  5x even though not a single host is down.
+  NIC) behind a slow, jittery link.  The announcement crosses it
+  twice, so the whole wave inherits the gray host's latency: p99 blows
+  up by >= 5x even though not a single host is down.
 - **Hardened under gray** — peer health is armed, the manager's
   invoker hedges idempotent calls with adaptive timeouts, and a
   failure detector probes the limping relay; its timed-out probes
-  score the host down until it is quarantined.  The wave then routes
-  around it (``relay.quarantine_skips``), the limper's single
-  instance falls back to direct delivery, and fleet p99 lands within
-  2x of healthy.
+  score the host down until it is quarantined.  The announcement then
+  spans only the healthy hosts (``relay.quarantine_skips``), the
+  limper's single instance falls back to direct delivery, and fleet
+  p99 lands within 2x of healthy.
 - **Phi vs fixed detection** — a separate supervised fleet's manager
   sits behind a gray link (slow, not dead).  The fixed-threshold
   detector misses probes and the supervisor flap-fails-over a
@@ -39,8 +40,8 @@ from repro.net.faults import SlowLink
 from repro.workloads import make_noop_manager
 
 MANAGER_HOST = "host00"
-#: Sorts first among the instance hosts, so with health unarmed (plain
-#: name ordering) it roots the relay diffusion tree.
+#: Sorts first among the instance hosts, so unless it is quarantined it
+#: roots the announcement tree.
 LIMPING_HOST = "host01"
 INSTANCE_HOSTS = 24
 INSTANCES_PER_HOST = 8
@@ -115,7 +116,7 @@ def _build_fleet(seed, type_name):
 
 
 def _run_wave(seed, mode):
-    """One tree-routed v1->v2 wave; returns per-instance latency stats.
+    """One tree announce v1->v2 wave; returns per-instance latency stats.
 
     ``mode`` is ``"healthy"`` (no faults), ``"unhardened"`` (gray
     limper, no hardening), or ``"hardened"`` (gray limper + health,

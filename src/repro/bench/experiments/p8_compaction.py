@@ -3,8 +3,8 @@
 The sharded manager plane this experiment used to measure was built
 against the *direct* windowed delivery path, where one manager's egress
 port serializes every per-instance RPC.  Announcement waves removed
-that bottleneck: re-measured with relays and ``announce=True`` on
-every rung, a 10,240-instance wave took 40.6 ms from one manager and
+that bottleneck: re-measured with relays announcing every wave, a
+10,240-instance wave took 40.6 ms from one manager and
 43.0 / 42.6 / 45.8 ms from 2 / 4 / 8 shards (EXPERIMENTS.md §P8), so
 the plane was deleted.  Its remaining claim was recovery scope: a
 crashed shard replays only its own journal.  This experiment measures
@@ -89,9 +89,7 @@ def _build_fleet(seed, fleet):
 
 
 def _use_announce_relays(runtime, manager, directory):
-    manager.use_relays(
-        directory, fanout_k=tree_fanout(len(runtime.hosts)), announce=True
-    )
+    manager.use_relays(directory, fanout_k=tree_fanout(len(runtime.hosts)))
 
 
 def _stage_upgrade(runtime, manager, tag):

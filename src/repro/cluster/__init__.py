@@ -16,12 +16,7 @@ from repro.cluster.coordination import ConvergenceGuard, convergence_guard
 from repro.cluster.failure_detector import HeartbeatFailureDetector
 from repro.cluster.filecache import FileCache
 from repro.cluster.host import CrashPlan, Host, HostDown, HostProcess
-from repro.cluster.relay import (
-    HostRelay,
-    build_relay_tree,
-    deploy_relays,
-    restore_relays,
-)
+from repro.cluster.relay import HostRelay, deploy_relays, restore_relays
 from repro.cluster.supervisor import Supervisor
 from repro.cluster.testbed import Testbed, build_centurion, build_lan, build_wan
 from repro.cluster.vault import Vault
@@ -43,7 +38,6 @@ __all__ = [
     "Vault",
     "build_centurion",
     "build_lan",
-    "build_relay_tree",
     "build_wan",
     "convergence_guard",
     "deploy_relays",

@@ -55,10 +55,13 @@ class Supervisor:
     detector_host_name:
         Where the failure detector runs — pick a host that is neither
         the primary nor a standby, so detection survives their loss.
-    relays / relay_fanout_k / relay_batch_window:
+    relays / relay_fanout_k:
         Optional relay routing (see
         :meth:`~repro.core.manager.DCDOManager.use_relays`), restored
         and re-enabled on every promotion.
+    relay_announce:
+        Selects nothing: perfbench/workloads.py still passes it, and
+        the next benchmark change drops it.
     """
 
     def __init__(
@@ -69,7 +72,6 @@ class Supervisor:
         detector_host_name,
         relays=None,
         relay_fanout_k=0,
-        relay_batch_window=None,
         heartbeat_interval_s=0.5,
         heartbeat_timeout_s=0.4,
         suspicion_threshold=3,
@@ -90,8 +92,6 @@ class Supervisor:
         self.detector_host_name = detector_host_name
         self.relays = dict(relays or {})
         self.relay_fanout_k = relay_fanout_k
-        self.relay_batch_window = relay_batch_window
-        self.relay_announce = relay_announce
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.suspicion_threshold = suspicion_threshold
@@ -366,12 +366,7 @@ class Supervisor:
             from repro.cluster.relay import restore_relays
 
             yield from restore_relays(runtime, self.relays)
-            manager.use_relays(
-                self.relays,
-                fanout_k=self.relay_fanout_k,
-                batch_window=self.relay_batch_window,
-                announce=self.relay_announce,
-            )
+            manager.use_relays(self.relays, fanout_k=self.relay_fanout_k)
         self._manager = manager
         # Disarm until the detector actually sees this primary answer:
         # re-deposing it on the same stale evidence would thrash.

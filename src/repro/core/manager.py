@@ -223,8 +223,6 @@ class DCDOManager(ClassObject):
         self.fanout_window = fanout_window
         self._relay_directory = None
         self._relay_fanout_k = 0
-        self._relay_batch_window = None
-        self._relay_announce = False
         self.wave_policy = wave_policy or WavePolicy.converge()
         self.evolutions_performed = 0
         #: Monotonic fencing term: every management RPC this manager
@@ -790,10 +788,10 @@ class DCDOManager(ClassObject):
         policy = retry_policy or self.propagation_retry_policy
         window = window or self.fanout_window
         if self._relay_directory:
-            # Host-batched phase first: one RPC per host (or one bundle
-            # through a diffusion tree) covers every colocated pending
-            # instance.  Anything a relay could not positively confirm
-            # stays PENDING and falls through to direct delivery below.
+            # Announcement phase first: one RPC per roster range covers
+            # every colocated pending instance.  Anything a relay could
+            # not positively confirm stays PENDING and falls through to
+            # direct delivery below.
             yield from self._relay_deliveries(tracker, policy, window)
             if not self.is_active:
                 return tracker
@@ -844,78 +842,47 @@ class DCDOManager(ClassObject):
     # Host-relay fan-out (scale-out waves)
     # ------------------------------------------------------------------
 
-    def use_relays(
-        self,
-        directory,
-        fanout_k=0,
-        batch_window=None,
-        announce=False,
-    ):
+    def use_relays(self, directory, fanout_k=0, announce=False):
         """Route propagation waves through per-host relays.
 
         ``directory`` maps host name -> relay LOID (see
         :func:`repro.cluster.relay.deploy_relays`).  With relays
-        enabled, :meth:`propagate_version` first ships one
-        ``evolveBatch`` RPC per host covering all colocated pending
-        instances — O(hosts) manager-side RPCs instead of
-        O(instances) — and commits the per-instance acks with exactly
-        the tracker/journal bookkeeping of a direct delivery.
-        Instances a relay could not positively confirm stay PENDING
-        and are re-delivered directly, so relays are a transport
-        optimization only; they never weaken delivery guarantees.
+        enabled, :meth:`propagate_version` first *announces* the wave:
+        one ``announceFleet`` RPC per maximal contiguous range of
+        roster hosts (the sorted directory) that are up, not
+        quarantined, and hold a target, carrying the configuration
+        diffs and the targets as runs of instance numbers.  Commits
+        keep exactly the tracker/journal bookkeeping of a direct
+        delivery, and whatever the relays could not positively confirm
+        is re-announced and then delivered directly, so relays never
+        weaken delivery guarantees.
 
-        ``fanout_k >= 2`` additionally arranges the per-host batches
-        into a k-ary diffusion tree: the manager sends one bundle to a
-        root relay, which forwards child subtrees concurrently while
-        applying its own batch — O(log_k H) wave latency for H hosts.
-        ``batch_window`` bounds each relay's local in-flight
-        ``applyConfiguration`` calls.  Pass ``directory=None`` to go
-        back to direct-only delivery.
-
-        ``announce=True`` (requires ``fanout_k >= 2``) switches tree
-        waves from job bundles to *announcements*: the tree carries
-        only the configuration diffs and subtree routing — constant
-        bytes per host, never per instance — each relay enumerates its
-        own colocated instances, and acks come back as per-host
-        ``(count, digest)`` summaries.  The manager commits a host only
-        when the relay's applied-set digest matches the instances it
-        expected; any mismatch falls back to job batches / direct
-        delivery, so guarantees are unchanged.
+        ``fanout_k >= 2`` spreads each range over a k-ary tree of
+        roster spans (O(log_k H) wave latency for H hosts);
+        ``fanout_k=0`` gives every host its own announcement.  Pass
+        ``directory=None`` to go back to direct-only delivery.
+        ``announce`` selects nothing: perfbench/workloads.py still
+        passes it, and the next benchmark change drops it.
         """
         if fanout_k and fanout_k < 2:
             raise ValueError(f"fanout_k must be 0 or >= 2, got {fanout_k}")
-        if announce and (not directory or fanout_k < 2):
-            raise ValueError("announce waves need relays and fanout_k >= 2")
         self._relay_directory = dict(directory) if directory else None
         self._relay_fanout_k = fanout_k if directory else 0
-        self._relay_batch_window = batch_window
-        self._relay_announce = bool(announce) if directory else False
-
-    def _tree_order_key(self):
-        """Tree ordering for relay fan-out: healthiest hosts first.
-
-        None (plain name order) until peer health is armed on the
-        fabric.  With health armed, hosts sort by descending score with
-        name as the deterministic tiebreak, so a degraded relay ends up
-        at the leaves instead of the root of the diffusion tree.
-        """
-        health = self._runtime.network.health
-        if health is None:
-            return None
-        return lambda name: (-health.score(name), name)
 
     def _relay_deliveries(self, tracker, policy, window):
-        """Generator: the host-batched phase of a propagation wave.
+        """Generator: the announcement phase of a propagation wave.
 
-        Groups the tracker's pending instances by host, builds one
-        configuration diff per distinct from-version, and drives the
-        per-host batches through :meth:`_drive_relay_wave`.  Instances
-        without a usable relay (host down, deactivated, no relay
-        deployed) are simply left PENDING for the direct path.  The
-        batched instances' management locks are held for the whole
-        phase — in global sorted order, so concurrent waves cannot
-        deadlock — which keeps the version reads used for diffing
-        consistent with the commits.
+        Picks the pending instances a relay can reach (host up, relay
+        deployed, host not quarantined), acks those already at the
+        target without an RPC, builds one configuration diff per
+        distinct from-version, and drives the rest through
+        :meth:`_announce_wave`.  Everything else is simply left
+        PENDING for the direct path.  The targets' management locks
+        are held for the whole phase — in global sorted order, so
+        concurrent waves cannot deadlock — which keeps the version
+        reads used for diffing consistent with the commits, and is
+        what lets an announcement name its targets by instance-number
+        runs: no relay may touch an instance outside them.
         """
         sim = self._runtime.sim
         directory = self._relay_directory
@@ -938,9 +905,9 @@ class DCDOManager(ClassObject):
             if record.host.name not in directory:
                 continue
             if self._runtime.network.health_quarantined(record.host.name):
-                # Gray relay: leave its instances PENDING so the direct
-                # fallback ladder delivers them without routing a whole
-                # subtree through the limping host.
+                # Gray relay: leave its instances PENDING so direct
+                # delivery reaches them without routing a whole range
+                # through the limping host.
                 self._count("relay.quarantine_skips")
                 continue
             batchable.append((loid, record.host.name))
@@ -953,8 +920,8 @@ class DCDOManager(ClassObject):
         for lock in locks:
             yield lock.acquire()
         try:
-            host_jobs = {}
-            diff_cache = {}
+            remaining = {}
+            diffs = {}
             for loid, host_name in batchable:
                 from_version = self._instance_versions.get(loid)
                 if from_version == version:
@@ -974,8 +941,7 @@ class DCDOManager(ClassObject):
                     # Leave it PENDING: the direct path surfaces the
                     # veto through the usual retry/FAILED machinery.
                     continue
-                diff = diff_cache.get(from_version)
-                if diff is None:
+                if from_version not in diffs:
                     current_descriptor = (
                         self.version_record(from_version).descriptor
                         if from_version is not None
@@ -986,219 +952,91 @@ class DCDOManager(ClassObject):
                     )
                     diff.target_version = version
                     diff.enforce_restrictions = True
-                    diff_cache[from_version] = diff
-                host_jobs.setdefault(host_name, []).append((loid, diff))
-            if host_jobs:
-                yield from self._drive_relay_wave(
-                    tracker, host_jobs, policy, window, diffs=diff_cache
+                    diffs[from_version] = diff
+                remaining.setdefault(host_name, []).append(loid)
+            if remaining:
+                yield from self._announce_wave(
+                    tracker, remaining, diffs, policy, window
                 )
         finally:
             for lock in locks:
                 lock.release()
 
-    def _drive_relay_wave(self, tracker, host_jobs, policy, window, diffs=None):
-        """Generator: push per-host job batches until acked or exhausted.
+    def _announce_wave(self, tracker, remaining, diffs, policy, window):
+        """Generator: announce ``remaining`` until committed or out of budget.
 
-        Each round ships one ``evolveBatch`` per host with unconfirmed
-        jobs (or, with ``fanout_k`` set, one ``relayTree`` bundle to
-        the root relay) and commits the acks that come back.  Re-sent
-        jobs are harmless: application is idempotent per instance.
-        When the retry budget runs out the survivors are left PENDING
-        — the direct path takes over with a fresh budget, so relays
-        only ever mark FAILED for the terminal deleted-instance case.
-
-        With announcement mode on (``use_relays(..., announce=True)``)
-        the tree rounds ship announcements instead of per-instance
-        jobs.  The first round tries the fleet form (roster index
-        ranges down, one aggregated ``(hosts, count, digest)`` summary
-        up — constant bytes at every hop); an exact aggregate match
-        commits the whole wave at once.  Any shortfall drops to the
-        per-host form for the rest of the wave: subtree routing tables
-        down, per-host ``(count, digest)`` summaries up, whole hosts
-        committing iff their digest matches — which localizes failures
-        the aggregate can only detect.
+        ``remaining`` maps host name -> target LOIDs.  Each round sends
+        one announcement per maximal contiguous roster range of hosts
+        still holding targets (every host alone with ``fanout_k=0``),
+        at most ``window`` in flight, and commits what the acks
+        confirm.  A relay that did not answer — an announcement's head,
+        or the head of a span that came back in ``missing`` — is not
+        routed through again in this wave; the rest of its range is
+        re-announced.  Re-sent announcements are harmless: application
+        is idempotent per instance.  When the retry budget runs out, or
+        only unanswering relays' hosts are left, the survivors stay
+        PENDING — the direct path takes over with a fresh budget.
         """
-        from repro.cluster.relay import (
-            BATCH_JOB_BYTES,
-            RELAY_APPLY_TIMEOUTS,
-            build_relay_tree,
-            count_jobs,
-        )
+        from repro.cluster.relay import instance_runs
 
         sim = self._runtime.sim
-        directory = self._relay_directory
-        version = tracker.version
-        remaining = {host: list(jobs) for host, jobs in host_jobs.items()}
-        host_of = {
-            loid: host for host, jobs in host_jobs.items() for loid, __ in jobs
-        }
+        roster = sorted(self._relay_directory)
+        dead = set()
         started = sim.now
         attempts = 0
-        fleet_mode = True
-        while remaining:
-            if not self.is_active:
-                return
-            attempts += 1
-            for jobs in remaining.values():
-                for loid, __ in jobs:
-                    tracker.delivery(loid).attempts += 1
-            acks = []
-            if (
-                self._relay_announce
-                and diffs
-                and self._relay_fanout_k >= 2
-                and len(remaining) > 1
-                and self._announce_covers_fleet(tracker)
-            ):
-                handled = False
-                if fleet_mode:
-                    status = yield from self._announce_fleet_round(
-                        tracker, remaining, diffs
-                    )
-                    if status == "stop":
-                        return
-                    handled = status == "committed"
-                    if not handled:
-                        # Aggregate shortfall (dead subtree, roster
-                        # drift): finish the wave on per-host rounds,
-                        # which localize the failure to specific hosts.
-                        fleet_mode = False
-                if not handled and remaining:
-                    done = yield from self._announce_round(
-                        tracker, remaining, diffs
-                    )
-                    if done:
-                        return
-                acks = None  # host-level commits happened in the round
-            elif self._relay_fanout_k >= 2 and len(remaining) > 1:
-                bundle = build_relay_tree(
-                    remaining,
-                    directory,
-                    self._relay_fanout_k,
-                    window=self._relay_batch_window,
-                    order_key=self._tree_order_key(),
-                )
-                # The relays re-stamp this on every downstream apply,
-                # so the whole diffusion tree is fenced, not just the
-                # manager->root hop.
-                bundle["term"] = self.current_term()
-                self._count("relay.tree_waves")
-                try:
-                    acks = yield from self.invoker.invoke(
-                        bundle["relay"],
-                        "relayTree",
-                        (bundle,),
-                        payload_bytes=BATCH_JOB_BYTES * count_jobs(bundle),
-                        timeout_schedule=RELAY_APPLY_TIMEOUTS,
-                    )
-                except (LegionError, TransportError, RuntimeError) as error:
-                    if isinstance(error, StaleManagerTerm):
-                        self._fence(error)
-                        return
-                    if isinstance(error, RuntimeError) and self.is_active:
-                        raise
-                    if not self.is_active:
-                        return
-                    self._count("relay.batch_failures")
-            else:
-                hosts = sorted(remaining)
-                thunks = [
-                    lambda h=host, j=tuple(remaining[host]): self.invoker.invoke(
-                        directory[h],
-                        "evolveBatch",
-                        (j, self._relay_batch_window, self.current_term()),
-                        payload_bytes=BATCH_JOB_BYTES * len(j),
-                        timeout_schedule=RELAY_APPLY_TIMEOUTS,
-                    )
-                    for host in hosts
-                ]
-                self._count("relay.batch_waves")
-                outcomes = yield from run_windowed(sim, thunks, window)
-                for host, (ok, value) in zip(hosts, outcomes):
-                    if ok:
-                        acks.extend(value)
-                        continue
-                    if isinstance(value, StaleManagerTerm):
-                        self._fence(value)
-                        return
-                    if isinstance(value, (LegionError, TransportError)):
-                        self._count("relay.batch_failures")
-                        continue
-                    if self.is_active:
-                        raise value
-                    return
-            if not self.is_active:
-                return
-            for loid, ok, value in acks or ():
-                host = host_of.get(loid)
-                jobs = remaining.get(host)
-                if jobs is None or all(l != loid for l, __ in jobs):
-                    continue  # stale or duplicate ack
-                if ok:
-                    self._commit_relay_ack(tracker, loid, version)
-                elif isinstance(value, StaleManagerTerm):
-                    # The relay forwarded our term and a downstream
-                    # instance outranked it: we are deposed.
-                    self._fence(value)
-                    return
-                elif isinstance(value, UnknownObject):
-                    tracker.fail(loid, value)
-                    self._journal_append(
-                        "propagation-failed", version=version, loid=loid
-                    )
-                    self._count("propagation.deliveries_failed")
-                else:
-                    tracker.delivery(loid).last_error = value
+        while self.is_active:
+            spans = []
+            for index, host in enumerate(roster):
+                if host not in remaining or host in dead:
                     continue
-                remaining[host] = [job for job in jobs if job[0] != loid]
-            remaining = {host: jobs for host, jobs in remaining.items() if jobs}
-            if not remaining:
-                return
-            if not policy.should_retry(attempts, started, sim.now):
-                self._count(
-                    "relay.fallback_instances",
-                    sum(len(jobs) for jobs in remaining.values()),
+                if self._relay_fanout_k and spans and spans[-1][1] == index:
+                    spans[-1] = (spans[-1][0], index + 1)
+                else:
+                    spans.append((index, index + 1))
+            if not spans:
+                break
+            targets = [
+                loid
+                for lo, hi in spans
+                for host in roster[lo:hi]
+                for loid in remaining[host]
+            ]
+            for loid in targets:
+                tracker.delivery(loid).attempts += 1
+            runs = instance_runs(targets)
+            attempts += 1
+            thunks = [
+                lambda span=span: self._announce(
+                    tracker, roster, span, runs, diffs, remaining, dead
                 )
+                for span in spans
+            ]
+            outcomes = yield from run_windowed(sim, thunks, window)
+            for ok, value in outcomes:
+                if not ok:
+                    raise value
+            if not self.is_active:
                 return
+            if all(host in dead for host in remaining):
+                break
+            if not policy.should_retry(attempts, started, sim.now):
+                break
             self._count("propagation.retries")
             yield sim.timeout(policy.backoff_s(attempts))
+        if remaining and self.is_active:
+            self._count(
+                "relay.fallback_instances",
+                sum(len(loids) for loids in remaining.values()),
+            )
 
-    def _announce_covers_fleet(self, tracker):
-        """True when this wave may use announcement rounds.
+    def _announce(self, tracker, roster, span, runs, diffs, remaining, dead):
+        """Generator: one announcement over the roster span ``(lo, hi)``.
 
-        An announcement tells a relay to bring *every* colocated
-        instance of the type to the target version, so it is only safe
-        when the wave targets the full fleet: a subset wave (e.g. a
-        canary stage admitting a fraction of instances) must ship
-        explicit job batches, or the announcement would evolve
-        instances the wave never admitted.
-        """
-        version = tracker.version
-        targeted = {delivery.loid for delivery in tracker.deliveries()}
-        for loid in self.instance_loids():
-            if loid in targeted:
-                continue
-            record = self._instances.get(loid)
-            if record is None or not record.active:
-                continue
-            if self._instance_versions.get(loid) == version:
-                continue
-            return False
-        return True
-
-    def _announce_fleet_round(self, tracker, remaining, diffs):
-        """Generator: one roster-range fleet announcement round.
-
-        Ships the diffs plus a constant-size roster index range to the
-        roster head and expects one aggregated ``(hosts, count,
-        digest)`` summary back — digests are additive, so every relay
-        folds its subtree into constant reply bytes and root egress
-        stays independent of fleet size.  On an exact aggregate match
-        every remaining job commits at once.  Returns ``"committed"``,
-        ``"stop"`` (fenced or deactivated), ``"skip"`` (roster does not
-        cover the remaining hosts), or ``"mismatch"`` — the caller
-        finishes the wave on per-host rounds for the latter two, which
-        localize whatever the aggregate could only detect.
+        Commits every target on a reached host at once when the
+        aggregate ``(hosts, count, digest)`` matches the targets there
+        less any the relays reported failed; mutates ``remaining`` and
+        ``dead`` in place.  Any unexplained shortfall commits nothing:
+        the aggregate can only under-commit.
         """
         from repro.cluster.relay import (
             RELAY_APPLY_TIMEOUTS,
@@ -1206,46 +1044,22 @@ class DCDOManager(ClassObject):
             set_digest,
         )
 
-        roster = tuple(sorted(self._relay_directory.items()))
-        roster_hosts = {host for host, __ in roster}
-        if not roster or not set(remaining) <= roster_hosts:
-            return "skip"
-        network = self._runtime.network
-        if any(network.health_quarantined(host) for host in roster_hosts):
-            # The fleet announcement routes through every roster host by
-            # index; with a quarantined (gray) relay in the roster the
-            # whole fan-out would wait on it.  Fall back to per-host
-            # rounds, which span only healthy hosts.
-            self._count("relay.quarantine_skips")
-            return "skip"
+        lo, hi = span
         version = tracker.version
-        # The relays count every colocated instance at the target —
-        # both this round's jobs and instances already there (acked
-        # earlier in the wave, or current before it started) on any
-        # roster host — so both belong in the expected aggregate.
-        expected = [loid for jobs in remaining.values() for loid, __ in jobs]
-        for loid, current in self._instance_versions.items():
-            if current != version:
-                continue
-            record = self._instances.get(loid)
-            if record is None or not record.active:
-                continue
-            if record.host.name in roster_hosts:
-                expected.append(loid)
         bundle = {
             "type_name": self.type_name,
             "target_version": version,
             "diffs": dict(diffs),
-            "window": self._relay_batch_window,
+            "runs": runs,
             "term": self.current_term(),
-            "lo": 0,
-            "hi": len(roster),
+            "lo": lo,
+            "hi": hi,
             "fanout_k": self._relay_fanout_k,
         }
         self._count("relay.announce_waves")
         try:
             ack = yield from self.invoker.invoke(
-                roster[0][1],
+                self._relay_directory[roster[lo]],
                 "announceFleet",
                 (bundle,),
                 payload_bytes=announce_fleet_bytes(bundle),
@@ -1254,151 +1068,60 @@ class DCDOManager(ClassObject):
         except (LegionError, TransportError, RuntimeError) as error:
             if isinstance(error, StaleManagerTerm):
                 self._fence(error)
-                return "stop"
+                return
             if isinstance(error, RuntimeError) and self.is_active:
                 raise
-            if not self.is_active:
-                return "stop"
-            self._count("relay.batch_failures")
-            return "mismatch"
+            if self.is_active:
+                self._count("relay.batch_failures")
+                dead.add(roster[lo])
+            return
         if not self.is_active:
-            return "stop"
+            return
+        failed = set()
         for loid, value in ack["failures"]:
             if isinstance(value, StaleManagerTerm):
                 # A downstream instance outranked our term: deposed.
                 self._fence(value)
-                return "stop"
+                return
             record = self._instances.get(loid)
-            host = record.host.name if record is not None else None
-            jobs = remaining.get(host)
-            if jobs is None or all(l != loid for l, __ in jobs):
+            loids = remaining.get(record.host.name) if record is not None else None
+            if not loids or loid not in loids:
                 continue
+            failed.add(loid)
             if isinstance(value, UnknownObject):
                 tracker.fail(loid, value)
                 self._journal_append(
                     "propagation-failed", version=version, loid=loid
                 )
                 self._count("propagation.deliveries_failed")
-                remaining[host] = [job for job in jobs if job[0] != loid]
-                if not remaining[host]:
-                    del remaining[host]
+                loids.remove(loid)
             else:
                 tracker.delivery(loid).last_error = value
+        unreached = set()
+        for start, stop in ack["missing"]:
+            dead.add(roster[start])
+            unreached.update(roster[start:stop])
+        reached = [host for host in roster[lo:hi] if host not in unreached]
+        expected = [
+            loid
+            for host in reached
+            for loid in remaining.get(host, ())
+            if loid not in failed
+        ]
         if (
-            ack["hosts"] == len(roster)
+            ack["hosts"] == len(reached)
             and ack["count"] == len(expected)
             and ack["digest"] == set_digest(expected)
         ):
-            for host, jobs in list(remaining.items()):
-                for loid, __ in jobs:
-                    self._commit_relay_ack(tracker, loid, version)
-                del remaining[host]
-            return "committed"
-        return "mismatch"
-
-    def _announce_round(self, tracker, remaining, diffs):
-        """Generator: one announcement-tree round over ``remaining``.
-
-        Ships the configuration diffs (not per-instance jobs) down the
-        relay tree and commits whole hosts whose applied-set digest
-        matches the instances this manager expects to be at the target
-        version there — the batched jobs plus instances this wave
-        already acked.  Mutates ``remaining`` in place; returns True
-        when the wave must stop (fenced or deactivated).
-        """
-        from repro.cluster.relay import (
-            RELAY_APPLY_TIMEOUTS,
-            announce_bundle_bytes,
-            build_announce_tree,
-            set_digest,
-        )
-
-        version = tracker.version
-        node = build_announce_tree(
-            remaining,
-            self._relay_directory,
-            self._relay_fanout_k,
-            order_key=self._tree_order_key(),
-        )
-        bundle = {
-            "type_name": self.type_name,
-            "target_version": version,
-            "diffs": dict(diffs),
-            "window": self._relay_batch_window,
-            "term": self.current_term(),
-            "node": node,
-        }
-        self._count("relay.announce_waves")
-        try:
-            acks = yield from self.invoker.invoke(
-                node["relay"],
-                "announceTree",
-                (bundle,),
-                payload_bytes=announce_bundle_bytes(bundle),
-                timeout_schedule=RELAY_APPLY_TIMEOUTS,
-            )
-        except (LegionError, TransportError, RuntimeError) as error:
-            if isinstance(error, StaleManagerTerm):
-                self._fence(error)
-                return True
-            if isinstance(error, RuntimeError) and self.is_active:
-                raise
-            if not self.is_active:
-                return True
-            self._count("relay.batch_failures")
-            return False
-        if not self.is_active:
-            return True
-        # Every active instance already recorded at the target — acked
-        # earlier in this wave or current before it started — also
-        # shows up in a relay's applied set (counted without an RPC),
-        # so they belong in the expected digest.
-        acked_by_host = {}
-        for loid, current in self._instance_versions.items():
-            if current != version:
-                continue
-            record = self._instances.get(loid)
-            if record is None or not record.active:
-                continue
-            host = record.host.name
-            if host in remaining:
-                acked_by_host.setdefault(host, []).append(loid)
-        for host, count, digest, failures in acks:
-            jobs = remaining.get(host)
-            if jobs is None:
-                continue
-            for loid, value in failures:
-                if isinstance(value, StaleManagerTerm):
-                    # A downstream instance outranked our term: deposed.
-                    self._fence(value)
-                    return True
-                if all(l != loid for l, __ in jobs):
-                    continue
-                if isinstance(value, UnknownObject):
-                    tracker.fail(loid, value)
-                    self._journal_append(
-                        "propagation-failed", version=version, loid=loid
-                    )
-                    self._count("propagation.deliveries_failed")
-                    jobs = remaining[host] = [
-                        job for job in jobs if job[0] != loid
-                    ]
-                else:
-                    tracker.delivery(loid).last_error = value
-            if not jobs:
-                del remaining[host]
-                continue
-            acked = acked_by_host.get(host, ())
-            if (
-                digest is not None
-                and count == len(jobs) + len(acked)
-                and digest
-                == set_digest([loid for loid, __ in jobs] + list(acked))
-            ):
-                for loid, __ in jobs:
-                    self._commit_relay_ack(tracker, loid, version)
-                del remaining[host]
-        return False
+            for loid in expected:
+                self._commit_relay_ack(tracker, loid, version)
+            self._count("relay.announced_instances", len(expected))
+            for host in reached:
+                remaining[host] = [
+                    loid for loid in remaining.get(host, ()) if loid in failed
+                ]
+        for host in [host for host, loids in remaining.items() if not loids]:
+            del remaining[host]
 
     def _commit_relay_ack(self, tracker, loid, version):
         """Commit one relay-confirmed evolution.

@@ -119,9 +119,6 @@ class StandbyReplica:
             raise ReplicaBusy(self.address)
         self._applying = True
         try:
-            meta = payload.get("meta")
-            if meta:
-                self.journal.meta.update(meta)
             fresh = [
                 (seq, kind, record)
                 for seq, kind, record in payload["records"]
@@ -140,7 +137,13 @@ class StandbyReplica:
             if cost_entries:
                 yield self._host.cpu_work(REPLAY_ENTRY_S * cost_entries)
             # Apply atomically (no yields): the batch either lands
-            # whole before the reply or not at all.
+            # whole before the reply or not at all.  That includes the
+            # meta, which the supervisor reads as "this standby is
+            # hot": merged before the replay, a primary crash
+            # mid-bootstrap would promote an empty standby.
+            meta = payload.get("meta")
+            if meta:
+                self.journal.meta.update(meta)
             for seq, kind, record in fresh:
                 if kind == "entry":
                     self.journal.append(record.kind, **record.data)

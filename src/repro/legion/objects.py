@@ -335,27 +335,37 @@ class LegionObject:
         """Highest fencing term number seen for ``scope`` (None if unseen)."""
         return self._terms_seen.get(scope)
 
+    def admit_term(self, term):
+        """Fence one term-stamped management action.
+
+        Records ``term`` as seen for its scope, or raises
+        :class:`StaleManagerTerm` if a newer term was already seen.
+        Every inbound request runs it; so does a colocated relay that
+        finds an instance already at an announced version and settles
+        it without a request.
+        """
+        latest = self._terms_seen.get(term.scope)
+        if latest is not None and term.number < latest:
+            self._runtime.network.count("manager.stale_term_rejections")
+            self._runtime.trace(
+                "stale-term-rejected",
+                self._loid,
+                scope=term.scope,
+                stale=term.number,
+                latest=latest,
+            )
+            from repro.legion.errors import StaleManagerTerm
+
+            raise StaleManagerTerm(term, latest)
+        self._terms_seen[term.scope] = term.number
+
     def _handle_request(self, message):
         """Generator: serve one inbound method invocation."""
         payload = message.payload
         if payload.get("op") != "invoke":
             raise ValueError(f"unknown object op {payload.get('op')!r}")
-        term = message.term
-        if term is not None:
-            latest = self._terms_seen.get(term.scope)
-            if latest is not None and term.number < latest:
-                self._runtime.network.count("manager.stale_term_rejections")
-                self._runtime.trace(
-                    "stale-term-rejected",
-                    self._loid,
-                    scope=term.scope,
-                    stale=term.number,
-                    latest=latest,
-                )
-                from repro.legion.errors import StaleManagerTerm
-
-                raise StaleManagerTerm(term, latest)
-            self._terms_seen[term.scope] = term.number
+        if message.term is not None:
+            self.admit_term(message.term)
         # Server-side unmarshalling + dispatch cost.
         yield self._host.cpu_work(self.calibration.method_dispatch_s)
         self.active_requests += 1

@@ -505,6 +505,47 @@ def test_supervisor_replaces_crashed_standby():
     supervisor.stop()
 
 
+def test_primary_crash_mid_bootstrap_never_promotes_an_empty_standby():
+    """The standby-bootstrap hazard: the primary dies while its standby
+    is still replaying the bootstrap ship.  The standby must not look
+    hot before the replay lands — promoting it would bring up a manager
+    with no instances and no current version — so the supervisor takes
+    the cold path and recovers the whole fleet."""
+    runtime, manager, journal, loids = build_fleet(instances=4)
+    # History: ~1,300 journal entries, so the bootstrap replay (0.2 ms
+    # of CPU per entry) outlasts failure detection below.
+    for __ in range(100):
+        version = manager.derive_version(manager.current_version)
+        manager.mark_instantiable(version)
+        manager.set_current_version(version)
+        runtime.sim.run_process(manager.propagate_version(version))
+    supervisor = Supervisor(
+        runtime,
+        "Sorter",
+        standby_hosts=("host02", "host03"),
+        detector_host_name="host04",
+        heartbeat_interval_s=0.05,
+        heartbeat_timeout_s=0.04,
+        suspicion_threshold=2,
+        retry_policy=FAST_RETRY,
+    ).start()
+
+    def crash_mid_bootstrap():
+        yield runtime.sim.timeout(0.01)
+        crash_host(runtime, runtime.host("host00"))
+
+    runtime.sim.run_process(crash_mid_bootstrap())
+    runtime.sim.run(until=runtime.sim.now + 30.0)
+
+    assert supervisor.promotions == 1
+    assert runtime.network.count_value("supervisor.cold_promotions") == 1
+    promoted = supervisor.manager
+    assert promoted.is_active and promoted is not manager
+    assert promoted.instance_loids() == loids
+    assert promoted.current_version == manager.current_version
+    supervisor.stop()
+
+
 # ----------------------------------------------------------------------
 # Schedule determinism for the new fault kinds
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ Acceptance invariants, every seed:
 - never-half-applied holds at heal and at the end;
 - the supervisor promoted at least once with no help;
 - across the sweep, at least one seed observes the fencing mechanism
-  in action (``manager.stale_term_rejections`` > 0).
+  in action (``manager.stale_term_rejections`` > 0), and the relay
+  seeds' announcement rounds commit instances.
 
 ``CHAOS_EXTRA_SEEDS`` (env) widens the seed sweep in CI.
 """
@@ -48,6 +49,9 @@ CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
 #: Stale-term rejections observed per seed, checked in aggregate by
 #: :func:`test_stale_term_rejections_observed` after the sweep.
 STALE_REJECTIONS = {}
+#: Instances committed by announcement rounds per seed, checked in
+#: aggregate after the sweep.
+ANNOUNCED = {}
 
 
 def build_fleet(sim_seed=7, hosts=6, instances=4, **manager_kwargs):
@@ -191,6 +195,7 @@ def test_chaos_supervised_failover(seed):
     STALE_REJECTIONS[seed] = runtime.network.count_value(
         "manager.stale_term_rejections"
     )
+    ANNOUNCED[seed] = runtime.network.count_value("relay.announced_instances")
 
 
 def test_stale_term_rejections_observed():
@@ -200,3 +205,11 @@ def test_stale_term_rejections_observed():
     assert any(count > 0 for count in STALE_REJECTIONS.values()), (
         f"no seed observed a stale-term rejection: {STALE_REJECTIONS}"
     )
+
+
+def test_announcements_committed_instances_across_sweep():
+    """Across the sweep, the relay seeds' announcement rounds must
+    actually have committed instances through failovers — otherwise
+    the invariants above only proved something about direct delivery."""
+    assert ANNOUNCED, "sweep did not run before the aggregate check"
+    assert sum(ANNOUNCED.values()) > 0, f"no announced commits: {ANNOUNCED}"

@@ -48,6 +48,9 @@ CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
 #: Fabric-duplicated requests absorbed per seed, checked in aggregate
 #: after the sweep: the dedupe table must actually be exercised.
 DUPLICATES_ABSORBED = {}
+#: Instances committed by announcement rounds per seed, checked in
+#: aggregate after the sweep.
+ANNOUNCED = {}
 
 
 def build_fleet(sim_seed=7, hosts=6, instances=4, **manager_kwargs):
@@ -204,6 +207,7 @@ def test_chaos_gray_invariants_hold(seed):
     DUPLICATES_ABSORBED[seed] = runtime.network.count_value(
         "transport.duplicate_requests"
     )
+    ANNOUNCED[seed] = runtime.network.count_value("relay.announced_instances")
 
 
 def test_fabric_duplication_exercised_dedupe_across_sweep():
@@ -214,3 +218,11 @@ def test_fabric_duplication_exercised_dedupe_across_sweep():
     assert any(count > 0 for count in DUPLICATES_ABSORBED.values()), (
         f"no seed absorbed a fabric duplicate: {DUPLICATES_ABSORBED}"
     )
+
+
+def test_announcements_committed_instances_across_sweep():
+    """Across the sweep, the relay seeds' announcement rounds must
+    actually have committed instances under gray faults — otherwise
+    the invariants above only proved something about direct delivery."""
+    assert ANNOUNCED, "sweep did not run before the aggregate check"
+    assert sum(ANNOUNCED.values()) > 0, f"no announced commits: {ANNOUNCED}"

@@ -1,7 +1,7 @@
-"""Chaos tests for relay-batched waves: crashes mid-batch, no half-applies.
+"""Chaos tests for relay waves: crashes mid-announcement, no half-applies.
 
-Seeded schedules crash relay hosts while a host-batched propagation
-wave is in flight.  A dying relay takes its colocated instances with
+Seeded schedules crash relay hosts while a per-host announcement wave
+is in flight.  A dying relay takes its colocated instances with
 it; the acceptance invariants are PR 3's, unchanged by the relay
 layer: no live settled instance is ever half-applied, batch re-sends
 never double-apply (idempotence keyed by target version), abortive
@@ -27,6 +27,10 @@ FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
 )
 ONE_SHOT = RetryPolicy(base_s=1.0, max_attempts=1)
+
+#: Instances committed by announcement rounds, per (sweep, seed);
+#: checked in aggregate after both sweeps.
+ANNOUNCED = {}
 
 ICO_HOST = "host05"
 INSTANCE_HOSTS = ("host01", "host02", "host03", "host04")
@@ -166,6 +170,9 @@ def test_chaos_relay_crash_mid_batch_never_half_applied(seed):
     # Crashed relays came back and the wave kept flowing through them.
     assert runtime.network.count_value("relay.recoveries") >= 1
     assert runtime.network.count_value("relay.batches") >= 1
+    ANNOUNCED["crash", seed] = runtime.network.count_value(
+        "relay.announced_instances"
+    )
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -236,3 +243,14 @@ def test_chaos_abortive_relay_wave_rolls_back(seed):
     )
     for loid in loids:
         assert manager_now.record(loid).obj.version == v2
+    ANNOUNCED["abort", seed] = runtime.network.count_value(
+        "relay.announced_instances"
+    )
+
+
+def test_announcements_committed_instances_across_sweeps():
+    """Across both sweeps, announcement rounds must actually have
+    committed instances — otherwise the invariants above only proved
+    something about the direct fallback."""
+    assert ANNOUNCED, "sweeps did not run before the aggregate check"
+    assert sum(ANNOUNCED.values()) > 0, f"no announced commits: {ANNOUNCED}"

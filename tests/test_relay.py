@@ -1,17 +1,18 @@
-"""Host relays: batched evolution waves, diffusion trees, recovery.
+"""Host relays: announcement waves, roster-range trees, recovery.
 
 The scale-out claim under test: with relays deployed, a propagation
-wave costs the manager O(hosts) RPCs instead of O(instances), while
-every PR 3 delivery guarantee — tracker/journal bookkeeping, terminal
-failures, retry-then-FAILED — survives unchanged because anything a
-relay cannot positively confirm falls back to direct delivery.
+wave costs the manager one RPC per roster range (per host with
+``fanout_k=0``) instead of one per instance, while every transactional
+delivery guarantee — tracker/journal bookkeeping, terminal failures,
+retry-then-FAILED — survives unchanged because anything a relay cannot
+positively confirm is re-announced and then delivered directly.
 """
 
 import pytest
 
 from repro.cluster import build_lan, deploy_relays, restore_relays
 from repro.cluster.chaos import crash_host
-from repro.cluster.relay import build_relay_tree, count_jobs, iter_jobs
+from repro.cluster.relay import HostRelay, seed_announce_roster
 from repro.core import DeliveryStatus, ManagerJournal
 from repro.legion import LegionRuntime
 from repro.legion.loid import mint_loid
@@ -20,6 +21,7 @@ from repro.net import RetryPolicy
 from tests.conftest import create_dcdo, make_sorter_manager
 
 ONE_SHOT = RetryPolicy(base_s=1.0, max_attempts=1)
+TWO_ROUNDS = RetryPolicy(base_s=1.0, max_attempts=2)
 
 
 def build_relay_fleet(hosts=4, instances_per_host=2, journal=None):
@@ -83,7 +85,7 @@ def test_restore_relays_after_host_restart():
 
 
 # ----------------------------------------------------------------------
-# Batched waves
+# Per-host announcements (fanout_k=0)
 # ----------------------------------------------------------------------
 
 
@@ -100,7 +102,7 @@ def test_relay_wave_acks_all_with_host_granular_rpcs():
     for loid in loids:
         assert manager.record(loid).obj.version == v2
         assert manager.instance_version(loid) == v2
-    # One evolveBatch per host, not one RPC per instance.
+    # One announcement per host, not one RPC per instance.
     assert runtime.network.count_value("relay.batches") == 4
     assert runtime.network.count_value("relay.batch_instances") == 12
     assert manager.invoker.stats.invocations == 4
@@ -150,24 +152,8 @@ def test_dead_relay_falls_back_to_direct_delivery():
 
 
 # ----------------------------------------------------------------------
-# Diffusion trees
+# Roster-range trees (fanout_k >= 2)
 # ----------------------------------------------------------------------
-
-
-def test_build_relay_tree_shape():
-    batches = {f"h{i}": [(f"loid{i}", None)] for i in range(7)}
-    directory = {f"h{i}": f"relay{i}" for i in range(7)}
-    root = build_relay_tree(batches, directory, fanout_k=2)
-    assert root["host"] == "h0" and root["relay"] == "relay0"
-    assert [child["host"] for child in root["children"]] == ["h1", "h2"]
-    assert [c["host"] for c in root["children"][0]["children"]] == ["h3", "h4"]
-    assert count_jobs(root) == 7
-    assert sorted(loid for loid, __ in iter_jobs(root)) == sorted(
-        f"loid{i}" for i in range(7)
-    )
-    with pytest.raises(ValueError):
-        build_relay_tree(batches, directory, fanout_k=1)
-    assert build_relay_tree({}, directory, fanout_k=2) is None
 
 
 def test_tree_wave_single_manager_rpc():
@@ -181,7 +167,7 @@ def test_tree_wave_single_manager_rpc():
         assert manager.record(loid).obj.version == v2
     # The manager sent exactly one RPC: the root bundle.
     assert manager.invoker.stats.invocations == 1
-    assert runtime.network.count_value("relay.tree_waves") == 1
+    assert runtime.network.count_value("relay.announce_waves") == 1
     assert runtime.network.count_value("relay.batches") == 4
 
 
@@ -189,6 +175,9 @@ def test_tree_subtree_failure_reports_and_falls_back():
     runtime, manager, loids = build_relay_fleet(hosts=3, instances_per_host=2)
     directory = deploy_relays(runtime)
     directory["host03"] = mint_loid(runtime.domain, "HostRelay")
+    # Relays route by their shared roster, so poison it too, as a real
+    # relay death would.
+    seed_announce_roster(runtime, directory)
     manager.use_relays(directory, fanout_k=2)
     v2 = derive_v2(manager)
     tracker = runtime.sim.run_process(
@@ -216,7 +205,7 @@ def test_use_relays_validation_and_disable():
 
 
 # ----------------------------------------------------------------------
-# Announcement waves
+# Announcement contents: digests, runs, partial acks
 # ----------------------------------------------------------------------
 
 
@@ -230,22 +219,16 @@ def test_set_digest_is_order_independent():
     assert set_digest([]) == 0
 
 
-def test_build_announce_tree_shape():
-    from repro.cluster.relay import (
-        build_announce_tree,
-        count_tree_hosts,
-        iter_tree_hosts,
-    )
+def test_instance_runs_compact_creation_order():
+    from repro.cluster.relay import instance_runs
 
-    directory = {f"h{i}": f"relay{i}" for i in range(7)}
-    root = build_announce_tree(sorted(directory), directory, fanout_k=2)
-    assert root["host"] == "h0" and root["relay"] == "relay0"
-    assert [child["host"] for child in root["children"]] == ["h1", "h2"]
-    assert count_tree_hosts(root) == 7
-    assert sorted(iter_tree_hosts(root)) == sorted(directory)
-    assert build_announce_tree([], directory, fanout_k=2) is None
-    with pytest.raises(ValueError):
-        build_announce_tree(sorted(directory), directory, fanout_k=1)
+    loids = [mint_loid("legion", "RunsProbe") for __ in range(6)]
+    first = loids[0].instance
+    assert instance_runs(loids) == [(first, first + 6)]
+    # Order-free; gaps split runs.
+    picked = [loids[4], loids[0], loids[1], loids[5]]
+    assert instance_runs(picked) == [(first, first + 2), (first + 4, first + 6)]
+    assert instance_runs([]) == []
 
 
 def test_announce_wave_acks_all_with_one_rpc_and_local_binds():
@@ -253,7 +236,7 @@ def test_announce_wave_acks_all_with_one_rpc_and_local_binds():
     runtime, manager, loids = build_relay_fleet(
         hosts=4, instances_per_host=3, journal=journal
     )
-    manager.use_relays(deploy_relays(runtime), fanout_k=2, announce=True)
+    manager.use_relays(deploy_relays(runtime), fanout_k=2)
     v2 = derive_v2(manager)
     manager.invoker.stats.reset()
     resolves_before = runtime.binding_agent.resolutions_served
@@ -269,10 +252,9 @@ def test_announce_wave_acks_all_with_one_rpc_and_local_binds():
     assert runtime.network.count_value("relay.local_binds") == 12
     assert runtime.network.count_value("relay.fallback_instances") == 0
     # Binding-agent lookups during the wave are roster-relay forwards
-    # (one per up host — the fleet form visits every roster host, even
-    # the instance-less manager host) plus one ICO resolve per host's
-    # first blob fetch — bounded by hosts, never one per instance
-    # (those bind host-locally).
+    # (at most one per up host) plus one ICO resolve per host's first
+    # blob fetch — bounded by hosts, never one per instance (those
+    # bind host-locally).
     up_hosts = len(runtime.hosts)
     assert (
         runtime.binding_agent.resolutions_served - resolves_before
@@ -282,26 +264,73 @@ def test_announce_wave_acks_all_with_one_rpc_and_local_binds():
     assert kinds.count("propagation-ack") == 12
 
 
-def test_announce_wave_dead_relay_falls_back():
-    from repro.cluster.relay import seed_announce_roster
-
-    runtime, manager, loids = build_relay_fleet(hosts=3, instances_per_host=2)
+def test_announce_wave_dead_interior_relay_falls_back_alone():
+    """A dead interior relay: its span comes back in ``missing``, every
+    other host commits in the first round, the re-announcement routes
+    around it, and only its own instances fall back to direct delivery."""
+    runtime, manager, loids = build_relay_fleet(hosts=6, instances_per_host=2)
     directory = deploy_relays(runtime)
-    directory["host03"] = mint_loid(runtime.domain, "HostRelay")
-    # Poison the roster too, as a real relay death would: the fleet
-    # round sees the subtree shortfall and the wave drops to per-host
-    # announcements, which localize the failure to host03.
+    # Roster host00..host06; the range over host01..host06 roots at
+    # host01, whose two child spans are headed by host02 (interior:
+    # host03 and host04 hang below it) and host05.
+    directory["host02"] = mint_loid(runtime.domain, "HostRelay")
     seed_announce_roster(runtime, directory)
-    manager.use_relays(directory, fanout_k=2, announce=True)
+    root = runtime.live_object(directory["host01"])
+    root_acks = []
+
+    def spy(ctx, bundle):
+        ack = yield from HostRelay._m_announce_fleet(root, ctx, bundle)
+        root_acks.append(ack)
+        return ack
+
+    root.register_method("announceFleet", spy)
+    manager.use_relays(directory, fanout_k=2)
     v2 = derive_v2(manager)
     tracker = runtime.sim.run_process(
-        manager.propagate_version(v2, retry_policy=ONE_SHOT)
+        manager.propagate_version(v2, retry_policy=TWO_ROUNDS)
     )
     assert tracker.all_acked and tracker.complete
     for loid in loids:
         assert manager.record(loid).obj.version == v2
+        assert manager.record(loid).obj.applications_by_version[v2] == 1
+    assert root_acks[0]["missing"] == [(2, 5)]
+    assert root_acks[0]["hosts"] == 3
+    # host01, host05 and host06 committed in the first round.
+    for loid in loids[:2] + loids[8:]:
+        assert tracker.delivery(loid).attempts == 1
+    # host03 and host04 committed in the second round, without host02.
+    assert runtime.network.count_value("relay.announced_instances") == 10
     assert runtime.network.count_value("relay.fallback_instances") == 2
-    assert runtime.network.count_value("relay.subtree_failures") >= 1
+
+
+def test_announce_wave_commits_around_a_failed_instance():
+    """A per-instance apply failure rides back in the ack: every other
+    target commits in the first round, and only the failed instance is
+    re-announced."""
+    runtime, manager, loids = build_relay_fleet(hosts=3, instances_per_host=2)
+    manager.use_relays(deploy_relays(runtime), fanout_k=2)
+    flaky = manager.record(loids[2]).obj
+    apply = flaky._lookup("applyConfiguration")
+    failed = []
+
+    def fail_once(ctx, diff):
+        if not failed:
+            failed.append(diff)
+            raise RuntimeError("transient apply failure")
+        return (yield from apply(ctx, diff))
+
+    flaky.register_method("applyConfiguration", fail_once)
+    v2 = derive_v2(manager)
+    tracker = runtime.sim.run_process(
+        manager.propagate_version(v2, retry_policy=TWO_ROUNDS)
+    )
+    assert tracker.all_acked and tracker.complete
+    assert failed
+    for loid in loids:
+        assert tracker.delivery(loid).attempts == (2 if loid == loids[2] else 1)
+        assert manager.record(loid).obj.applications_by_version[v2] == 1
+    assert runtime.network.count_value("relay.announced_instances") == 6
+    assert runtime.network.count_value("relay.fallback_instances") == 0
 
 
 def test_chunk_spans_partition_contiguously():
@@ -333,34 +362,40 @@ def test_deploy_relays_seeds_shared_roster():
         assert binding is not None and binding.loid == loid
 
 
-def test_announce_wave_foreign_instance_forces_host_fallback():
-    """A colocated instance the wave did not target keeps announcement
-    mode off: the manager must not let a relay evolve instances a
-    subset wave (e.g. a canary stage) never admitted."""
+def test_canary_stage_announces_and_leaves_unadmitted_instances_alone():
+    """A canary stage is a subset wave, and it announces too: its
+    admitted prefix is one run of instance numbers, and no relay
+    applies to an instance outside it — not even one sharing a host
+    with admitted instances."""
     runtime, manager, loids = build_relay_fleet(hosts=3, instances_per_host=2)
-    manager.use_relays(deploy_relays(runtime), fanout_k=2, announce=True)
+    manager.use_relays(deploy_relays(runtime), fanout_k=2)
+    v1 = manager.current_version
     v2 = derive_v2(manager)
-    held_back = loids[0]
-    subset = loids[1:]
+    manager.begin_canary(v2, stages=(0.5, 1.0), bake_s=1.0)
+    admitted = loids[:3]  # host01's pair and the first of host02's
+    manager.admit_canary_stage(v2, admitted)
+    manager.invoker.stats.reset()
     tracker = runtime.sim.run_process(
-        manager.propagate_version(v2, loids=subset)
+        manager.propagate_version(v2, loids=admitted)
     )
     assert tracker.all_acked and tracker.complete
-    for loid in subset:
+    assert manager.invoker.stats.invocations == 1
+    assert runtime.network.count_value("relay.announce_waves") == 1
+    assert runtime.network.count_value("relay.announced_instances") == 3
+    for loid in admitted:
         assert manager.record(loid).obj.version == v2
-    # The untargeted instance stayed at v1: no announcement round ran.
-    assert manager.record(held_back).obj.version != v2
-    assert runtime.network.count_value("relay.announce_waves") == 0
-
-
-def test_use_relays_announce_validation():
-    runtime, manager, __ = build_relay_fleet(hosts=2, instances_per_host=1)
-    directory = deploy_relays(runtime)
-    with pytest.raises(ValueError):
-        manager.use_relays(directory, announce=True)  # needs a tree
-    manager.use_relays(directory, fanout_k=2, announce=True)
-    manager.use_relays(None)  # disabling clears announce mode too
-    assert manager._relay_announce is False
+    for loid in loids[3:]:
+        obj = manager.record(loid).obj
+        assert obj.version == v1 and manager.instance_version(loid) == v1
+        assert obj.applications_by_version.get(v2, 0) == 0
+    # The next stage announces the rest; every instance applied once.
+    manager.admit_canary_stage(v2, loids[3:])
+    tracker = runtime.sim.run_process(manager.propagate_version(v2, loids=loids))
+    assert tracker.all_acked
+    assert runtime.network.count_value("relay.announced_instances") == 6
+    assert runtime.network.count_value("relay.fallback_instances") == 0
+    for loid in loids:
+        assert manager.record(loid).obj.applications_by_version[v2] == 1
 
 
 # ----------------------------------------------------------------------
