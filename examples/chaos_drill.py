@@ -103,6 +103,10 @@ def drill_manager_crash():
         for name, value in sorted(snapshot.items())
         if name.startswith(("host.", "manager.", "propagation.", "retry."))
     })
+    events = runtime.network.bus.counts()
+    print("recovery events:", {
+        kind: events[kind] for kind in ("term", "propagation-ack") if kind in events
+    })
     return runtime
 
 

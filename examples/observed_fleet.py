@@ -25,7 +25,7 @@ from repro.workloads import (
 
 def main():
     runtime = LegionRuntime(build_wan(2, 2, seed=17))
-    runtime.tracer = Tracer(runtime.sim)
+    tracer = Tracer(runtime.network.bus)
 
     manager, __ = make_noop_manager(
         runtime,
@@ -77,13 +77,13 @@ def main():
 
     print("\n=== evolution timeline (configuration plane) ===")
     interesting = (
-        "current-version-set",
+        "current-version",
         "evolved",
         "instance-migrated",
         "version-instantiable",
     )
-    for event in runtime.tracer.events:
-        if event.category in interesting:
+    for event in tracer.events:
+        if event.topic in interesting:
             print(event)
 
     lagging = [

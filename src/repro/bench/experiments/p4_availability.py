@@ -210,8 +210,8 @@ def _measure_split_brain(seed):
     results["stale_term_rejections"] = runtime.network.count_value(
         "manager.stale_term_rejections"
     )
-    results["fenced_stepdowns"] = runtime.network.count_value(
-        "manager.fenced_stepdowns"
+    results["fenced_stepdowns"] = runtime.network.bus.counts().get(
+        "manager-fenced", 0
     )
     results["duplicate_applications"] = duplicates
     results["zombie_deposed"] = manager.deposed

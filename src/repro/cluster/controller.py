@@ -40,6 +40,15 @@ from collections import deque
 from repro.cluster.coordination import convergence_guard
 from repro.core.policies.remediation import default_remediation_policies
 
+#: What the controller senses: the signal families plus wave outcomes.
+#: Every other configuration-plane transition (each journaled manager
+#: decision, each evolution) goes on the same bus; sensing those too
+#: would let one large wave push the signals the policies act on out
+#: of the bounded inbox.
+SENSED_TOPICS = (
+    "health.", "slo.", "detector.", "host.", "deploy.", "propagation-complete",
+)
+
 
 class ReactiveController:
     """Self-healing daemon for one managed DCDO type.
@@ -126,7 +135,8 @@ class ReactiveController:
         """Stop the loop and release the lease on the live manager."""
         self._stopped = True
         if self._subscribed:
-            self.runtime.network.bus.unsubscribe("*", self._on_event)
+            for pattern in SENSED_TOPICS:
+                self.runtime.network.bus.unsubscribe(pattern, self._on_event)
             self._subscribed = False
         manager = self._resolve_manager()
         if manager is not None and not manager.deposed:
@@ -138,7 +148,8 @@ class ReactiveController:
 
     def _subscribe(self):
         if not self._subscribed:
-            self.runtime.network.bus.subscribe("*", self._on_event)
+            for pattern in SENSED_TOPICS:
+                self.runtime.network.bus.subscribe(pattern, self._on_event)
             self._subscribed = True
 
     def _on_event(self, event):
@@ -297,7 +308,7 @@ class ReactiveController:
                     "result": result,
                 }
             )
-            self.runtime.trace(
+            self.runtime.network.publish(
                 "controller-action",
                 self.name,
                 policy=intent.policy,

@@ -255,7 +255,7 @@ class HeartbeatFailureDetector:
             self.false_positives += 1
             self._runtime.network.count("detector.recoveries")
             self._runtime.network.count("detector.false_positives")
-            self._runtime.trace(
+            self._runtime.network.publish(
                 "detector-recovered", watch.key, detector=self.address
             )
             if watch.on_recover is not None:
@@ -285,15 +285,10 @@ class HeartbeatFailureDetector:
                 self._runtime.network.health_observe(
                     watch.last_address, "suspicion"
                 )
-            self._runtime.trace(
-                "detector-suspected",
-                watch.key,
-                detector=self.address,
-                misses=watch.misses,
-            )
             self._runtime.network.publish(
                 "detector.suspicion",
                 watch.key,
+                detector=self.address,
                 address=watch.last_address,
                 misses=watch.misses,
             )

@@ -23,7 +23,7 @@ wrong:
 - **Split brain** — a merely *partitioned* primary keeps running, but
   every management RPC it sends carries its old term and is rejected
   (``manager.stale_term_rejections``); the first rejection it sees
-  fences it permanently (``manager.fenced_stepdowns``).
+  fences it permanently (a ``manager-fenced`` event).
 - **Double failover** — the new primary can die too; the detector
   keeps probing the type's (stable) LOID and re-fires, and the
   supervisor promotes the re-armed standby with a further term bump.
@@ -376,12 +376,6 @@ class Supervisor:
         runtime.network.count("supervisor.promotions")
         runtime.network.metrics.timer("supervisor.takeover_s").record(
             runtime.sim.now - started
-        )
-        runtime.trace(
-            "supervisor-promoted",
-            self.type_name,
-            host=manager.host.name,
-            term=manager.term,
         )
         runtime.network.publish(
             "supervisor.promoted",

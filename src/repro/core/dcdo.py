@@ -359,7 +359,7 @@ class DCDO(LegionObject):
             calibration.function_register_s if bootstrap else calibration.dfm_update_s
         )
         yield self.host.cpu_work(len(component.functions) * per_function)
-        self.runtime.trace(
+        self.runtime.network.bus.publish(
             "component-incorporated",
             self.loid,
             component=component.component_id,
@@ -439,7 +439,9 @@ class DCDO(LegionObject):
         entry_count = len(self.dfm.entries_in(component_id))
         self.dfm.remove_component(component_id, validate=validate)
         yield self.host.cpu_work(entry_count * self.calibration.dfm_update_s)
-        self.runtime.trace("component-removed", self.loid, component=component_id)
+        self.runtime.network.bus.publish(
+            "component-removed", self.loid, component=component_id
+        )
         return True
 
     def _await_component_idle(self, component_id):
@@ -636,7 +638,7 @@ class DCDO(LegionObject):
             )
         self.evolutions_applied += 1
         self._network_count("dcdo.commits")
-        self.runtime.trace(
+        self.runtime.network.bus.publish(
             "evolved",
             self.loid,
             from_version=str(from_version) if from_version else None,
@@ -676,7 +678,7 @@ class DCDO(LegionObject):
             raise RollbackFailed(cause, rollback_error)
         self.rollbacks += 1
         self._network_count("dcdo.rollbacks")
-        self.runtime.trace(
+        self.runtime.network.bus.publish(
             "evolution-rolled-back",
             self.loid,
             cause=type(cause).__name__,

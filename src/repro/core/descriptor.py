@@ -99,6 +99,9 @@ class DFMDescriptor:
         self._pins = {}
         self._dependencies = []
 
+    def __repr__(self):
+        return f"<DFMDescriptor components={sorted(self._component_refs)}>"
+
     # ------------------------------------------------------------------
     # State-protocol accessors (shared with the live DFM)
     # ------------------------------------------------------------------

@@ -265,20 +265,24 @@ class DCDOManager(ClassObject):
         journal.meta["update_policy"] = self.update_policy
         journal.meta["remove_policy"] = self._remove_policy
 
-    def _journal_append(self, kind, **data):
+    def _record(self, kind, **fields):
+        """Record one durable transition: journal it, then publish it.
+
+        The entry goes to the journal when one is attached; the event
+        always goes on the bus, with the same kind and fields and the
+        type name as subject.  This is the manager's only writer of
+        either, so the journal, a trace, and the bus tallies cannot
+        disagree about what happened.
+        """
         if self._journal is not None:
-            self._journal.append(kind, **data)
+            self._journal.append(kind, **fields)
             self._publish_journal_gauges()
+        self._runtime.network.bus.publish(kind, self.type_name, **fields)
 
     def _publish_journal_gauges(self):
-        if self._journal is None:
-            return
         metrics = self._runtime.network.metrics
         metrics.gauge("journal.entries").set(len(self._journal))
         metrics.gauge("journal.bytes").set(self._journal.bytes)
-
-    def _count(self, name, amount=1):
-        self._runtime.network.count(name, amount)
 
     # ------------------------------------------------------------------
     # Fencing terms (failover safety)
@@ -302,9 +306,7 @@ class DCDOManager(ClassObject):
         other durable decision.
         """
         self._term += 1
-        self._journal_append("term", number=self._term)
-        self._count("manager.term_bumps")
-        self._runtime.trace("manager-term", self.loid, term=self._term)
+        self._record("term", number=self._term)
         return self._term
 
     def _fence(self, error):
@@ -318,10 +320,9 @@ class DCDOManager(ClassObject):
         if self.deposed:
             return
         self.deposed = True
-        self._count("manager.fenced_stepdowns")
-        self._runtime.trace(
+        self._runtime.network.bus.publish(
             "manager-fenced",
-            self.loid,
+            self.type_name,
             term=self._term,
             latest=getattr(error, "latest", None),
         )
@@ -355,7 +356,7 @@ class DCDOManager(ClassObject):
             f"/components/{self.type_name}/{component.component_id}", loid
         )
         self._components[component.component_id] = (component, loid)
-        self._journal_append(
+        self._record(
             "component", component=component, ico_loid=loid, host_name=host.name
         )
         return loid
@@ -401,7 +402,7 @@ class DCDOManager(ClassObject):
         """Create a fresh root version with an empty descriptor."""
         version = self._version_tree.new_root()
         self._dfm_store[version] = VersionRecord(version=version, descriptor=DFMDescriptor())
-        self._journal_append("version-created", version=version, parent=None)
+        self._record("version-created", version=version, parent=None)
         return version
 
     def derive_version(self, parent):
@@ -414,7 +415,7 @@ class DCDOManager(ClassObject):
             descriptor=parent_record.descriptor.clone(),
             parent=parent,
         )
-        self._journal_append("version-created", version=version, parent=parent)
+        self._record("version-created", version=version, parent=parent)
         return version
 
     def descriptor_of(self, version, allow_instantiable=False):
@@ -455,17 +456,11 @@ class DCDOManager(ClassObject):
         # replay restores instantiable versions byte-for-byte, while
         # still-configurable descriptors are in-memory scratch state
         # and are lost with the crash.
-        self._journal_append(
+        self._record(
             "version-instantiable",
             version=version,
             parent=record.parent,
             descriptor=record.descriptor.clone(),
-        )
-        self._runtime.trace(
-            "version-instantiable",
-            self.loid,
-            version=str(version),
-            components=len(record.descriptor.component_ids),
         )
 
     def set_current_version(self, version):
@@ -477,22 +472,9 @@ class DCDOManager(ClassObject):
         is run to completion so "setting a new current version" costs
         what the policy costs.
         """
-        record = self.version_record(version)
-        if not record.instantiable:
-            raise VersionNotInstantiable(
-                f"version {version} must be instantiable before becoming current"
-            )
-        self._current_version = version
-        self._journal_append("current-version", version=version)
-        self._runtime.trace(
-            "current-version-set",
-            self.loid,
-            version=str(version),
-            policy=self.update_policy.name,
-        )
-        propagation = self.update_policy.on_new_current_version(self)
-        if propagation is not None:
-            self._runtime.sim.run_process(propagation)
+        process = self.set_current_version_async(version)
+        if process is not None:
+            self._runtime.sim.run(process)
         return version
 
     def set_current_version_async(self, version):
@@ -505,7 +487,7 @@ class DCDOManager(ClassObject):
                 f"version {version} must be instantiable before becoming current"
             )
         self._current_version = version
-        self._journal_append("current-version", version=version)
+        self._record("current-version", version=version)
         propagation = self.update_policy.on_new_current_version(self)
         if propagation is None:
             return None
@@ -588,10 +570,8 @@ class DCDOManager(ClassObject):
     def _instance_created(self, record):
         self._instance_versions[record.loid] = self._current_version
         self._instance_impl_types[record.loid] = record.obj.implementation_type
-        self._journal_append(
-            "instance", loid=record.loid, host_name=record.host.name
-        )
-        self._journal_append(
+        self._record("instance", loid=record.loid, host_name=record.host.name)
+        self._record(
             "instance-version", loid=record.loid, version=self._current_version
         )
         self.update_policy.on_instance_created(self, record)
@@ -674,7 +654,7 @@ class DCDOManager(ClassObject):
                 timeout_schedule=(60.0, 120.0, 600.0),
             )
             self._instance_versions[loid] = target_version
-            self._journal_append("instance-version", loid=loid, version=target_version)
+            self._record("instance-version", loid=loid, version=target_version)
             if record.active:
                 record.version_tag = str(target_version)
             self.evolutions_performed += 1
@@ -765,9 +745,8 @@ class DCDOManager(ClassObject):
             tracker = PropagationTracker(
                 version, loids, prior_versions=prior_versions, wave_policy=wave
             )
-            tracker.started_at = self._runtime.sim.now
             self._propagations[version] = tracker
-            self._journal_append(
+            self._record(
                 "propagation-started",
                 version=version,
                 loids=list(loids),
@@ -822,20 +801,7 @@ class DCDOManager(ClassObject):
                 return tracker
             raise WaveAborted(version, failed, wave.abort_threshold)
         tracker.complete = True
-        tracker.completed_at = self._runtime.sim.now
-        self._journal_append("propagation-complete", version=version)
-        self._runtime.trace("propagation-complete", self.loid, **tracker.summary())
-        self._runtime.network.publish(
-            "wave.complete",
-            self.type_name,
-            version=str(version),
-            instances=len(tracker.deliveries()),
-            duration_s=(
-                tracker.completed_at - tracker.started_at
-                if tracker.started_at is not None
-                else None
-            ),
-        )
+        self._record("propagation-complete", version=version)
         return tracker
 
     # ------------------------------------------------------------------
@@ -895,10 +861,7 @@ class DCDOManager(ClassObject):
             except UnknownObject as error:
                 # Deleted instance: terminal, exactly as direct delivery.
                 tracker.fail(loid, error)
-                self._journal_append(
-                    "propagation-failed", version=version, loid=loid
-                )
-                self._count("propagation.deliveries_failed")
+                self._record("propagation-failed", version=version, loid=loid)
                 continue
             if not record.active or not record.host.is_up:
                 continue
@@ -908,7 +871,7 @@ class DCDOManager(ClassObject):
                 # Gray relay: leave its instances PENDING so direct
                 # delivery reaches them without routing a whole range
                 # through the limping host.
-                self._count("relay.quarantine_skips")
+                self._runtime.network.count("relay.quarantine_skips")
                 continue
             batchable.append((loid, record.host.name))
         if not batchable:
@@ -928,10 +891,7 @@ class DCDOManager(ClassObject):
                     # Already there (re-armed wave): ack without an RPC,
                     # matching evolve_instance's early return.
                     tracker.ack(loid, sim.now)
-                    self._journal_append(
-                        "propagation-ack", version=version, loid=loid
-                    )
-                    self._count("propagation.acks")
+                    self._record("propagation-ack", version=version, loid=loid)
                     continue
                 try:
                     self.evolution_policy.check_transition(
@@ -1021,10 +981,10 @@ class DCDOManager(ClassObject):
                 break
             if not policy.should_retry(attempts, started, sim.now):
                 break
-            self._count("propagation.retries")
+            self._runtime.network.count("propagation.retries")
             yield sim.timeout(policy.backoff_s(attempts))
         if remaining and self.is_active:
-            self._count(
+            self._runtime.network.count(
                 "relay.fallback_instances",
                 sum(len(loids) for loids in remaining.values()),
             )
@@ -1056,7 +1016,7 @@ class DCDOManager(ClassObject):
             "hi": hi,
             "fanout_k": self._relay_fanout_k,
         }
-        self._count("relay.announce_waves")
+        self._runtime.network.count("relay.announce_waves")
         try:
             ack = yield from self.invoker.invoke(
                 self._relay_directory[roster[lo]],
@@ -1072,7 +1032,7 @@ class DCDOManager(ClassObject):
             if isinstance(error, RuntimeError) and self.is_active:
                 raise
             if self.is_active:
-                self._count("relay.batch_failures")
+                self._runtime.network.count("relay.batch_failures")
                 dead.add(roster[lo])
             return
         if not self.is_active:
@@ -1090,10 +1050,7 @@ class DCDOManager(ClassObject):
             failed.add(loid)
             if isinstance(value, UnknownObject):
                 tracker.fail(loid, value)
-                self._journal_append(
-                    "propagation-failed", version=version, loid=loid
-                )
-                self._count("propagation.deliveries_failed")
+                self._record("propagation-failed", version=version, loid=loid)
                 loids.remove(loid)
             else:
                 tracker.delivery(loid).last_error = value
@@ -1115,7 +1072,7 @@ class DCDOManager(ClassObject):
         ):
             for loid in expected:
                 self._commit_relay_ack(tracker, loid, version)
-            self._count("relay.announced_instances", len(expected))
+            self._runtime.network.count("relay.announced_instances", len(expected))
             for host in reached:
                 remaining[host] = [
                     loid for loid in remaining.get(host, ()) if loid in failed
@@ -1130,14 +1087,13 @@ class DCDOManager(ClassObject):
         direct path: instance-version first, then the propagation ack.
         """
         self._instance_versions[loid] = version
-        self._journal_append("instance-version", loid=loid, version=version)
+        self._record("instance-version", loid=loid, version=version)
         record = self._instances.get(loid)
         if record is not None and record.active:
             record.version_tag = str(version)
         self.evolutions_performed += 1
         tracker.ack(loid, self._runtime.sim.now)
-        self._journal_append("propagation-ack", version=version, loid=loid)
-        self._count("propagation.acks")
+        self._record("propagation-ack", version=version, loid=loid)
 
     def _finish_abort(self, tracker):
         """Generator: drive an aborting wave to the ABORTED state.
@@ -1149,17 +1105,9 @@ class DCDOManager(ClassObject):
         by :meth:`resume_propagations` — until every committed instance
         has been undone, at which point it is journaled ABORTED.
         """
-        sim = self._runtime.sim
         if not tracker.aborting:
             tracker.aborting = True
-            self._journal_append("wave-aborting", version=tracker.version)
-            self._count("wave.aborts")
-            self._runtime.trace(
-                "wave-aborting",
-                self.loid,
-                version=str(tracker.version),
-                failed=tracker.count(DeliveryStatus.FAILED),
-            )
+            self._record("wave-aborting", version=tracker.version)
         for delivery in tracker.deliveries():
             if delivery.status is not DeliveryStatus.ACKED:
                 continue
@@ -1182,10 +1130,7 @@ class DCDOManager(ClassObject):
                     # later resume retries this rollback.
                     continue
             tracker.roll_back(delivery.loid)
-            self._journal_append(
-                "wave-rollback", version=tracker.version, loid=delivery.loid
-            )
-            self._count("wave.rollbacks")
+            self._record("wave-rollback", version=tracker.version, loid=delivery.loid)
         if any(
             delivery.status is DeliveryStatus.ACKED
             for delivery in tracker.deliveries()
@@ -1198,11 +1143,9 @@ class DCDOManager(ClassObject):
                 return
         tracker.aborted = True
         tracker.complete = True
-        tracker.completed_at = sim.now
-        self._journal_append("wave-aborted", version=tracker.version)
+        self._record("wave-aborted", version=tracker.version)
         if state is not None:
             state.aborted = True
-        self._runtime.trace("wave-aborted", self.loid, **tracker.summary())
 
     def _reconcile_canary_abort(self, state, tracker):
         """Generator: verify admitted instances really left the version.
@@ -1254,9 +1197,7 @@ class DCDOManager(ClassObject):
             # shipped: adopt the fact, then undo it.
             if self._instance_versions.get(loid) != state.version:
                 self._instance_versions[loid] = state.version
-                self._journal_append(
-                    "instance-version", loid=loid, version=state.version
-                )
+                self._record("instance-version", loid=loid, version=state.version)
             try:
                 yield from self.evolve_instance(
                     loid, prior, enforce_policy=False
@@ -1267,7 +1208,11 @@ class DCDOManager(ClassObject):
                     return False
                 settled = False
                 continue
-            self._count("wave.rollbacks")
+            # Not journaled: the compensating evolution's own
+            # instance-version entry is the durable record.
+            self._runtime.network.bus.publish(
+                "canary-rollback", self.type_name, version=state.version, loid=loid
+            )
         return settled
 
     def _deliver(self, tracker, loid, policy):
@@ -1295,10 +1240,7 @@ class DCDOManager(ClassObject):
             except UnknownObject as error:
                 # Deleted instance: it can never converge; no retry.
                 tracker.fail(loid, error)
-                self._journal_append(
-                    "propagation-failed", version=tracker.version, loid=loid
-                )
-                self._count("propagation.deliveries_failed")
+                self._record("propagation-failed", version=tracker.version, loid=loid)
                 return False
             except (LegionError, TransportError, RuntimeError) as error:
                 if isinstance(error, StaleManagerTerm):
@@ -1315,19 +1257,15 @@ class DCDOManager(ClassObject):
                     return False
                 if not policy.should_retry(attempts, started, sim.now):
                     tracker.fail(loid, error)
-                    self._journal_append(
+                    self._record(
                         "propagation-failed", version=tracker.version, loid=loid
                     )
-                    self._count("propagation.deliveries_failed")
                     return False
-                self._count("propagation.retries")
+                self._runtime.network.count("propagation.retries")
                 yield sim.timeout(policy.backoff_s(attempts))
                 continue
             tracker.ack(loid, sim.now)
-            self._journal_append(
-                "propagation-ack", version=tracker.version, loid=loid
-            )
-            self._count("propagation.acks")
+            self._record("propagation-ack", version=tracker.version, loid=loid)
             if tracker.aborting or tracker.aborted:
                 # The breach-abort raced this delivery's final RPC:
                 # the instance just applied a version the wave has
@@ -1415,18 +1353,11 @@ class DCDOManager(ClassObject):
                 version=version, stages=tuple(stages), bake_s=bake_s
             )
             self._canaries[version] = state
-            self._journal_append(
+            self._record(
                 "canary-started",
                 version=version,
                 stages=tuple(stages),
                 bake_s=bake_s,
-            )
-            self._count("canary.waves")
-            self._runtime.trace(
-                "canary-started",
-                self.loid,
-                version=str(version),
-                stages=list(stages),
             )
         return state
 
@@ -1464,30 +1395,19 @@ class DCDOManager(ClassObject):
         fresh = [loid for loid in loids if loid not in known]
         if fresh:
             state.admitted.extend(fresh)
-            self._journal_append(
+            self._record(
                 "canary-stage",
                 version=version,
                 stage=state.stage_index,
                 loids=list(fresh),
             )
-            self._count("canary.admitted", len(fresh))
         return fresh
 
     def record_canary_gate(self, version):
         """Mark the current stage's health gate passed (journaled)."""
         state = self._require_canary(version)
         state.stage_index += 1
-        self._journal_append(
-            "canary-gate", version=version, stage=state.stage_index
-        )
-        self._count("canary.gates_passed")
-        self._runtime.trace(
-            "canary-gate",
-            self.loid,
-            version=str(version),
-            stage=state.stage_index,
-            admitted=len(state.admitted),
-        )
+        self._record("canary-gate", version=version, stage=state.stage_index)
         return state.stage_index
 
     def mark_canary_breached(self, version, reason):
@@ -1503,15 +1423,7 @@ class DCDOManager(ClassObject):
             return state
         state.breached = True
         state.breach_reason = reason
-        self._journal_append("canary-breached", version=version, reason=reason)
-        self._count("canary.breaches")
-        self._runtime.trace(
-            "canary-breached",
-            self.loid,
-            version=str(version),
-            reason=reason,
-            admitted=len(state.admitted),
-        )
+        self._record("canary-breached", version=version, reason=reason)
         return state
 
     def abort_wave(self, version, reason="slo-breach"):
@@ -1537,10 +1449,7 @@ class DCDOManager(ClassObject):
                 settled = yield from self._reconcile_canary_abort(state, None)
                 if settled and self.is_active and not self.deposed:
                     state.aborted = True
-                    self._journal_append("canary-aborted", version=version)
-                    self._runtime.trace(
-                        "canary-aborted", self.loid, version=str(version)
-                    )
+                    self._record("canary-aborted", version=version)
             return None
         if not tracker.aborted:
             yield from self._finish_abort(tracker)
@@ -1560,16 +1469,9 @@ class DCDOManager(ClassObject):
             raise WaveAborted(version, 0, 0)
         if not state.complete:
             state.complete = True
-            self._journal_append("canary-complete", version=version)
+            self._record("canary-complete", version=version)
             self._current_version = version
-            self._journal_append("current-version", version=version)
-            self._count("canary.completions")
-            self._runtime.trace(
-                "canary-complete",
-                self.loid,
-                version=str(version),
-                admitted=len(state.admitted),
-            )
+            self._record("current-version", version=version)
         return state
 
     def _require_canary(self, version):
@@ -1609,7 +1511,7 @@ class DCDOManager(ClassObject):
             "term": self._term,
             "expires_at": now + ttl_s,
         }
-        self._journal_append(
+        self._record(
             "remediation-lease",
             owner=owner,
             term=self._term,
@@ -1634,7 +1536,7 @@ class DCDOManager(ClassObject):
         lease = self._remediation_lease
         if lease is not None and lease["owner"] == owner:
             self._remediation_lease = None
-            self._journal_append(
+            self._record(
                 "remediation-lease", owner=owner, term=self._term, expires_at=0.0
             )
 
@@ -1658,18 +1560,13 @@ class DCDOManager(ClassObject):
             "outcome": None,
         }
         self._remediations[intent_id] = record
-        self._journal_append(
+        self._record(
             "remediation-intent",
             intent_id=intent_id,
             action=action,
             target=target,
             params=dict(params),
             term=self._term,
-        )
-        self._count("remediation.intents")
-        self._runtime.trace(
-            "remediation-started", self.loid, intent=intent_id, action=action,
-            target=str(target),
         )
         return record
 
@@ -1679,13 +1576,7 @@ class DCDOManager(ClassObject):
         if record is None or record["outcome"] is not None:
             return record
         record["outcome"] = outcome
-        self._journal_append(
-            "remediation-closed", intent_id=intent_id, outcome=outcome
-        )
-        self._count(f"remediation.{outcome}")
-        self._runtime.trace(
-            "remediation-closed", self.loid, intent=intent_id, outcome=outcome
-        )
+        self._record("remediation-closed", intent_id=intent_id, outcome=outcome)
         return record
 
     def open_remediations(self):
@@ -1743,9 +1634,11 @@ class DCDOManager(ClassObject):
                 continue
             host_name = obj.host.name if obj is not None else None
             yield from self._restore_component(component, ico_loid, host_name)
-            self._count("ico.recoveries")
-            self._runtime.trace(
-                "ico-restored", ico_loid, component=component_id
+            self._runtime.network.bus.publish(
+                "ico-restored",
+                self.type_name,
+                ico_loid=ico_loid,
+                component=component_id,
             )
             restored.append(component_id)
         return restored

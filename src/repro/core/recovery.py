@@ -109,8 +109,6 @@ class PropagationTracker:
     def __init__(self, version, loids=(), prior_versions=None, wave_policy=None):
         self.version = version
         self.complete = False
-        self.started_at = None
-        self.completed_at = None
         #: loid -> the version each instance was on when admitted; the
         #: rollback targets if the wave aborts.  Journaled with the
         #: propagation-started entry so a recovered manager can still
@@ -147,7 +145,6 @@ class PropagationTracker:
         the whole wave after the fault heals.
         """
         self.complete = False
-        self.completed_at = None
         self.aborting = False
         self.aborted = False
         for loid in loids:

@@ -204,7 +204,7 @@ class ClassObject(LegionObject):
         self._runtime.attach_object(obj)
         self.instances_created += 1
         self._instance_created(record)
-        self._runtime.trace(
+        self._runtime.network.bus.publish(
             "instance-created", loid, host=host.name, version=version_tag
         )
         return loid
@@ -323,7 +323,7 @@ class ClassObject(LegionObject):
         finally:
             lock.release()
         self._runtime.network.count("instance.recoveries")
-        self._runtime.trace(
+        self._runtime.network.bus.publish(
             "instance-recovered",
             loid,
             host=record.host.name,
@@ -361,7 +361,7 @@ class ClassObject(LegionObject):
             self._invoker.binding_cache.put(binding)
         record = self.record(loid)
         self._notify_migrated(record)
-        self._runtime.trace(
+        self._runtime.network.bus.publish(
             "instance-migrated",
             loid,
             source=source_host,

@@ -347,7 +347,7 @@ class LegionObject:
         latest = self._terms_seen.get(term.scope)
         if latest is not None and term.number < latest:
             self._runtime.network.count("manager.stale_term_rejections")
-            self._runtime.trace(
+            self._runtime.network.bus.publish(
                 "stale-term-rejected",
                 self._loid,
                 scope=term.scope,

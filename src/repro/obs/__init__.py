@@ -1,10 +1,16 @@
-"""Observability: metrics primitives and whole-system reports.
+"""Observability: one event record, metrics primitives, and reports.
 
-Long-running grid services need to be observable while they evolve;
-this package provides the counters/timers used by examples and a
-:func:`collect_system_report` that snapshots every built-in counter in
-a runtime (network, caches, bindings, invokers, DFMs, managers) into
-one structured report.
+Long-running grid services need to be observable while they evolve.
+Every state transition is published once, as an
+:class:`~repro.obs.bus.Event` on the network's :class:`EventBus`; the
+bus tallies events per topic, a :class:`Tracer` records them as a
+timeline, and the reactive controller senses the signal topics among
+them.  Alongside sit the
+counters/gauges/timers of :class:`MetricsRegistry` for operational
+measurements that are not transitions, and
+:func:`collect_system_report`, which snapshots a runtime (network,
+caches, bindings, invokers, DFMs, managers, event tallies) into one
+structured report.
 """
 
 from repro.obs.bus import Event, EventBus
@@ -12,7 +18,7 @@ from repro.obs.health import HealthRegistry, PeerHealth
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
 from repro.obs.report import SystemReport, collect_system_report, render_report
 from repro.obs.slo import SLO, SLOMonitor, SLOStatus
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = [
     "Counter",
@@ -27,7 +33,6 @@ __all__ = [
     "SLOStatus",
     "SystemReport",
     "Timer",
-    "TraceEvent",
     "Tracer",
     "collect_system_report",
     "render_report",

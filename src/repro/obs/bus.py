@@ -1,14 +1,13 @@
-"""A lightweight publish/subscribe event bus on the simulator clock.
+"""The system's event record: one publish/subscribe bus on the simulator clock.
 
-The fault-tolerance layers each keep private state — the
-:class:`~repro.obs.health.HealthRegistry` its quarantine flags, the
-:class:`~repro.obs.slo.SLOMonitor` its breach log, the chaos harness
-its crash plan — and until now nothing could *react* to a transition
-without polling every one of them.  The :class:`EventBus` closes that
-gap: producers (the network fabric, the health registry, SLO monitors,
-the chaos coordinator, the supervisor) publish typed events as their
-state transitions, and consumers (the reactive controller, tests,
-report tooling) subscribe by topic.
+Every layer reports its state transitions here, as one :class:`Event`
+type: the network fabric, the health registry and SLO monitors, the
+chaos coordinator and the supervisor, instances evolving and
+migrating, and every durable decision of a DCDO Manager (each journal
+entry is published with the same kind and fields).  Consumers
+subscribe by topic — the reactive controller, a
+:class:`~repro.obs.trace.Tracer` recording a timeline, tests — and the
+bus itself keeps a per-topic tally for reports.
 
 Delivery is synchronous and in-process: ``publish`` invokes every
 matching callback before returning, on the publisher's stack.
@@ -17,24 +16,33 @@ must therefore only record the event and act from their own process —
 the bus is a sensing fabric, not an execution engine.  A bounded ring
 of recent events is kept for reports and debugging.
 
-Topics are dotted strings (``"health.quarantined"``,
-``"slo.breach"``, ``"host.crashed"``); a subscription to ``"*"``
-receives everything, and a subscription to a ``"prefix."`` string
-receives every topic under that prefix.
+Topics are strings: dotted for sensed signals (``"health.quarantined"``,
+``"slo.breach"``, ``"host.crashed"``), journal kinds and other
+configuration-plane names for transitions (``"propagation-ack"``,
+``"instance-migrated"``).  A subscription to
+``"*"`` receives everything, and a subscription to a ``"prefix."``
+string receives every topic under that prefix.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
 class Event:
-    """One published occurrence."""
+    """One published occurrence: the system's only event record."""
 
-    at: float
-    topic: str
-    subject: object
-    details: dict = field(default_factory=dict)
+    __slots__ = ("at", "topic", "subject", "details")
+
+    def __init__(self, at, topic, subject=None, details=None):
+        self.at = at
+        self.topic = topic
+        self.subject = subject
+        self.details = {} if details is None else details
+
+    def __str__(self):
+        detail_text = " ".join(
+            f"{key}={value}" for key, value in sorted(self.details.items())
+        )
+        return f"[{self.at:12.6f}] {self.topic:<22s} {self.subject} {detail_text}".rstrip()
 
     def __repr__(self):
         return f"<Event {self.topic} {self.subject!r} at={self.at:.3f}>"
@@ -47,7 +55,6 @@ class EventBus:
         self._sim = sim
         self._subscribers = {}  # pattern -> list of callbacks
         self.published = 0
-        self.delivered = 0
         self.recent = deque(maxlen=history)
         self._counts = {}
 
@@ -70,18 +77,18 @@ class EventBus:
 
     def publish(self, topic, subject=None, **details):
         """Deliver one event to every matching subscriber; returns it."""
-        event = Event(
-            at=self._sim.now, topic=topic, subject=subject, details=details
-        )
+        event = Event(self._sim.now, topic, subject, details)
         self.published += 1
-        self._counts[topic] = self._counts.get(topic, 0) + 1
+        counts = self._counts
+        counts[topic] = counts.get(topic, 0) + 1
         self.recent.append(event)
-        for pattern, callbacks in list(self._subscribers.items()):
-            if not self._matches(pattern, topic):
-                continue
-            for callback in list(callbacks):
-                callback(event)
-                self.delivered += 1
+        # Publishing is always on, so the common no-subscriber case
+        # must not pay for copying the subscription table.
+        if self._subscribers:
+            for pattern, callbacks in list(self._subscribers.items()):
+                if self._matches(pattern, topic):
+                    for callback in list(callbacks):
+                        callback(event)
         return event
 
     @staticmethod
@@ -93,14 +100,6 @@ class EventBus:
     def counts(self):
         """Per-topic publish totals, for reports and assertions."""
         return dict(self._counts)
-
-    def snapshot(self):
-        """Plain-dict view for system reports."""
-        return {
-            "published": self.published,
-            "delivered": self.delivered,
-            "topics": self.counts(),
-        }
 
     def __repr__(self):
         return (

@@ -17,9 +17,13 @@ class SystemReport:
     hosts: dict = field(default_factory=dict)
     objects: dict = field(default_factory=dict)
     types: dict = field(default_factory=dict)
-    #: Fleet-wide fault/recovery counters (crashes, retries, acks, …)
+    #: Fleet-wide fault/recovery counters (crashes, retries, relays, …)
     #: from the network's :class:`~repro.obs.metrics.MetricsRegistry`.
     faults: dict = field(default_factory=dict)
+    #: Per-topic event tallies from the network's event bus: every
+    #: journaled manager transition (acks, aborts, canary gates,
+    #: remediations, term bumps) and every other published event.
+    events: dict = field(default_factory=dict)
     #: Per-type propagation delivery state (ack-tracked waves).
     propagations: dict = field(default_factory=dict)
     #: Per-target circuit-breaker state (ICO fetch guards and any
@@ -168,6 +172,7 @@ def collect_system_report(runtime):
                 "samples": estimator.samples,
             }
     report.faults = runtime.network.metrics.snapshot()
+    report.events = runtime.network.bus.counts()
     report.fault_plan = runtime.network.faults.stats()
     report.health = runtime.network.health_snapshot()
     report.breakers = runtime.network.breakers_snapshot()
@@ -327,4 +332,8 @@ def render_report(report):
         lines.append("fault/recovery counters:")
         for name, value in sorted(report.faults.items()):
             lines.append(f"  {name}: {value}")
+    if report.events:
+        lines.append("events:")
+        for topic, value in sorted(report.events.items()):
+            lines.append(f"  {topic}: {value}")
     return "\n".join(lines)

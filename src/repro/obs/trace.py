@@ -1,73 +1,44 @@
-"""Structured event tracing for evolving systems.
+"""Event timelines for evolving systems: a recording view of the bus.
 
-A :class:`Tracer` attached to a runtime records every configuration-
-plane event — version cuts, evolutions, component incorporations,
-migrations — with its simulated timestamp, giving operators (and
+A :class:`Tracer` subscribed to a runtime's
+:class:`~repro.obs.bus.EventBus` records every event published there —
+version cuts, evolutions, component incorporations, migrations, manager
+transitions — with its simulated timestamp, giving operators (and
 tests) a timeline of *what changed when* in a system whose objects
-mutate while running.
+mutate while running.  Without one, the bus keeps only its bounded
+ring of recent events and its per-topic tallies.
 """
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event."""
-
-    at: float
-    category: str
-    subject: str
-    details: tuple = ()
-
-    def detail(self, key, default=None):
-        """Look up one detail by key."""
-        for item_key, value in self.details:
-            if item_key == key:
-                return value
-        return default
-
-    def __str__(self):
-        detail_text = " ".join(f"{key}={value}" for key, value in self.details)
-        return f"[{self.at:12.6f}] {self.category:<22s} {self.subject} {detail_text}".rstrip()
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records from a runtime.
+    """Records every :class:`~repro.obs.bus.Event` published on ``bus``.
 
-    Attach with ``runtime.tracer = Tracer(runtime.sim)``; every
-    traced subsystem then reports through ``runtime.trace(...)``.
+    Attach with ``Tracer(runtime.network.bus)``.  ``capacity`` bounds
+    the record; events past it are only counted in ``dropped``.
     """
 
-    def __init__(self, sim, capacity=None):
+    def __init__(self, bus, capacity=None):
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self._sim = sim
         self._capacity = capacity
         self.events = []
         self.dropped = 0
+        bus.subscribe("*", self._record)
 
-    def record(self, category, subject, **details):
-        """Record one event at the current simulated time."""
+    def _record(self, event):
         if self._capacity is not None and len(self.events) >= self._capacity:
             self.dropped += 1
-            return None
-        event = TraceEvent(
-            at=self._sim.now,
-            category=category,
-            subject=str(subject),
-            details=tuple(sorted(details.items())),
-        )
-        self.events.append(event)
-        return event
+        else:
+            self.events.append(event)
 
     def in_category(self, category):
-        """Events of one category, in order."""
-        return [event for event in self.events if event.category == category]
+        """Events of one topic, in order."""
+        return [event for event in self.events if event.topic == category]
 
     def about(self, subject):
         """Events whose subject matches ``subject``."""
         subject = str(subject)
-        return [event for event in self.events if event.subject == subject]
+        return [event for event in self.events if str(event.subject) == subject]
 
     def between(self, start, end):
         """Events with start <= at < end."""

@@ -473,7 +473,7 @@ def test_supervisor_fences_split_brain_zombie():
     # The zombie saw a stale-term rejection and stepped down for good.
     assert manager.deposed and not manager.is_active
     assert runtime.network.count_value("manager.stale_term_rejections") > 0
-    assert runtime.network.count_value("manager.fenced_stepdowns") >= 1
+    assert runtime.network.bus.counts().get("manager-fenced", 0) >= 1
     for loid in loids:
         obj = promoted.record(loid).obj
         assert obj.version == v2

@@ -369,7 +369,7 @@ def test_begin_canary_is_idempotent():
     again = manager.begin_canary(v2, (0.5, 1.0), 5.0)
     assert again is state
     assert len(again.admitted) == 4
-    assert runtime.network.count_value("canary.waves") == 1
+    assert runtime.network.bus.counts().get("canary-started", 0) == 1
 
 
 def test_complete_canary_refuses_breached_rollout():

@@ -233,7 +233,7 @@ def test_chaos_abortive_relay_wave_rolls_back(seed):
         kinds = [entry.kind for entry in journal.replay()]
         assert "wave-aborted" in kinds
         # Every rollback of a relay-committed instance is journaled.
-        assert runtime.network.count_value("wave.aborts") >= 1
+        assert runtime.network.bus.counts().get("wave-aborting", 0) >= 1
     assert tracker is not None and tracker.all_acked, (
         f"seed {seed}: fleet did not converge: {tracker and tracker.summary()}"
     )

@@ -245,7 +245,7 @@ def test_chaos_abortive_wave_keeps_fleet_consistent(seed):
         # rolled back and the terminal state journaled.
         kinds = [entry.kind for entry in journal.replay()]
         assert "wave-aborted" in kinds
-        assert runtime.network.count_value("wave.aborts") >= 1
+        assert runtime.network.bus.counts().get("wave-aborting", 0) >= 1
     assert final is not None and final.all_acked, (
         f"seed {seed}: fleet did not converge after the wave: "
         f"{final and final.summary()}"

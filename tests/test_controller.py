@@ -361,6 +361,36 @@ def test_controller_defers_while_supervisor_converging():
     assert runtime.network.count_value("controller.deferred") >= 1
 
 
+class _SensingPolicy(RemediationPolicy):
+    """Test double: records the topics every tick sensed; never acts."""
+
+    name = "sensing"
+
+    def __init__(self):
+        self.sensed = []
+
+    def evaluate(self, ctx):
+        self.sensed.extend(event.topic for event in ctx.events)
+        return []
+
+
+def test_controller_senses_signals_past_a_flood_of_transitions():
+    """Configuration-plane transitions share the bus with the signals:
+    a wave's worth of them between two ticks must not push a breach
+    out of the controller's bounded inbox."""
+    runtime = LegionRuntime(build_lan(4, seed=3))
+    make_sorter_manager(runtime, journal=ManagerJournal(name="Sorter"))
+    policy = _SensingPolicy()
+    controller = ReactiveController(runtime, "Sorter", policies=[policy]).start()
+    runtime.network.publish("slo.breach", "svc")
+    for index in range(1000):
+        runtime.network.publish("propagation-ack", "Sorter", loid=index)
+    runtime.network.publish("propagation-complete", "Sorter", version=2)
+    runtime.sim.run_process(_sleep(runtime, 2.0))
+    controller.stop()
+    assert policy.sensed == ["slo.breach", "propagation-complete"]
+
+
 def test_zombie_controller_goes_quiet_after_term_bump():
     runtime = LegionRuntime(build_lan(4, seed=3))
     manager = make_sorter_manager(runtime, journal=ManagerJournal(name="Sorter"))

@@ -104,7 +104,7 @@ def assert_fully_on_v1(obj, v1, v2):
 
 def test_prepare_failure_rolls_back_to_old_version():
     runtime, manager, __, loids = build_sorter_fleet(instances=1)
-    runtime.tracer = Tracer(runtime.sim)
+    tracer = Tracer(runtime.network.bus)
     loid = loids[0]
     obj = manager.record(loid).obj
     v1 = manager.current_version
@@ -125,10 +125,10 @@ def test_prepare_failure_rolls_back_to_old_version():
     # A rollback is visible in the trace, stamped with its cause.
     events = [
         event
-        for event in runtime.tracer.events
-        if event.category == "evolution-rolled-back"
+        for event in tracer.events
+        if event.topic == "evolution-rolled-back"
     ]
-    assert events and events[0].detail("cause") == "ObjectUnreachable"
+    assert events and events[0].details["cause"] == "ObjectUnreachable"
 
     # After the partition heals, the same diff applies cleanly.
     def heal_then_apply():
@@ -377,7 +377,7 @@ def test_restore_components_revives_dead_ico():
     assert restored == ["compare-desc"]
     revived = runtime.live_object(ico_loid)
     assert revived.is_active and revived.host.name == "host03"
-    assert runtime.network.count_value("ico.recoveries") == 1
+    assert runtime.network.bus.counts().get("ico-restored", 0) == 1
     # The prepare-phase fetch works again: evolution goes through.
     result = runtime.sim.run_process(
         obj.apply_configuration(make_diff(manager, v1, v2))
@@ -460,8 +460,8 @@ def test_wave_abort_rolls_back_committed_instances_then_rearms():
     assert "wave-aborting" in kinds
     assert kinds.count("wave-rollback") == 2
     assert "wave-aborted" in kinds
-    assert runtime.network.count_value("wave.aborts") == 1
-    assert runtime.network.count_value("wave.rollbacks") == 2
+    assert runtime.network.bus.counts().get("wave-aborting", 0) == 1
+    assert runtime.network.bus.counts().get("wave-rollback", 0) == 2
 
     # After the partition heals, re-propagating re-arms the aborted
     # wave (rolled-back + failed deliveries reopen) and converges.
@@ -674,4 +674,4 @@ def test_wave_abort_during_relay_phase_rolls_back_batches():
         assert manager.instance_version(loid) == v1
     for loid in loids[2:]:
         assert manager.record(loid).obj.version == v1
-    assert runtime.network.count_value("wave.rollbacks") == 2
+    assert runtime.network.bus.counts().get("wave-rollback", 0) == 2
