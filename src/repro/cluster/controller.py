@@ -14,8 +14,10 @@ and *acts* exclusively through the existing transactional machinery.
 Safety is layered, in order of evaluation each tick:
 
 1. **Liveness/identity** — the controller re-resolves the live manager
-   every tick; on identity change (a promotion happened) it first
-   garbage-collects intents the old term left open.
+   every tick and first garbage-collects intents an older term left
+   open.  An action whose manager is deposed or replaced mid-flight is
+   abandoned (fencing stops it) and its decision is re-driven on the
+   live manager.
 2. **Deference** — while the supervisor is promoting or converging the
    controller stands down entirely; finer-grained overlap is handled
    by the shared :class:`~repro.cluster.coordination.ConvergenceGuard`
@@ -39,6 +41,7 @@ from collections import deque
 
 from repro.cluster.coordination import convergence_guard
 from repro.core.policies.remediation import default_remediation_policies
+from repro.sim import AnyOf
 
 #: What the controller senses: the signal families plus wave outcomes.
 #: Every other configuration-plane transition (each journaled manager
@@ -69,7 +72,8 @@ class ReactiveController:
         Remediation policies, default the full registry
         (:func:`default_remediation_policies`).
     interval_s / lease_ttl_s:
-        Tick period and lease time-to-live.  The lease is renewed
+        Tick period (also how often a running action's manager is
+        re-checked) and lease time-to-live.  The lease is renewed
         every tick, so ``lease_ttl_s`` only matters across controller
         death: it bounds how long the manager stays formally "owned" by
         a remediator that stopped renewing.
@@ -113,7 +117,9 @@ class ReactiveController:
         self._inbox = deque(maxlen=512)
         self._cooldowns = {}  # (policy, target) -> last action time
         self._recent_actions = deque()  # admission times, for the budget
-        self._last_manager = None
+        #: (policy, intent) decisions whose action was abandoned when its
+        #: manager lost authority; a later tick re-drives them.
+        self._carried = []
         self._intent_seq = 0
         self._stopped = False
         self._subscribed = False
@@ -202,15 +208,12 @@ class ReactiveController:
         if manager is None or manager.deposed or not manager.is_active:
             network.count("controller.skipped_no_manager")
             return
-        if manager is not self._last_manager:
-            # New identity ⇒ a promotion or recovery happened since we
-            # last acted.  Orphan whatever the old term left open
-            # before deciding anything against the new primary.
-            if self._last_manager is not None:
-                orphaned = manager.gc_remediations()
-                if orphaned:
-                    network.count("controller.gc_orphaned", len(orphaned))
-            self._last_manager = manager
+        # Orphan whatever an older term left open (a promotion or
+        # recovery happened) before deciding anything against this
+        # manager.
+        orphaned = manager.gc_remediations()
+        if orphaned:
+            network.count("controller.gc_orphaned", len(orphaned))
         if self._supervisor_busy():
             network.count("controller.deferred")
             return
@@ -226,24 +229,35 @@ class ReactiveController:
             events=events,
             retry_policy=self.retry_policy,
         )
+        for policy, intent, carried in self._decisions(ctx):
+            if self._stopped:
+                return
+            # Decisions are stale the moment an earlier intent in
+            # this same tick acted; re-verify lease and liveness
+            # between actions.
+            if manager.deposed or not manager.holds_remediation_lease(self.name):
+                network.count("controller.lease_lost")
+                if carried:
+                    self._carried.insert(0, (policy, intent))
+                return
+            # A carried decision was admitted when it was first made.
+            if carried or self._admit(intent, policy):
+                yield from self._execute(ctx, policy, intent, carried)
+
+    def _decisions(self, ctx):
+        """Carried decisions, then each policy's intents, evaluated only
+        once the decisions before it have acted."""
+        for __ in range(len(self._carried)):
+            policy, intent = self._carried.pop(0)
+            yield policy, intent, True
         for policy in self.policies:
             try:
                 intents = policy.evaluate(ctx)
             except Exception:
-                network.count("controller.evaluate_errors")
+                self.runtime.network.count("controller.evaluate_errors")
                 continue
             for intent in intents:
-                if self._stopped:
-                    return
-                # Decisions are stale the moment an earlier intent in
-                # this same tick acted; re-verify lease and liveness
-                # between actions.
-                if manager.deposed or not manager.holds_remediation_lease(self.name):
-                    network.count("controller.lease_lost")
-                    return
-                if not self._admit(intent, policy):
-                    continue
-                yield from self._execute(ctx, policy, intent)
+                yield policy, intent, False
 
     # ------------------------------------------------------------------
     # Decide: admission control
@@ -267,8 +281,17 @@ class ReactiveController:
     # Act
     # ------------------------------------------------------------------
 
-    def _execute(self, ctx, policy, intent):
+    def _execute(self, ctx, policy, intent, carried=False):
+        """Generator: journal ``intent``, run it, and wait for it.
+
+        The action runs as its own process.  Every ``interval_s`` the
+        wait checks that its manager is still the authority; once it is
+        deposed or replaced, the wait ends with the outcome
+        ``abandoned`` (fencing stops the action itself) and the
+        decision is carried to the next tick.
+        """
         network = self.runtime.network
+        sim = self.runtime.sim
         guard = convergence_guard(self.runtime)
         claimed = list(intent.loids)
         if claimed and not guard.try_claim(self.name, claimed):
@@ -276,8 +299,10 @@ class ReactiveController:
             # driving configuration onto part of this set: defer, the
             # signal will still be there next tick if it matters.
             network.count("controller.deferred")
+            if carried:
+                self._carried.append((policy, intent))
             return
-        now = self.runtime.sim.now
+        now = sim.now
         self._cooldowns[intent.cooldown_key] = now
         self._recent_actions.append(now)
         self._intent_seq += 1
@@ -286,36 +311,49 @@ class ReactiveController:
         manager.begin_remediation(
             intent_id, intent.kind, intent.target, policy=intent.policy
         )
-        outcome, result = "done", None
+        action = sim.spawn(self._act(ctx, policy, intent), name=intent_id)
+        while not action.triggered:
+            yield AnyOf(sim, [action, sim.timeout(self.interval_s, daemon=True)])
+            if action.triggered:
+                outcome, result = action.value
+            elif manager.deposed or self._resolve_manager() is not manager:
+                outcome, result = "abandoned", None
+                self._carried.append((policy, intent))
+                break
+        if claimed:
+            guard.release(self.name, claimed)
+        # An abandoned intent belongs to a manager that lost authority;
+        # the live manager orphans its own copy.
+        if outcome != "abandoned" and not manager.deposed:
+            manager.complete_remediation(intent_id, outcome=outcome)
+        network.count(f"controller.actions.{outcome}")
+        self.remediation_log.append(
+            {
+                "at": round(sim.now, 3),
+                "intent_id": intent_id,
+                "policy": intent.policy,
+                "kind": intent.kind,
+                "target": intent.target,
+                "outcome": outcome,
+                "result": result,
+            }
+        )
+        network.publish(
+            "controller-action",
+            self.name,
+            policy=intent.policy,
+            kind=intent.kind,
+            target=str(intent.target),
+            outcome=outcome,
+        )
+
+    def _act(self, ctx, policy, intent):
+        """Process body: one policy action; returns (outcome, result)."""
         try:
             result = yield from policy.execute(ctx, intent)
         except Exception as exc:
-            outcome, result = "failed", {"error": f"{type(exc).__name__}: {exc}"}
-        finally:
-            if claimed:
-                guard.release(self.name, claimed)
-            if not manager.deposed:
-                manager.complete_remediation(intent_id, outcome=outcome)
-            network.count(f"controller.actions.{outcome}")
-            self.remediation_log.append(
-                {
-                    "at": round(self.runtime.sim.now, 3),
-                    "intent_id": intent_id,
-                    "policy": intent.policy,
-                    "kind": intent.kind,
-                    "target": intent.target,
-                    "outcome": outcome,
-                    "result": result,
-                }
-            )
-            self.runtime.network.publish(
-                "controller-action",
-                self.name,
-                policy=intent.policy,
-                kind=intent.kind,
-                target=str(intent.target),
-                outcome=outcome,
-            )
+            return "failed", {"error": f"{type(exc).__name__}: {exc}"}
+        return "done", result
 
     # ------------------------------------------------------------------
     # Introspection

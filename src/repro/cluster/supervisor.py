@@ -77,8 +77,6 @@ class Supervisor:
         suspicion_threshold=3,
         detector_mode="threshold",
         phi_threshold=8.0,
-        replication_mode="sync",
-        ship_interval_s=0.25,
         retry_policy=None,
         max_convergence_rounds=10,
         reconcile_interval_s=15.0,
@@ -100,8 +98,6 @@ class Supervisor:
         # promotion storm (see failure_detector mode docs).
         self.detector_mode = detector_mode
         self.phi_threshold = phi_threshold
-        self.replication_mode = replication_mode
-        self.ship_interval_s = ship_interval_s
         self.retry_policy = retry_policy
         self.max_convergence_rounds = max_convergence_rounds
         self.reconcile_interval_s = reconcile_interval_s
@@ -198,13 +194,7 @@ class Supervisor:
         if standby is None:
             self.runtime.network.count("supervisor.no_standby")
             return
-        self.link = ReplicationLink(
-            self.runtime,
-            manager,
-            standby,
-            mode=self.replication_mode,
-            ship_interval_s=self.ship_interval_s,
-        )
+        self.link = ReplicationLink(self.runtime, manager, standby)
 
     def _link_health_loop(self):
         """Daemon: replace a standby that died (its endpoint severed).

@@ -72,6 +72,7 @@ from repro.core.impltype import NATIVE, ImplementationType
 from repro.core.manager import (
     CanaryState,
     DCDOManager,
+    ManagerState,
     VersionRecord,
     WaveMode,
     WavePolicy,
@@ -133,6 +134,7 @@ __all__ = [
     "IncompatibleImplementationType",
     "IncorporatedComponent",
     "ManagerJournal",
+    "ManagerState",
     "MandatoryViolation",
     "Marking",
     "MarkingConflict",

@@ -150,6 +150,177 @@ class CanaryState:
         }
 
 
+class ManagerState:
+    """The manager's durable state: the fold of its journal.
+
+    Each journal kind has one reducer, and :meth:`apply` is the only
+    way this state changes.  The live manager applies every entry as it
+    records it, and recovery folds the journal's replay through the
+    same reducers, so the two cannot disagree.  Reducers are pure: no
+    runtime, no simulator, no yields.
+    """
+
+    def __init__(self):
+        self.term = 1
+        #: component id -> (component, ICO LOID)
+        self.components = {}
+        self.version_tree = VersionTree()
+        #: The instantiable DFM store: version -> :class:`VersionRecord`.
+        self.dfm_store = {}
+        self.current_version = None
+        #: The DCDO table's versions: instance LOID -> version.
+        self.instance_versions = {}
+        #: version -> :class:`PropagationTracker`
+        self.propagations = {}
+        #: version -> :class:`CanaryState`
+        self.canaries = {}
+        self.remediation_lease = None
+        #: intent id -> intent record, open while its outcome is None.
+        self.remediations = {}
+        #: LOID -> the host name the journal recorded for an instance
+        #: or an ICO: hints for relinking after a crash, nothing more.
+        self.instance_hosts = {}
+        self.ico_hosts = {}
+
+    @classmethod
+    def fold(cls, entries):
+        """The state a sequence of :class:`JournalEntry` builds."""
+        state = cls()
+        for entry in entries:
+            state.apply(entry.kind, entry.data)
+        return state
+
+    def apply(self, kind, data):
+        """Apply one journal entry's reducer; unknown kinds raise."""
+        reducer = _REDUCERS.get(kind)
+        if reducer is None:
+            raise ValueError(f"unknown journal entry kind {kind!r}")
+        reducer(self, data)
+
+    def _on_term(self, data):
+        self.term = max(self.term, data["number"])
+
+    def _on_component(self, data):
+        component, ico_loid = data["component"], data["ico_loid"]
+        self.components[component.component_id] = (component, ico_loid)
+        self.ico_hosts[ico_loid] = data.get("host_name")
+
+    def _on_version_created(self, data):
+        # No descriptor: a configurable version's edits are scratch and
+        # die with the manager.  The id stays reserved.
+        self.version_tree.restore(data["version"])
+
+    def _on_version_instantiable(self, data):
+        version = self.version_tree.restore(data["version"])
+        self.dfm_store[version] = VersionRecord(
+            version=version,
+            descriptor=data["descriptor"].clone(),
+            instantiable=True,
+            parent=data.get("parent"),
+        )
+
+    def _on_current_version(self, data):
+        self.current_version = data["version"]
+
+    def _on_instance(self, data):
+        self.instance_hosts[data["loid"]] = data.get("host_name")
+        if data.get("version") is not None:
+            self.instance_versions[data["loid"]] = data["version"]
+
+    def _on_instance_version(self, data):
+        self.instance_versions[data["loid"]] = data["version"]
+
+    def _on_propagation_started(self, data):
+        self.propagations[data["version"]] = PropagationTracker(
+            data["version"],
+            data["loids"],
+            prior_versions=data.get("prior_versions"),
+            wave_policy=data.get("wave_policy"),
+        )
+
+    def _on_propagation_rearmed(self, data):
+        tracker = self.propagations[data["version"]]
+        tracker.rearm(data["loids"])
+        for loid in data["loids"]:
+            tracker.prior_versions.setdefault(
+                loid, self.instance_versions.get(loid)
+            )
+
+    def _on_propagation_ack(self, data):
+        self.propagations[data["version"]].ack(data["loid"])
+
+    def _on_propagation_failed(self, data):
+        self.propagations[data["version"]].fail(data["loid"])
+
+    def _on_propagation_complete(self, data):
+        self.propagations[data["version"]].complete = True
+
+    def _on_wave_aborting(self, data):
+        self.propagations[data["version"]].aborting = True
+
+    def _on_wave_rollback(self, data):
+        self.propagations[data["version"]].roll_back(data["loid"])
+
+    def _on_wave_aborted(self, data):
+        tracker = self.propagations[data["version"]]
+        tracker.aborting = tracker.aborted = tracker.complete = True
+        canary = self.canaries.get(data["version"])
+        if canary is not None:
+            canary.aborted = True
+
+    def _on_canary_started(self, data):
+        if data["version"] not in self.canaries:
+            self.canaries[data["version"]] = CanaryState(
+                version=data["version"],
+                stages=tuple(data["stages"]),
+                bake_s=data["bake_s"],
+            )
+
+    def _on_canary_stage(self, data):
+        canary = self.canaries[data["version"]]
+        known = set(canary.admitted)
+        canary.admitted.extend(loid for loid in data["loids"] if loid not in known)
+
+    def _on_canary_gate(self, data):
+        self.canaries[data["version"]].stage_index = data["stage"]
+
+    def _on_canary_breached(self, data):
+        canary = self.canaries[data["version"]]
+        canary.breached = True
+        canary.breach_reason = data.get("reason")
+
+    def _on_canary_complete(self, data):
+        self.canaries[data["version"]].complete = True
+
+    def _on_canary_aborted(self, data):
+        self.canaries[data["version"]].aborted = True
+
+    def _on_remediation_lease(self, data):
+        # A release is journaled as an already-expired lease.
+        self.remediation_lease = dict(data) if data["expires_at"] > 0.0 else None
+
+    def _on_remediation_intent(self, data):
+        # An intent record is its entry's fields plus an outcome.
+        self.remediations.setdefault(
+            data["intent_id"],
+            {**data, "params": dict(data["params"]), "outcome": None},
+        )
+
+    def _on_remediation_closed(self, data):
+        record = self.remediations.get(data["intent_id"])
+        if record is not None:
+            record["outcome"] = data["outcome"]
+
+
+#: Journal kind -> its reducer, ``ManagerState._on_<kind>`` with the
+#: kind's dashes as underscores.
+_REDUCERS = {
+    name[len("_on_"):].replace("_", "-"): reducer
+    for name, reducer in vars(ManagerState).items()
+    if name.startswith("_on_")
+}
+
+
 class DCDOManager(ClassObject):
     """Coordinates creation and evolution for one DCDO type.
 
@@ -206,14 +377,11 @@ class DCDOManager(ClassObject):
         self.evolution_policy = evolution_policy or SingleVersionPolicy()
         self.update_policy = update_policy or ExplicitUpdatePolicy()
         self._remove_policy = remove_policy or RemovePolicy.error()
-        self._version_tree = VersionTree()
-        self._dfm_store = {}
-        self._current_version = None
-        self._components = {}
-        self._instance_versions = {}
+        self._state = ManagerState()
+        #: Configurable versions: version -> :class:`VersionRecord`.
+        #: Scratch, not durable state; a crash loses them by design.
+        self._drafts = {}
         self._instance_impl_types = {}
-        self._propagations = {}
-        self._canaries = {}
         self._journal = None
         self.propagation_retry_policy = (
             propagation_retry_policy or DEFAULT_PROPAGATION_RETRY
@@ -225,19 +393,9 @@ class DCDOManager(ClassObject):
         self._relay_fanout_k = 0
         self.wave_policy = wave_policy or WavePolicy.converge()
         self.evolutions_performed = 0
-        #: Monotonic fencing term: every management RPC this manager
-        #: sends carries (type_name, term).  Recovery bumps it, so a
-        #: deposed primary's traffic is rejected by anything the newer
-        #: primary already touched.
-        self._term = 1
         #: Set once a peer proves a newer term exists; the manager has
         #: deactivated itself and must never act again.
         self.deposed = False
-        #: Remediation plane: one term-fenced lease gating automated
-        #: (controller-originated) actions, plus the journaled intents
-        #: of in-flight remediations (see the remediation section).
-        self._remediation_lease = None
-        self._remediations = {}
         self._register_manager_methods()
         if journal is not None:
             self.attach_journal(journal)
@@ -265,18 +423,25 @@ class DCDOManager(ClassObject):
         journal.meta["update_policy"] = self.update_policy
         journal.meta["remove_policy"] = self._remove_policy
 
-    def _record(self, kind, **fields):
-        """Record one durable transition: journal it, then publish it.
+    @property
+    def durable_state(self):
+        """The :class:`ManagerState`; it changes only through :meth:`_record`."""
+        return self._state
 
-        The entry goes to the journal when one is attached; the event
-        always goes on the bus, with the same kind and fields and the
-        type name as subject.  This is the manager's only writer of
-        either, so the journal, a trace, and the bus tallies cannot
-        disagree about what happened.
+    def _record(self, kind, **fields):
+        """Record one durable transition: journal, apply, then publish it.
+
+        The entry goes to the journal when one is attached; its reducer
+        then applies it to :attr:`durable_state`; then the event goes
+        on the bus, with the same kind and fields and the type name as
+        subject.  This is the manager's only writer of all three, so
+        the journal, the durable state, a trace, and the bus tallies
+        cannot disagree about what happened.
         """
         if self._journal is not None:
             self._journal.append(kind, **fields)
             self._publish_journal_gauges()
+        self._state.apply(kind, fields)
         self._runtime.network.bus.publish(kind, self.type_name, **fields)
 
     def _publish_journal_gauges(self):
@@ -290,12 +455,18 @@ class DCDOManager(ClassObject):
 
     @property
     def term(self):
-        """This manager's fencing term number."""
-        return self._term
+        """This manager's fencing term number.
+
+        Monotonic: every management RPC this manager sends carries
+        (type_name, term).  Recovery bumps it, so a deposed primary's
+        traffic is rejected by anything the newer primary already
+        touched.
+        """
+        return self._state.term
 
     def current_term(self):
         """The :class:`~repro.net.ManagerTerm` stamped on outgoing RPCs."""
-        return ManagerTerm(self.type_name, self._term)
+        return ManagerTerm(self.type_name, self._state.term)
 
     def bump_term(self):
         """Advance the fencing term (journaled); returns the new number.
@@ -305,9 +476,8 @@ class DCDOManager(ClassObject):
         failover, because the bump is journaled and shipped like any
         other durable decision.
         """
-        self._term += 1
-        self._record("term", number=self._term)
-        return self._term
+        self._record("term", number=self._state.term + 1)
+        return self._state.term
 
     def _fence(self, error):
         """Stand down: a peer proved a newer term exists.
@@ -323,7 +493,7 @@ class DCDOManager(ClassObject):
         self._runtime.network.bus.publish(
             "manager-fenced",
             self.type_name,
-            term=self._term,
+            term=self._state.term,
             latest=getattr(error, "latest", None),
         )
         self.deactivate()
@@ -345,7 +515,7 @@ class DCDOManager(ClassObject):
         under ``/components/<type>/<component-id>`` so it benefits from
         the system's global namespace (§2.3).
         """
-        if component.component_id in self._components:
+        if component.component_id in self._state.components:
             raise ValueError(f"component {component.component_id!r} already registered")
         host = self._pick_host(host_name)
         loid = mint_loid(self._runtime.domain, f"{self.type_name}.ICO")
@@ -355,7 +525,6 @@ class DCDOManager(ClassObject):
         self._runtime.context_space.bind(
             f"/components/{self.type_name}/{component.component_id}", loid
         )
-        self._components[component.component_id] = (component, loid)
         self._record(
             "component", component=component, ico_loid=loid, host_name=host.name
         )
@@ -364,7 +533,7 @@ class DCDOManager(ClassObject):
     def component_ico(self, component_id):
         """The ICO LOID serving ``component_id``."""
         try:
-            return self._components[component_id][1]
+            return self._state.components[component_id][1]
         except KeyError:
             raise UnknownVersion(
                 f"component {component_id!r} is not registered with this manager"
@@ -372,7 +541,7 @@ class DCDOManager(ClassObject):
 
     def registered_components(self):
         """Sorted registered component ids."""
-        return sorted(self._components)
+        return sorted(self._state.components)
 
     # ------------------------------------------------------------------
     # The DFM store: version derivation and configuration (§2.4)
@@ -381,15 +550,18 @@ class DCDOManager(ClassObject):
     @property
     def current_version(self):
         """The designated current version, or None."""
-        return self._current_version
+        return self._state.current_version
 
     def versions(self):
         """All version ids in the DFM store."""
-        return sorted(self._dfm_store, key=lambda version: version.parts)
+        return sorted(
+            self._state.dfm_store.keys() | self._drafts.keys(),
+            key=lambda version: version.parts,
+        )
 
     def version_record(self, version):
         """The :class:`VersionRecord`, or raise :class:`UnknownVersion`."""
-        record = self._dfm_store.get(version)
+        record = self._state.dfm_store.get(version) or self._drafts.get(version)
         if record is None:
             raise UnknownVersion(f"no version {version} in the DFM store")
         return record
@@ -400,8 +572,8 @@ class DCDOManager(ClassObject):
 
     def new_version(self):
         """Create a fresh root version with an empty descriptor."""
-        version = self._version_tree.new_root()
-        self._dfm_store[version] = VersionRecord(version=version, descriptor=DFMDescriptor())
+        version = self._state.version_tree.next_root()
+        self._drafts[version] = VersionRecord(version=version, descriptor=DFMDescriptor())
         self._record("version-created", version=version, parent=None)
         return version
 
@@ -409,8 +581,8 @@ class DCDOManager(ClassObject):
         """§2.4: create a configurable version by logically copying
         ``parent``; returns the new version id."""
         parent_record = self.version_record(parent)
-        version = self._version_tree.derive(parent)
-        self._dfm_store[version] = VersionRecord(
+        version = self._state.version_tree.next_child(parent)
+        self._drafts[version] = VersionRecord(
             version=version,
             descriptor=parent_record.descriptor.clone(),
             parent=parent,
@@ -438,7 +610,7 @@ class DCDOManager(ClassObject):
         self.descriptor_of(version).incorporate(component, ico_loid)
 
     def _components_entry(self, component_id):
-        entry = self._components.get(component_id)
+        entry = self._state.components.get(component_id)
         if entry is None:
             raise UnknownVersion(
                 f"component {component_id!r} is not registered with this manager"
@@ -451,7 +623,6 @@ class DCDOManager(ClassObject):
         if record.instantiable:
             return
         record.descriptor.validate_instantiable()
-        record.instantiable = True
         # The frozen descriptor is the durable artefact: a journal
         # replay restores instantiable versions byte-for-byte, while
         # still-configurable descriptors are in-memory scratch state
@@ -462,6 +633,7 @@ class DCDOManager(ClassObject):
             parent=record.parent,
             descriptor=record.descriptor.clone(),
         )
+        del self._drafts[version]
 
     def set_current_version(self, version):
         """Designate the official current version.
@@ -486,7 +658,6 @@ class DCDOManager(ClassObject):
             raise VersionNotInstantiable(
                 f"version {version} must be instantiable before becoming current"
             )
-        self._current_version = version
         self._record("current-version", version=version)
         propagation = self.update_policy.on_new_current_version(self)
         if propagation is None:
@@ -500,7 +671,7 @@ class DCDOManager(ClassObject):
     def instance_version(self, loid):
         """The version a managed instance currently reflects."""
         self.record(loid)  # raises UnknownObject for strangers
-        return self._instance_versions.get(loid)
+        return self._state.instance_versions.get(loid)
 
     def instance_impl_type(self, loid):
         """The implementation type of an instance's current build."""
@@ -512,7 +683,7 @@ class DCDOManager(ClassObject):
         return [
             (
                 record.loid,
-                self._instance_versions.get(record.loid),
+                self._state.instance_versions.get(record.loid),
                 self._instance_impl_types.get(record.loid),
                 record.active,
             )
@@ -531,7 +702,8 @@ class DCDOManager(ClassObject):
         designated current version", §3.4); re-activations after
         migration or deactivation rebuild the instance's *own* version.
         """
-        version = self._instance_versions.get(loid, self._current_version)
+        state = self._state
+        version = state.instance_versions.get(loid, state.current_version)
         if version is None:
             raise VersionNotInstantiable(
                 f"type {self.type_name!r} has no current version to instantiate"
@@ -568,11 +740,10 @@ class DCDOManager(ClassObject):
         return obj, str(version)
 
     def _instance_created(self, record):
-        self._instance_versions[record.loid] = self._current_version
         self._instance_impl_types[record.loid] = record.obj.implementation_type
         self._record("instance", loid=record.loid, host_name=record.host.name)
         self._record(
-            "instance-version", loid=record.loid, version=self._current_version
+            "instance-version", loid=record.loid, version=self._state.current_version
         )
         self.update_policy.on_instance_created(self, record)
 
@@ -614,7 +785,7 @@ class DCDOManager(ClassObject):
                     f"instance {loid} is deactivated; it will rebuild at its "
                     f"version on next activation"
                 )
-            from_version = self._instance_versions.get(loid)
+            from_version = self._state.instance_versions.get(loid)
             if target_version is None:
                 target_version = self.evolution_policy.default_target(self, from_version)
                 if target_version is None:
@@ -653,7 +824,6 @@ class DCDOManager(ClassObject):
                 (diff,),
                 timeout_schedule=(60.0, 120.0, 600.0),
             )
-            self._instance_versions[loid] = target_version
             self._record("instance-version", loid=loid, version=target_version)
             if record.active:
                 record.version_tag = str(target_version)
@@ -667,38 +837,8 @@ class DCDOManager(ClassObject):
         try:
             result = yield from self.evolve_instance(loid, target_version)
         except EvolutionDisallowed:
-            result = self._instance_versions.get(loid)
+            result = self._state.instance_versions.get(loid)
         return result
-
-    def update_all_instances(self, target_version=None, window=None):
-        """Generator: evolve every active instance, windowed.
-
-        At most ``window`` (default: the manager's ``fanout_window``)
-        evolutions are in flight at once; each freed slot immediately
-        starts the next instance.  ``window=1`` reproduces the old
-        sequential loop.  Returns ``{loid: version reached}`` in
-        instance-creation order; the first delivery error (if any) is
-        re-raised after the wave, matching the sequential semantics.
-        """
-        window = window or self.fanout_window
-        loids = [
-            loid for loid in self.instance_loids() if self.record(loid).active
-        ]
-        thunks = [
-            lambda l=loid: self.try_evolve_instance(l, target_version)
-            for loid in loids
-        ]
-        outcomes = yield from run_windowed(self._runtime.sim, thunks, window)
-        results = {}
-        first_error = None
-        for loid, (ok, value) in zip(loids, outcomes):
-            if ok:
-                results[loid] = value
-            elif first_error is None:
-                first_error = value
-        if first_error is not None:
-            raise first_error
-        return results
 
     # ------------------------------------------------------------------
     # Ack-tracked, at-least-once propagation
@@ -709,8 +849,7 @@ class DCDOManager(ClassObject):
     ):
         """Generator: reliably push ``version`` to its instances.
 
-        The fault-tolerant counterpart of :meth:`update_all_instances`:
-        each instance gets a tracked delivery (PENDING → ACKED/FAILED),
+        Each instance gets a tracked delivery (PENDING → ACKED/FAILED),
         deliveries run concurrently with a bounded in-flight window
         (default: the manager's ``fanout_window``), failures are
         retried with backoff per the retry policy, and every state
@@ -736,34 +875,30 @@ class DCDOManager(ClassObject):
             )
         if loids is None:
             loids = self.instance_loids()
-        tracker = self._propagations.get(version)
+        tracker = self._state.propagations.get(version)
         if tracker is None:
-            wave = wave_policy or self.wave_policy
-            prior_versions = {
-                loid: self._instance_versions.get(loid) for loid in loids
-            }
-            tracker = PropagationTracker(
-                version, loids, prior_versions=prior_versions, wave_policy=wave
-            )
-            self._propagations[version] = tracker
+            versions = self._state.instance_versions
             self._record(
                 "propagation-started",
                 version=version,
                 loids=list(loids),
-                prior_versions=prior_versions,
-                wave_policy=wave,
+                prior_versions={loid: versions.get(loid) for loid in loids},
+                wave_policy=wave_policy or self.wave_policy,
             )
+            tracker = self._state.propagations[version]
         elif tracker.aborting and not tracker.aborted:
             # A crash interrupted the abort: finish the rollback; do
             # not deliver anything new.
             yield from self._finish_abort(tracker)
             return tracker
         else:
-            tracker.rearm(loids)
-            for loid in loids:
-                tracker.prior_versions.setdefault(
-                    loid, self._instance_versions.get(loid)
-                )
+            # Journaled even when it admits no one: a re-arm re-opens
+            # failed and rolled-back deliveries and clears the flags.
+            self._record(
+                "propagation-rearmed",
+                version=version,
+                loids=[loid for loid in loids if loid not in tracker],
+            )
         policy = retry_policy or self.propagation_retry_policy
         window = window or self.fanout_window
         if self._relay_directory:
@@ -800,7 +935,6 @@ class DCDOManager(ClassObject):
                 # incomplete; recovery/resume finishes it.
                 return tracker
             raise WaveAborted(version, failed, wave.abort_threshold)
-        tracker.complete = True
         self._record("propagation-complete", version=version)
         return tracker
 
@@ -860,7 +994,7 @@ class DCDOManager(ClassObject):
                 record = self.record(loid)
             except UnknownObject as error:
                 # Deleted instance: terminal, exactly as direct delivery.
-                tracker.fail(loid, error)
+                tracker.delivery(loid).last_error = error
                 self._record("propagation-failed", version=version, loid=loid)
                 continue
             if not record.active or not record.host.is_up:
@@ -886,11 +1020,11 @@ class DCDOManager(ClassObject):
             remaining = {}
             diffs = {}
             for loid, host_name in batchable:
-                from_version = self._instance_versions.get(loid)
+                from_version = self._state.instance_versions.get(loid)
                 if from_version == version:
                     # Already there (re-armed wave): ack without an RPC,
                     # matching evolve_instance's early return.
-                    tracker.ack(loid, sim.now)
+                    tracker.delivery(loid).acked_at = sim.now
                     self._record("propagation-ack", version=version, loid=loid)
                     continue
                 try:
@@ -1048,12 +1182,10 @@ class DCDOManager(ClassObject):
             if not loids or loid not in loids:
                 continue
             failed.add(loid)
+            tracker.delivery(loid).last_error = value
             if isinstance(value, UnknownObject):
-                tracker.fail(loid, value)
                 self._record("propagation-failed", version=version, loid=loid)
                 loids.remove(loid)
-            else:
-                tracker.delivery(loid).last_error = value
         unreached = set()
         for start, stop in ack["missing"]:
             dead.add(roster[start])
@@ -1086,13 +1218,12 @@ class DCDOManager(ClassObject):
         Mirrors the bookkeeping (and journal-entry order) of the
         direct path: instance-version first, then the propagation ack.
         """
-        self._instance_versions[loid] = version
         self._record("instance-version", loid=loid, version=version)
         record = self._instances.get(loid)
         if record is not None and record.active:
             record.version_tag = str(version)
         self.evolutions_performed += 1
-        tracker.ack(loid, self._runtime.sim.now)
+        tracker.delivery(loid).acked_at = self._runtime.sim.now
         self._record("propagation-ack", version=version, loid=loid)
 
     def _finish_abort(self, tracker):
@@ -1106,7 +1237,6 @@ class DCDOManager(ClassObject):
         has been undone, at which point it is journaled ABORTED.
         """
         if not tracker.aborting:
-            tracker.aborting = True
             self._record("wave-aborting", version=tracker.version)
         for delivery in tracker.deliveries():
             if delivery.status is not DeliveryStatus.ACKED:
@@ -1129,23 +1259,18 @@ class DCDOManager(ClassObject):
                     # Leave it ACKED: the wave stays ABORTING and a
                     # later resume retries this rollback.
                     continue
-            tracker.roll_back(delivery.loid)
             self._record("wave-rollback", version=tracker.version, loid=delivery.loid)
         if any(
             delivery.status is DeliveryStatus.ACKED
             for delivery in tracker.deliveries()
         ):
             return
-        state = self._canaries.get(tracker.version)
+        state = self._state.canaries.get(tracker.version)
         if state is not None:
             settled = yield from self._reconcile_canary_abort(state, tracker)
             if not settled or not self.is_active:
                 return
-        tracker.aborted = True
-        tracker.complete = True
         self._record("wave-aborted", version=tracker.version)
-        if state is not None:
-            state.aborted = True
 
     def _reconcile_canary_abort(self, state, tracker):
         """Generator: verify admitted instances really left the version.
@@ -1161,7 +1286,7 @@ class DCDOManager(ClassObject):
         reachable admitted instance is off it; False means stay
         ABORTING and let a later resume retry.
         """
-        prior = self._current_version
+        prior = self._state.current_version
         settled = True
         for loid in list(state.admitted):
             if not self.is_active:
@@ -1195,8 +1320,7 @@ class DCDOManager(ClassObject):
                 continue
             # The old primary's delivery landed but its ack never
             # shipped: adopt the fact, then undo it.
-            if self._instance_versions.get(loid) != state.version:
-                self._instance_versions[loid] = state.version
+            if self._state.instance_versions.get(loid) != state.version:
                 self._record("instance-version", loid=loid, version=state.version)
             try:
                 yield from self.evolve_instance(
@@ -1239,7 +1363,7 @@ class DCDOManager(ClassObject):
                 yield from self.evolve_instance(loid, tracker.version)
             except UnknownObject as error:
                 # Deleted instance: it can never converge; no retry.
-                tracker.fail(loid, error)
+                delivery.last_error = error
                 self._record("propagation-failed", version=tracker.version, loid=loid)
                 return False
             except (LegionError, TransportError, RuntimeError) as error:
@@ -1256,7 +1380,6 @@ class DCDOManager(ClassObject):
                 if not self.is_active:
                     return False
                 if not policy.should_retry(attempts, started, sim.now):
-                    tracker.fail(loid, error)
                     self._record(
                         "propagation-failed", version=tracker.version, loid=loid
                     )
@@ -1264,7 +1387,7 @@ class DCDOManager(ClassObject):
                 self._runtime.network.count("propagation.retries")
                 yield sim.timeout(policy.backoff_s(attempts))
                 continue
-            tracker.ack(loid, sim.now)
+            delivery.acked_at = sim.now
             self._record("propagation-ack", version=tracker.version, loid=loid)
             if tracker.aborting or tracker.aborted:
                 # The breach-abort raced this delivery's final RPC:
@@ -1277,11 +1400,11 @@ class DCDOManager(ClassObject):
 
     def propagation(self, version):
         """The :class:`PropagationTracker` for ``version``, or None."""
-        return self._propagations.get(version)
+        return self._state.propagations.get(version)
 
     def propagation_status(self):
         """Summaries of every propagation, newest last."""
-        return [tracker.summary() for tracker in self._propagations.values()]
+        return [tracker.summary() for tracker in self._state.propagations.values()]
 
     def resume_propagations(self, retry_policy=None):
         """Generator: finish propagations a crash interrupted.
@@ -1302,9 +1425,9 @@ class DCDOManager(ClassObject):
         driven here even if the crash landed between the breach
         decision and the wave-aborting entry.
         """
-        for version in list(self._propagations):
-            tracker = self._propagations[version]
-            state = self._canaries.get(version)
+        for version in list(self._state.propagations):
+            tracker = self._state.propagations[version]
+            state = self._state.canaries.get(version)
             if state is not None and state.breached and not tracker.aborted:
                 yield from self._finish_abort(tracker)
                 continue
@@ -1321,10 +1444,10 @@ class DCDOManager(ClassObject):
                 continue
         # Breached canaries whose wave tracker never reached this
         # journal (a promotion raced the shipping) still need closing.
-        for version, state in list(self._canaries.items()):
+        for version, state in list(self._state.canaries.items()):
             if state.closed or not state.breached:
                 continue
-            if version in self._propagations:
+            if version in self._state.propagations:
                 continue
             yield from self.abort_wave(
                 version, state.breach_reason or "slo-breach"
@@ -1347,27 +1470,22 @@ class DCDOManager(ClassObject):
             raise VersionNotInstantiable(
                 f"cannot canary configurable version {version}"
             )
-        state = self._canaries.get(version)
-        if state is None:
-            state = CanaryState(
-                version=version, stages=tuple(stages), bake_s=bake_s
-            )
-            self._canaries[version] = state
+        if version not in self._state.canaries:
             self._record(
                 "canary-started",
                 version=version,
                 stages=tuple(stages),
                 bake_s=bake_s,
             )
-        return state
+        return self._state.canaries[version]
 
     def canary_state(self, version):
         """The :class:`CanaryState` for ``version``, or None."""
-        return self._canaries.get(version)
+        return self._state.canaries.get(version)
 
     def canary_status(self):
         """Summaries of every canary rollout, oldest first."""
-        return [state.summary() for state in self._canaries.values()]
+        return [state.summary() for state in self._state.canaries.values()]
 
     def canary_frozen_loids(self):
         """Instances admitted to any still-open canary rollout.
@@ -1378,7 +1496,7 @@ class DCDOManager(ClassObject):
         would silently undo the experiment the gate is judging.
         """
         frozen = set()
-        for state in self._canaries.values():
+        for state in self._state.canaries.values():
             if not state.closed:
                 frozen.update(state.admitted)
         return frozen
@@ -1394,7 +1512,6 @@ class DCDOManager(ClassObject):
         known = set(state.admitted)
         fresh = [loid for loid in loids if loid not in known]
         if fresh:
-            state.admitted.extend(fresh)
             self._record(
                 "canary-stage",
                 version=version,
@@ -1406,8 +1523,7 @@ class DCDOManager(ClassObject):
     def record_canary_gate(self, version):
         """Mark the current stage's health gate passed (journaled)."""
         state = self._require_canary(version)
-        state.stage_index += 1
-        self._record("canary-gate", version=version, stage=state.stage_index)
+        self._record("canary-gate", version=version, stage=state.stage_index + 1)
         return state.stage_index
 
     def mark_canary_breached(self, version, reason):
@@ -1419,11 +1535,8 @@ class DCDOManager(ClassObject):
         wave should resume delivering".
         """
         state = self._require_canary(version)
-        if state.breached:
-            return state
-        state.breached = True
-        state.breach_reason = reason
-        self._record("canary-breached", version=version, reason=reason)
+        if not state.breached:
+            self._record("canary-breached", version=version, reason=reason)
         return state
 
     def abort_wave(self, version, reason="slo-breach"):
@@ -1436,8 +1549,8 @@ class DCDOManager(ClassObject):
         back to its prior version, write-ahead logged, resumable by a
         recovered or promoted manager.  Returns the tracker.
         """
-        tracker = self._propagations.get(version)
-        state = self._canaries.get(version)
+        tracker = self._state.propagations.get(version)
+        state = self._state.canaries.get(version)
         if state is not None:
             self.mark_canary_breached(version, reason)
         if tracker is None:
@@ -1448,13 +1561,10 @@ class DCDOManager(ClassObject):
             if state is not None and not state.aborted:
                 settled = yield from self._reconcile_canary_abort(state, None)
                 if settled and self.is_active and not self.deposed:
-                    state.aborted = True
                     self._record("canary-aborted", version=version)
             return None
         if not tracker.aborted:
             yield from self._finish_abort(tracker)
-        if state is not None and tracker.aborted and not state.aborted:
-            state.aborted = True
         return tracker
 
     def complete_canary(self, version):
@@ -1468,14 +1578,12 @@ class DCDOManager(ClassObject):
         if state.breached:
             raise WaveAborted(version, 0, 0)
         if not state.complete:
-            state.complete = True
             self._record("canary-complete", version=version)
-            self._current_version = version
             self._record("current-version", version=version)
         return state
 
     def _require_canary(self, version):
-        state = self._canaries.get(version)
+        state = self._state.canaries.get(version)
         if state is None:
             raise UnknownVersion(f"no canary rollout open for version {version}")
         return state
@@ -1498,46 +1606,40 @@ class DCDOManager(ClassObject):
         if self.deposed or not self.is_active:
             return False
         now = self._runtime.sim.now
-        lease = self._remediation_lease
+        lease = self._state.remediation_lease
         if (
             lease is not None
             and lease["owner"] != owner
             and lease["expires_at"] > now
-            and lease["term"] == self._term
+            and lease["term"] == self.term
         ):
             return False
-        self._remediation_lease = {
-            "owner": owner,
-            "term": self._term,
-            "expires_at": now + ttl_s,
-        }
         self._record(
             "remediation-lease",
             owner=owner,
-            term=self._term,
+            term=self.term,
             expires_at=now + ttl_s,
         )
         return True
 
     def holds_remediation_lease(self, owner):
         """True while ``owner``'s lease is live under the current term."""
-        lease = self._remediation_lease
+        lease = self._state.remediation_lease
         return (
             not self.deposed
             and self.is_active
             and lease is not None
             and lease["owner"] == owner
-            and lease["term"] == self._term
+            and lease["term"] == self.term
             and lease["expires_at"] > self._runtime.sim.now
         )
 
     def release_remediation_lease(self, owner):
         """Drop the lease if ``owner`` holds it (journaled as expiry)."""
-        lease = self._remediation_lease
+        lease = self._state.remediation_lease
         if lease is not None and lease["owner"] == owner:
-            self._remediation_lease = None
             self._record(
-                "remediation-lease", owner=owner, term=self._term, expires_at=0.0
+                "remediation-lease", owner=owner, term=self.term, expires_at=0.0
             )
 
     def begin_remediation(self, intent_id, action, target, **params):
@@ -1548,42 +1650,29 @@ class DCDOManager(ClassObject):
         were in flight — :meth:`gc_remediations` then closes the ones
         whose lease term the promotion outran.
         """
-        if intent_id in self._remediations:
-            return self._remediations[intent_id]
-        record = {
-            "intent_id": intent_id,
-            "action": action,
-            "target": target,
-            "params": dict(params),
-            "term": self._term,
-            "opened_at": self._runtime.sim.now,
-            "outcome": None,
-        }
-        self._remediations[intent_id] = record
-        self._record(
-            "remediation-intent",
-            intent_id=intent_id,
-            action=action,
-            target=target,
-            params=dict(params),
-            term=self._term,
-        )
-        return record
+        if intent_id not in self._state.remediations:
+            self._record(
+                "remediation-intent",
+                intent_id=intent_id,
+                action=action,
+                target=target,
+                params=dict(params),
+                term=self.term,
+            )
+        return self._state.remediations[intent_id]
 
     def complete_remediation(self, intent_id, outcome="done"):
         """Close an intent (journaled); unknown ids are ignored."""
-        record = self._remediations.get(intent_id)
-        if record is None or record["outcome"] is not None:
-            return record
-        record["outcome"] = outcome
-        self._record("remediation-closed", intent_id=intent_id, outcome=outcome)
+        record = self._state.remediations.get(intent_id)
+        if record is not None and record["outcome"] is None:
+            self._record("remediation-closed", intent_id=intent_id, outcome=outcome)
         return record
 
     def open_remediations(self):
         """Intent records not yet closed, oldest first."""
         return [
             record
-            for record in self._remediations.values()
+            for record in self._state.remediations.values()
             if record["outcome"] is None
         ]
 
@@ -1599,19 +1688,19 @@ class DCDOManager(ClassObject):
         """
         orphaned = []
         for record in self.open_remediations():
-            if record["term"] < self._term:
+            if record["term"] < self.term:
                 self.complete_remediation(record["intent_id"], outcome="orphaned")
                 orphaned.append(record)
         return orphaned
 
     def remediation_status(self):
         """Plain-dict view of lease + intents, for reports."""
-        lease = self._remediation_lease
+        lease = self._state.remediation_lease
         open_intents = self.open_remediations()
         return {
             "lease": dict(lease) if lease is not None else None,
             "open": [record["intent_id"] for record in open_intents],
-            "total": len(self._remediations),
+            "total": len(self._state.remediations),
         }
 
     def restore_components(self):
@@ -1627,8 +1716,8 @@ class DCDOManager(ClassObject):
         having crashed.  Returns the restored component ids.
         """
         restored = []
-        for component_id in sorted(self._components):
-            component, ico_loid = self._components[component_id]
+        for component_id in sorted(self._state.components):
+            component, ico_loid = self._state.components[component_id]
             obj = self._runtime.live_object(ico_loid)
             if obj is not None and obj.is_active:
                 continue
@@ -1648,15 +1737,21 @@ class DCDOManager(ClassObject):
     # ------------------------------------------------------------------
 
     def restore_from_journal(self, journal):
-        """Generator: rebuild durable state by replaying ``journal``.
+        """Generator: rebuild durable state by folding ``journal``.
 
         Called on a *fresh* manager object before activation (see
-        :func:`~repro.core.recovery.recover_manager`).  Live instance
-        objects and ICOs are re-linked from the runtime where they
-        survived; ICOs whose host died are re-created here.
+        :func:`~repro.core.recovery.recover_manager`).  The state is
+        the fold of the reducers the live manager applied.  Then live
+        instance objects and ICOs are re-linked from the runtime where
+        they survived, and ICOs whose host died are re-created.
         """
-        for entry in journal.replay():
-            yield from self._restore_entry(entry)
+        self._state = ManagerState.fold(journal.replay())
+        for component, ico_loid in self._state.components.values():
+            yield from self._restore_component(
+                component, ico_loid, self._state.ico_hosts.get(ico_loid)
+            )
+        for loid, host_name in self._state.instance_hosts.items():
+            self._restore_instance(loid, host_name)
         # Implementation types are derived state: recompute from the
         # instances that are still alive.
         for record in self._instances.values():
@@ -1665,120 +1760,8 @@ class DCDOManager(ClassObject):
                     record.obj.implementation_type
                 )
 
-    def _restore_entry(self, entry):
-        kind, data = entry.kind, entry.data
-        if kind == "component":
-            yield from self._restore_component(
-                data["component"], data["ico_loid"], data.get("host_name")
-            )
-        elif kind == "version-created":
-            self._version_tree.restore(data["version"])
-            # No descriptor: a configurable version's edits died with
-            # the manager's memory.  The id is reserved; the contents
-            # must be re-derived by the operator.
-        elif kind == "version-instantiable":
-            version = data["version"]
-            self._version_tree.restore(version)
-            self._dfm_store[version] = VersionRecord(
-                version=version,
-                descriptor=data["descriptor"].clone(),
-                instantiable=True,
-                parent=data.get("parent"),
-            )
-        elif kind == "term":
-            self._term = max(self._term, data["number"])
-        elif kind == "current-version":
-            self._current_version = data["version"]
-        elif kind == "instance":
-            self._restore_instance(data["loid"], data.get("host_name"))
-            if data.get("version") is not None:
-                self._instance_versions[data["loid"]] = data["version"]
-        elif kind == "instance-version":
-            self._instance_versions[data["loid"]] = data["version"]
-        elif kind == "propagation-started":
-            tracker = PropagationTracker(
-                data["version"],
-                data["loids"],
-                prior_versions=data.get("prior_versions"),
-                wave_policy=data.get("wave_policy"),
-            )
-            self._propagations[data["version"]] = tracker
-        elif kind == "propagation-ack":
-            self._propagations[data["version"]].ack(data["loid"])
-        elif kind == "propagation-failed":
-            self._propagations[data["version"]].fail(data["loid"])
-        elif kind == "propagation-complete":
-            self._propagations[data["version"]].complete = True
-        elif kind == "wave-aborting":
-            self._propagations[data["version"]].aborting = True
-        elif kind == "wave-rollback":
-            self._propagations[data["version"]].roll_back(data["loid"])
-        elif kind == "wave-aborted":
-            tracker = self._propagations[data["version"]]
-            tracker.aborting = True
-            tracker.aborted = True
-            tracker.complete = True
-            state = self._canaries.get(data["version"])
-            if state is not None:
-                state.aborted = True
-        elif kind == "canary-started":
-            version = data["version"]
-            if version not in self._canaries:
-                self._canaries[version] = CanaryState(
-                    version=version,
-                    stages=tuple(data["stages"]),
-                    bake_s=data["bake_s"],
-                )
-        elif kind == "canary-stage":
-            state = self._canaries[data["version"]]
-            known = set(state.admitted)
-            state.admitted.extend(
-                loid for loid in data["loids"] if loid not in known
-            )
-        elif kind == "canary-gate":
-            self._canaries[data["version"]].stage_index = data["stage"]
-        elif kind == "canary-breached":
-            state = self._canaries[data["version"]]
-            state.breached = True
-            state.breach_reason = data.get("reason")
-        elif kind == "canary-complete":
-            self._canaries[data["version"]].complete = True
-        elif kind == "canary-aborted":
-            self._canaries[data["version"]].aborted = True
-        elif kind == "remediation-lease":
-            if data["expires_at"] <= 0.0:
-                self._remediation_lease = None
-            else:
-                self._remediation_lease = {
-                    "owner": data["owner"],
-                    "term": data["term"],
-                    "expires_at": data["expires_at"],
-                }
-        elif kind == "remediation-intent":
-            self._remediations.setdefault(
-                data["intent_id"],
-                {
-                    "intent_id": data["intent_id"],
-                    "action": data["action"],
-                    "target": data["target"],
-                    "params": dict(data.get("params") or {}),
-                    "term": data["term"],
-                    "opened_at": None,
-                    "outcome": None,
-                },
-            )
-        elif kind == "remediation-closed":
-            record = self._remediations.get(data["intent_id"])
-            if record is not None:
-                record["outcome"] = data["outcome"]
-        else:
-            raise ValueError(f"unknown journal entry kind {kind!r}")
-        return
-        yield  # pragma: no cover - uniform generator shape
-
     def _restore_component(self, component, ico_loid, host_name):
         """Re-link (or re-create) the ICO serving ``component``."""
-        self._components[component.component_id] = (component, ico_loid)
         obj = self._runtime.live_object(ico_loid)
         if obj is not None and obj.is_active:
             return
@@ -1839,176 +1822,114 @@ class DCDOManager(ClassObject):
             raise ValueError("no journal attached")
         from repro.core.recovery import JournalEntry
 
+        state = self._state
         for version in [
             version
-            for version, tracker in self._propagations.items()
+            for version, tracker in state.propagations.items()
             if self._wave_settled(version, tracker)
         ]:
-            del self._propagations[version]
+            del state.propagations[version]
 
         entries = []
+
+        def add(kind, **data):
+            entries.append(JournalEntry(kind, data))
+
         # The term leads the checkpoint: replay must outrank any older
         # primary before acting on anything else.
-        entries.append(JournalEntry("term", {"number": self._term}))
-        for component_id in sorted(self._components):
-            component, ico_loid = self._components[component_id]
+        add("term", number=state.term)
+        for component_id in sorted(state.components):
+            component, ico_loid = state.components[component_id]
             ico = self._runtime.live_object(ico_loid)
-            entries.append(
-                JournalEntry(
-                    "component",
-                    {
-                        "component": component,
-                        "ico_loid": ico_loid,
-                        "host_name": ico.host.name if ico is not None else None,
-                    },
-                )
+            add(
+                "component",
+                component=component,
+                ico_loid=ico_loid,
+                host_name=ico.host.name if ico is not None else None,
             )
         for version in sorted(
-            self._version_tree.known_versions, key=lambda v: v.parts
+            state.version_tree.known_versions, key=lambda v: v.parts
         ):
-            record = self._dfm_store.get(version)
-            if record is not None and record.instantiable:
-                entries.append(
-                    JournalEntry(
-                        "version-instantiable",
-                        {
-                            "version": version,
-                            "parent": record.parent,
-                            "descriptor": record.descriptor.clone(),
-                        },
-                    )
+            record = state.dfm_store.get(version)
+            if record is not None:
+                add(
+                    "version-instantiable",
+                    version=version,
+                    parent=record.parent,
+                    descriptor=record.descriptor.clone(),
                 )
             else:
-                entries.append(
-                    JournalEntry(
-                        "version-created",
-                        {"version": version, "parent": version.parent},
-                    )
-                )
-        if self._current_version is not None:
-            entries.append(
-                JournalEntry("current-version", {"version": self._current_version})
-            )
+                add("version-created", version=version, parent=version.parent)
+        if state.current_version is not None:
+            add("current-version", version=state.current_version)
         for loid, record in self._instances.items():
-            entries.append(
-                JournalEntry(
-                    "instance",
-                    {
-                        "loid": loid,
-                        "host_name": record.host.name,
-                        "version": self._instance_versions.get(loid),
-                    },
-                )
+            add(
+                "instance",
+                loid=loid,
+                host_name=record.host.name,
+                version=state.instance_versions.get(loid),
             )
         # Canary states precede the trackers so a checkpointed
         # "wave-aborted" replay finds (and closes) the canary it ended.
-        for version, state in self._canaries.items():
-            entries.append(
-                JournalEntry(
-                    "canary-started",
-                    {
-                        "version": version,
-                        "stages": tuple(state.stages),
-                        "bake_s": state.bake_s,
-                    },
-                )
+        for version, canary in state.canaries.items():
+            add(
+                "canary-started",
+                version=version,
+                stages=tuple(canary.stages),
+                bake_s=canary.bake_s,
             )
-            if state.admitted:
-                entries.append(
-                    JournalEntry(
-                        "canary-stage",
-                        {
-                            "version": version,
-                            "stage": state.stage_index,
-                            "loids": list(state.admitted),
-                        },
-                    )
+            if canary.admitted:
+                add(
+                    "canary-stage",
+                    version=version,
+                    stage=canary.stage_index,
+                    loids=list(canary.admitted),
                 )
-            if state.stage_index:
-                entries.append(
-                    JournalEntry(
-                        "canary-gate",
-                        {"version": version, "stage": state.stage_index},
-                    )
-                )
-            if state.breached:
-                entries.append(
-                    JournalEntry(
-                        "canary-breached",
-                        {"version": version, "reason": state.breach_reason},
-                    )
-                )
-            if state.complete:
-                entries.append(
-                    JournalEntry("canary-complete", {"version": version})
-                )
-            if state.aborted and version not in self._propagations:
+            if canary.stage_index:
+                add("canary-gate", version=version, stage=canary.stage_index)
+            if canary.breached:
+                add("canary-breached", version=version, reason=canary.breach_reason)
+            if canary.complete:
+                add("canary-complete", version=version)
+            if canary.aborted and version not in state.propagations:
                 # Closed without a wave (orphan reconcile): the closure
                 # has no "wave-aborted" entry to replay.
-                entries.append(
-                    JournalEntry("canary-aborted", {"version": version})
-                )
-        for version, tracker in self._propagations.items():
-            loids = [entry.loid for entry in tracker.deliveries()]
-            entries.append(
-                JournalEntry(
-                    "propagation-started",
-                    {
-                        "version": version,
-                        "loids": loids,
-                        "prior_versions": dict(tracker.prior_versions),
-                        "wave_policy": tracker.wave_policy,
-                    },
-                )
+                add("canary-aborted", version=version)
+        status_kinds = {
+            DeliveryStatus.ACKED: "propagation-ack",
+            DeliveryStatus.FAILED: "propagation-failed",
+            DeliveryStatus.ROLLED_BACK: "wave-rollback",
+        }
+        for version, tracker in state.propagations.items():
+            add(
+                "propagation-started",
+                version=version,
+                loids=[entry.loid for entry in tracker.deliveries()],
+                prior_versions=dict(tracker.prior_versions),
+                wave_policy=tracker.wave_policy,
             )
             if tracker.aborting:
-                entries.append(JournalEntry("wave-aborting", {"version": version}))
+                add("wave-aborting", version=version)
             for delivery in tracker.deliveries():
-                if delivery.status is DeliveryStatus.ACKED:
-                    entries.append(
-                        JournalEntry(
-                            "propagation-ack",
-                            {"version": version, "loid": delivery.loid},
-                        )
-                    )
-                elif delivery.status is DeliveryStatus.FAILED:
-                    entries.append(
-                        JournalEntry(
-                            "propagation-failed",
-                            {"version": version, "loid": delivery.loid},
-                        )
-                    )
-                elif delivery.status is DeliveryStatus.ROLLED_BACK:
-                    entries.append(
-                        JournalEntry(
-                            "wave-rollback",
-                            {"version": version, "loid": delivery.loid},
-                        )
-                    )
+                kind = status_kinds.get(delivery.status)
+                if kind is not None:
+                    add(kind, version=version, loid=delivery.loid)
             if tracker.aborted:
-                entries.append(JournalEntry("wave-aborted", {"version": version}))
+                add("wave-aborted", version=version)
             elif tracker.complete:
-                entries.append(
-                    JournalEntry("propagation-complete", {"version": version})
-                )
-        if self._remediation_lease is not None:
-            entries.append(
-                JournalEntry("remediation-lease", dict(self._remediation_lease))
-            )
+                add("propagation-complete", version=version)
+        if state.remediation_lease is not None:
+            add("remediation-lease", **state.remediation_lease)
         # Only open intents survive a checkpoint: a closed remediation
         # is pure history, and recovery's job is resume-or-GC.
         for record in self.open_remediations():
-            entries.append(
-                JournalEntry(
-                    "remediation-intent",
-                    {
-                        "intent_id": record["intent_id"],
-                        "action": record["action"],
-                        "target": record["target"],
-                        "params": dict(record["params"]),
-                        "term": record["term"],
-                    },
-                )
+            add(
+                "remediation-intent",
+                intent_id=record["intent_id"],
+                action=record["action"],
+                target=record["target"],
+                params=dict(record["params"]),
+                term=record["term"],
             )
         self._journal.write_checkpoint(entries)
         self._publish_journal_gauges()
@@ -2016,7 +1937,7 @@ class DCDOManager(ClassObject):
 
     def _wave_settled(self, version, tracker):
         """True when a wave's tracker carries nothing recovery needs."""
-        state = self._canaries.get(version)
+        state = self._state.canaries.get(version)
         return (
             tracker.complete
             and not tracker.aborting
@@ -2038,11 +1959,11 @@ class DCDOManager(ClassObject):
 
     def _m_ping(self, ctx):
         """Liveness probe for the failure detector; returns the term."""
-        return ("pong", self._term)
+        return ("pong", self._state.term)
         yield  # pragma: no cover - uniform generator shape
 
     def _m_get_current_version(self, ctx):
-        return self._current_version
+        return self._state.current_version
         yield  # pragma: no cover - uniform generator shape
 
     def _m_get_versions(self, ctx):

@@ -9,8 +9,11 @@ divergence.  This module gives it a durability story:
   manager (like a file on the host's disk), so it survives the manager
   object's death.  Every durable decision — component registered,
   version created or frozen, current version set, instance created or
-  evolved, propagation started/acked — is appended before the manager
-  acts on it.
+  evolved, propagation started/re-armed/acked — is appended before the
+  manager acts on it.  The manager's durable state
+  (:class:`~repro.core.manager.ManagerState`) is the fold of these
+  entries: the live manager applies each one as it appends it, and
+  recovery folds the same reducers over the replay.
 - :class:`PropagationTracker` / :class:`Delivery` — per-instance
   delivery state for the ack-tracked, at-least-once evolution
   propagation protocol.  Acks are journaled, so a recovered manager
@@ -18,9 +21,9 @@ divergence.  This module gives it a durability story:
   the version and never double-applying an update (application is
   idempotent, keyed by version id, on the DCDO side).
 - :func:`recover_manager` — rebuild a crashed manager from its
-  journal: replay, re-link live instances and ICOs, reactivate under a
-  new binding incarnation, swap into the runtime, and resume
-  propagation.
+  journal: fold it into a fresh state, re-link live instances and
+  ICOs, reactivate under a new binding incarnation, swap into the
+  runtime, and resume propagation.
 
 What is deliberately *not* durable: configurable (not-yet-instantiable)
 versions.  Their descriptors are mutable in-memory scratch state; a
@@ -87,7 +90,12 @@ class DeliveryStatus(enum.Enum):
 
 @dataclass
 class Delivery:
-    """Ack-tracking state for one instance in one propagation."""
+    """Ack-tracking state for one instance in one propagation.
+
+    ``status`` is durable: only journal reducers change it.  The other
+    fields are diagnostics the live manager stamps, and a replay
+    leaves them unset.
+    """
 
     loid: object
     status: DeliveryStatus = DeliveryStatus.PENDING
@@ -153,23 +161,21 @@ class PropagationTracker:
             if entry.status in (DeliveryStatus.FAILED, DeliveryStatus.ROLLED_BACK):
                 entry.status = DeliveryStatus.PENDING
 
-    def ack(self, loid, now=None):
+    def ack(self, loid):
         """Mark ``loid`` delivered."""
-        entry = self.delivery(loid)
-        entry.status = DeliveryStatus.ACKED
-        entry.acked_at = now
-        entry.last_error = None
+        self.delivery(loid).status = DeliveryStatus.ACKED
 
-    def fail(self, loid, error=None):
+    def fail(self, loid):
         """Mark ``loid`` given up on (until the next rearm)."""
-        entry = self.delivery(loid)
-        entry.status = DeliveryStatus.FAILED
-        entry.last_error = error
+        self.delivery(loid).status = DeliveryStatus.FAILED
 
     def roll_back(self, loid):
         """Mark an acked delivery undone by a wave abort."""
-        entry = self.delivery(loid)
-        entry.status = DeliveryStatus.ROLLED_BACK
+        self.delivery(loid).status = DeliveryStatus.ROLLED_BACK
+
+    def __contains__(self, loid):
+        """True once ``loid`` is admitted to this propagation."""
+        return loid in self._deliveries
 
     def pending_loids(self):
         """LOIDs still awaiting delivery."""
@@ -325,7 +331,7 @@ def recover_manager(
     """Generator: rebuild a crashed DCDO Manager from its journal.
 
     Constructs a fresh manager (the class LOID is deterministic, so it
-    *is* the same object identity), replays the journal into it,
+    *is* the same object identity), folds the journal into it,
     re-links still-live instances and ICOs, reactivates it — new
     endpoint, bumped binding incarnation, bumped fencing term — swaps
     it into the runtime's registries, and (by default) resumes any

@@ -31,9 +31,8 @@ Design points:
 - **Bootstrap through the front door.**  The initial full snapshot is
   enqueued as an ordinary checkpoint record, paying the same transfer
   cost as any other ship — no magic state copy.
-- **Sync or async.**  ``mode="sync"`` ships on every journal write;
-  ``mode="async"`` batches writes and ships on a background interval,
-  trading bounded lag for fewer messages.
+- **Shipped on every write.**  Each journal write kicks a ship; writes
+  that land while one is in flight go out together in the next batch.
 """
 
 import itertools
@@ -51,8 +50,7 @@ RECORD_FRAMING_BYTES = 32
 META_BYTES = 96
 #: Per-attempt reply timeout for a ship request.
 SHIP_TIMEOUT_S = 5.0
-#: Backoff before re-trying a failed ship in sync mode (async mode
-#: retries on its own interval).
+#: Backoff before re-trying a failed ship.
 SHIP_RETRY_BACKOFF_S = 1.0
 
 _link_ids = itertools.count(1)
@@ -170,12 +168,9 @@ class ReplicationLink:
     """Primary-side journal shipping to one :class:`StandbyReplica`.
 
     Subscribes to the primary manager's journal; every write becomes a
-    sequenced record in the ship queue.  ``mode="sync"`` drains the
-    queue immediately on every write; ``mode="async"`` drains on a
-    daemon interval (``ship_interval_s``), coalescing bursts into one
-    batch.  Failed ships leave the queue intact — lag is visible as
-    the ``repl.lag_entries`` gauge — and retry on backoff (sync) or
-    the next interval (async).
+    sequenced record in the ship queue, and drains it at once.  Failed
+    ships leave the queue intact — lag is visible as the
+    ``repl.lag_entries`` gauge — and retry on backoff.
 
     Call :meth:`stop` before promoting the standby: it unsubscribes
     from the (possibly still-live) primary journal and severs both
@@ -183,23 +178,12 @@ class ReplicationLink:
     that has become the new authority.
     """
 
-    def __init__(
-        self,
-        runtime,
-        manager,
-        standby_host_name,
-        mode="sync",
-        ship_interval_s=0.25,
-    ):
-        if mode not in ("sync", "async"):
-            raise ValueError(f"mode must be 'sync' or 'async', got {mode!r}")
+    def __init__(self, runtime, manager, standby_host_name):
         if manager.journal is None:
             raise ValueError("manager has no journal to replicate")
         self._runtime = runtime
         self._manager = manager
         self._journal = manager.journal
-        self.mode = mode
-        self.ship_interval_s = ship_interval_s
         self.replica = StandbyReplica(runtime, manager.type_name, standby_host_name)
         from repro.net import Endpoint
 
@@ -216,12 +200,7 @@ class ReplicationLink:
         # through the same queue as every later write.
         self._enqueue("checkpoint", self._journal.replay())
         self._observer = self._journal.subscribe(self._on_journal_write)
-        if mode == "async":
-            runtime.sim.spawn(
-                self._ship_interval_loop(), name=f"repl-loop:{self.address}"
-            )
-        else:
-            self._kick()
+        self._kick()
 
     # ------------------------------------------------------------------
     # Queueing
@@ -231,8 +210,7 @@ class ReplicationLink:
         if self._stopped:
             return
         self._enqueue("entry" if event == "append" else "checkpoint", payload)
-        if self.mode == "sync":
-            self._kick()
+        self._kick()
 
     def _enqueue(self, kind, payload):
         self._seq += 1
@@ -262,8 +240,7 @@ class ReplicationLink:
             while self._queue and not self._stopped:
                 ok = yield from self._ship_batch()
                 if not ok:
-                    if self.mode == "sync":
-                        self._arm_retry()
+                    self._arm_retry()
                     return
         finally:
             self._shipping = False
@@ -331,15 +308,6 @@ class ReplicationLink:
         if not self._stopped and self._queue:
             self._kick()
 
-    def _ship_interval_loop(self):
-        sim = self._runtime.sim
-        while not self._stopped:
-            yield sim.timeout(self.ship_interval_s, daemon=True)
-            if self._stopped or self._endpoint.is_closed:
-                return
-            if self._queue:
-                self._kick()
-
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
@@ -360,7 +328,7 @@ class ReplicationLink:
         self.replica.close()
 
     def __repr__(self):
-        state = "stopped" if self._stopped else self.mode
+        state = "stopped" if self._stopped else "live"
         return (
             f"<ReplicationLink {self._manager.type_name} -> "
             f"{self.replica.host_name} {state} lag={len(self._queue)}>"

@@ -89,27 +89,28 @@ class VersionTree:
 
     def new_root(self):
         """Create a fresh top-level version (1, then 2, ...)."""
-        self._roots += 1
-        version = VersionId((self._roots,))
-        self._known.add(version)
-        return version
+        return self.restore(self.next_root())
 
     def derive(self, parent):
         """Create the next child of ``parent`` and return it."""
+        return self.restore(self.next_child(parent))
+
+    def next_root(self):
+        """The id :meth:`new_root` would create, without creating it."""
+        return VersionId((self._roots + 1,))
+
+    def next_child(self, parent):
+        """The id :meth:`derive` would create, without creating it."""
         if parent not in self._known:
             raise KeyError(f"unknown version {parent}")
-        index = self._children.get(parent, 0) + 1
-        self._children[parent] = index
-        child = parent.child(index)
-        self._known.add(child)
-        return child
+        return parent.child(self._children.get(parent, 0) + 1)
 
     def restore(self, version):
-        """Re-admit a version id replayed from a journal.
+        """Admit ``version`` (created here or replayed from a journal).
 
         Advances the root/child allocation counters past it, so a
         recovered tree never re-issues an id the crashed manager
-        already handed out.
+        already handed out.  Returns ``version``.
         """
         self._known.add(version)
         if version.depth == 1:
@@ -119,6 +120,7 @@ class VersionTree:
             self._children[parent] = max(
                 self._children.get(parent, 0), version.parts[-1]
             )
+        return version
 
     def __contains__(self, version):
         return version in self._known

@@ -1,10 +1,42 @@
 """Shared fixtures and builders for the test suite."""
 
+import itertools
+
 import pytest
 
 from repro.cluster import build_lan
-from repro.core import ComponentBuilder, define_dcdo_type
+from repro.core import ComponentBuilder, DCDOManager, define_dcdo_type
 from repro.legion import Implementation, LegionRuntime
+
+from tests.invariants import replay_mismatch
+
+#: The shadow-replay invariant is checked after every this-many-th
+#: journaled manager record, counted per test.
+REPLAY_CHECK_EVERY = 7
+
+
+@pytest.fixture(autouse=True)
+def shadow_replay_check(monkeypatch):
+    """Fold the journal at sampled records; it must equal the live state.
+
+    Mismatches are collected rather than raised inside the manager, so
+    no handler in the code under test can swallow them; the test fails
+    at teardown.
+    """
+    record = DCDOManager._record
+    journaled = itertools.count(1)
+    mismatches = []
+
+    def checked_record(manager, kind, **fields):
+        record(manager, kind, **fields)
+        if manager.journal is not None and next(journaled) % REPLAY_CHECK_EVERY == 0:
+            mismatch = replay_mismatch(manager)
+            if mismatch is not None:
+                mismatches.append(f"after {kind!r}: {mismatch}")
+
+    monkeypatch.setattr(DCDOManager, "_record", checked_record)
+    yield
+    assert not mismatches, f"shadow replay differs {mismatches[0]}"
 
 
 @pytest.fixture

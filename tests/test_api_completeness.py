@@ -21,7 +21,7 @@ def test_testbed_host_names(runtime):
 def test_version_tree_known_versions(runtime):
     manager = make_sorter_manager(runtime)
     manager.derive_version(manager.current_version)
-    known = manager._version_tree.known_versions
+    known = manager.durable_state.version_tree.known_versions
     assert manager.current_version in known
     assert len(known) == 2
 

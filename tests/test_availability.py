@@ -184,7 +184,7 @@ def journals_equal(a, b):
 
 def test_sync_replication_ships_bootstrap_and_live_writes():
     runtime, manager, journal, loids = build_fleet(instances=2)
-    link = ReplicationLink(runtime, manager, "host02", mode="sync")
+    link = ReplicationLink(runtime, manager, "host02")
     v2 = derive_v2(manager)
     runtime.sim.run_process(manager.propagate_version(v2))
     runtime.sim.run()
@@ -196,19 +196,6 @@ def test_sync_replication_ships_bootstrap_and_live_writes():
     assert runtime.network.count_value("repl.bytes_shipped") > 0
 
 
-def test_async_replication_catches_up_on_interval():
-    runtime, manager, journal, loids = build_fleet(instances=2)
-    link = ReplicationLink(
-        runtime, manager, "host02", mode="async", ship_interval_s=0.5
-    )
-    v2 = derive_v2(manager)
-    runtime.sim.run_process(manager.propagate_version(v2))
-    # Writes land between interval ticks; drive past a few ticks.
-    runtime.sim.run(until=runtime.sim.now + 5.0)
-    assert link.lag == 0
-    assert journals_equal(link.replica.journal, journal)
-
-
 def test_checkpoint_during_standby_replay_loses_no_tail(runtime):
     """Satellite: write_checkpoint racing shipped appends must never
     lose tail entries — the standby applies records strictly in ship
@@ -216,7 +203,7 @@ def test_checkpoint_during_standby_replay_loses_no_tail(runtime):
     exactly as the primary wrote them."""
     journal = ManagerJournal(name="Sorter")
     manager = make_sorter_manager(runtime, journal=journal)
-    link = ReplicationLink(runtime, manager, "host02", mode="sync")
+    link = ReplicationLink(runtime, manager, "host02")
 
     def churn():
         for round_no in range(5):
@@ -240,7 +227,7 @@ def test_partitioned_standby_lags_then_catches_up():
     runtime.network.faults.add_partition(
         PrefixPartition(["host02/"], ["host00/", "host01/"], start=0.0, end=20.0)
     )
-    link = ReplicationLink(runtime, manager, "host02", mode="sync")
+    link = ReplicationLink(runtime, manager, "host02")
     v2 = derive_v2(manager)
     runtime.sim.run_process(manager.propagate_version(v2))
     assert link.lag > 0  # backlog while cut off
@@ -259,7 +246,7 @@ def test_partitioned_standby_lags_then_catches_up():
 def test_duplicate_ship_is_idempotent():
     """A re-shipped batch (lost reply) must not double-apply records."""
     runtime, manager, journal, __ = build_fleet(instances=1)
-    link = ReplicationLink(runtime, manager, "host02", mode="sync")
+    link = ReplicationLink(runtime, manager, "host02")
     runtime.sim.run()
     before = len(link.replica.journal)
     applied = link.replica.applied_seq
@@ -279,7 +266,7 @@ def test_duplicate_ship_is_idempotent():
 
 def test_takeover_from_standby_skips_replay_cost():
     runtime, manager, journal, __ = build_fleet(instances=2)
-    link = ReplicationLink(runtime, manager, "host02", mode="sync")
+    link = ReplicationLink(runtime, manager, "host02")
     v2 = derive_v2(manager)
     manager.set_current_version(v2)
     runtime.sim.run_process(manager.propagate_version(v2))

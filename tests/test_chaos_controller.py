@@ -52,6 +52,7 @@ from repro.workloads import (
     make_noop_manager,
 )
 
+from tests.invariants import assert_replay_matches
 from tests.test_chaos_slo import assert_never_half_applied
 
 FAST_RETRY = RetryPolicy(
@@ -281,6 +282,7 @@ def test_chaos_controller_selfheals(seed):
     )
     ROLLBACKS[seed] = runtime.network.count_value("controller.rollbacks")
     MIGRATIONS[seed] = runtime.network.count_value("controller.migrations")
+    assert_replay_matches(current)
 
 
 def test_controller_paths_exercised_across_sweep():

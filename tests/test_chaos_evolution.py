@@ -24,6 +24,7 @@ from repro.legion import LegionRuntime
 from repro.net import PrefixPartition, RetryPolicy
 
 from tests.conftest import create_dcdo, make_sorter_manager
+from tests.invariants import assert_replay_matches
 
 # Tight-ish retry policy so chaos runs converge in bounded sim time.
 FAST_RETRY = RetryPolicy(
@@ -120,6 +121,7 @@ def test_chaos_schedule_converges_exactly_once(seed):
             assert applied == 1, (
                 f"seed {seed}: surviving {loid} applied v2 {applied} times"
             )
+    assert_replay_matches(manager_now)
 
 
 def derive_v2_removing_sort(manager):
@@ -209,6 +211,7 @@ def test_chaos_lease_stub_never_succeeds_on_removed_function(seed):
     assert successes, f"seed {seed}: traffic never got through"
     # The lease fast path was genuinely exercised.
     assert sum(stub.lease_hits for stub in stubs) > 0
+    assert_replay_matches(manager_now)
 
 
 def test_manager_crash_mid_propagation_resumes_from_journal():

@@ -32,6 +32,7 @@ from repro.legion import LegionRuntime
 from repro.net import RetryPolicy
 
 from tests.conftest import create_dcdo, make_sorter_manager
+from tests.invariants import assert_replay_matches
 from tests.test_chaos_transactions import assert_never_half_applied, derive_v2
 
 FAST_RETRY = RetryPolicy(
@@ -196,6 +197,7 @@ def test_chaos_supervised_failover(seed):
         "manager.stale_term_rejections"
     )
     ANNOUNCED[seed] = runtime.network.count_value("relay.announced_instances")
+    assert_replay_matches(manager_now)
 
 
 def test_stale_term_rejections_observed():

@@ -32,6 +32,7 @@ from repro.legion import LegionRuntime
 from repro.net import RetryPolicy
 
 from tests.conftest import create_dcdo, make_sorter_manager
+from tests.invariants import assert_replay_matches
 from tests.test_chaos_transactions import assert_never_half_applied, derive_v2
 
 FAST_RETRY = RetryPolicy(
@@ -208,6 +209,7 @@ def test_chaos_gray_invariants_hold(seed):
         "transport.duplicate_requests"
     )
     ANNOUNCED[seed] = runtime.network.count_value("relay.announced_instances")
+    assert_replay_matches(manager_now)
 
 
 def test_fabric_duplication_exercised_dedupe_across_sweep():

@@ -22,6 +22,7 @@ from repro.legion import LegionRuntime
 from repro.net import RetryPolicy
 
 from tests.conftest import create_dcdo, make_sorter_manager
+from tests.invariants import assert_replay_matches
 
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
@@ -173,6 +174,7 @@ def test_chaos_relay_crash_mid_batch_never_half_applied(seed):
     ANNOUNCED["crash", seed] = runtime.network.count_value(
         "relay.announced_instances"
     )
+    assert_replay_matches(manager_now)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -246,6 +248,7 @@ def test_chaos_abortive_relay_wave_rolls_back(seed):
     ANNOUNCED["abort", seed] = runtime.network.count_value(
         "relay.announced_instances"
     )
+    assert_replay_matches(manager_now)
 
 
 def test_announcements_committed_instances_across_sweeps():

@@ -41,6 +41,8 @@ from repro.workloads import (
     make_noop_manager,
 )
 
+from tests.invariants import assert_replay_matches
+
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
 )
@@ -249,6 +251,7 @@ def test_chaos_slo_gated_canary(seed):
         )
     assert len(monitor.breach_log) >= 1, f"seed {seed}: gate never fired"
     PROMOTIONS[seed] = supervisor.promotions
+    assert_replay_matches(current)
 
 
 def test_failover_observed_somewhere_in_sweep():

@@ -33,6 +33,7 @@ from repro.legion import LegionRuntime
 from repro.net import RetryPolicy
 
 from tests.conftest import create_dcdo, make_sorter_manager
+from tests.invariants import assert_replay_matches
 
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
@@ -173,6 +174,7 @@ def test_chaos_never_half_applied(seed):
         obj = manager_now.record(loid).obj
         assert obj.version == v2, f"seed {seed}: {loid} stuck at {obj.version}"
         assert obj.applications_by_version.get(v2, 0) <= 1
+    assert_replay_matches(manager_now)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -260,6 +262,7 @@ def test_chaos_abortive_wave_keeps_fleet_consistent(seed):
         assert obj.version == v2
         # Applied at most twice: once before a rollback, once after.
         assert obj.applications_by_version.get(v2, 0) <= 2
+    assert_replay_matches(manager_now)
 
 
 def test_new_fault_kinds_extend_legacy_schedule_deterministically():

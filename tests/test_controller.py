@@ -16,7 +16,8 @@ from repro.cluster import (
     build_lan,
     convergence_guard,
 )
-from repro.core import ManagerJournal
+from repro.cluster.chaos import crash_host
+from repro.core import ManagerJournal, recover_manager
 from repro.core.policies import (
     DemoteDegradedVersion,
     MigrateOffFlakyHost,
@@ -409,6 +410,53 @@ def test_zombie_controller_goes_quiet_after_term_bump():
     controller.stop()
     assert len(policy.executed) == acted_before
     assert runtime.network.count_value("controller.skipped_no_manager") >= 1
+
+
+class _SlowOncePolicy(RemediationPolicy):
+    """Test double: decides once; the first run outlives its manager."""
+
+    name = "slow-once"
+
+    def __init__(self):
+        self.runs = []  # the manager each run acted on
+
+    def evaluate(self, ctx):
+        if self.runs:
+            return []
+        return [RemediationIntent(policy=self.name, kind="noop", target="t")]
+
+    def execute(self, ctx, intent):
+        self.runs.append(ctx.manager)
+        if len(self.runs) == 1:
+            yield ctx.runtime.sim.timeout(60.0)
+        return {"ok": True}
+
+
+def test_controller_abandons_an_action_whose_manager_is_replaced():
+    """A recovery elsewhere replaces the manager mid-action: the
+    controller stops waiting on the old one and re-drives the same
+    decision, under a fresh intent, on the new one."""
+    runtime = LegionRuntime(build_lan(4, seed=3))
+    journal = ManagerJournal(name="Sorter")
+    old = make_sorter_manager(runtime, journal=journal)
+    policy = _SlowOncePolicy()
+    controller = ReactiveController(
+        runtime, "Sorter", policies=[policy], interval_s=1.0
+    ).start()
+    runtime.sim.run_process(_sleep(runtime, 3.0))
+    assert policy.runs == [old]
+    crash_host(runtime, old.host)
+    new = runtime.sim.run_process(
+        recover_manager(runtime, journal, host_name="host01")
+    )
+    runtime.sim.run_process(_sleep(runtime, 5.0))
+    controller.stop()
+    outcomes = [entry["outcome"] for entry in controller.remediation_log]
+    assert outcomes == ["abandoned", "done"]
+    assert policy.runs == [old, new]
+    # The old term's intent was orphaned, the re-driven one closed.
+    intents = new.remediation_status()
+    assert intents["open"] == [] and intents["total"] == 2
 
 
 # ----------------------------------------------------------------------

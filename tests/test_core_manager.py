@@ -258,16 +258,6 @@ def test_evolution_survives_state(runtime):
     assert obj is manager.record(loid).obj  # same live object, no restart
 
 
-def test_update_all_instances(runtime):
-    manager = make_sorter_manager(runtime, evolution_policy=GeneralEvolutionPolicy())
-    loids = [create_dcdo(runtime, manager)[0] for __ in range(3)]
-    version = prepare_descending_version(manager)
-    manager.set_current_version(version)
-    results = runtime.sim.run_process(manager.update_all_instances())
-    assert all(results[loid] == version for loid in loids)
-    assert all(manager.instance_version(loid) == version for loid in loids)
-
-
 def test_remote_update_instance_call(runtime):
     """§3.4 explicit update: an external object drives the evolution."""
     manager = make_sorter_manager(runtime, evolution_policy=GeneralEvolutionPolicy())

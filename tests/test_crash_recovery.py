@@ -8,11 +8,13 @@ from repro.core import (
     DeliveryStatus,
     ManagerJournal,
     UnknownVersion,
+    WaveAborted,
+    WavePolicy,
     recover_manager,
 )
 from repro.core.policies import ReliableUpdatePolicy
 from repro.legion import LegionRuntime
-from repro.net import Endpoint, RetryPolicy
+from repro.net import Endpoint, PrefixPartition, RetryPolicy
 from repro.sim.errors import SimulationError
 
 from tests.conftest import create_dcdo, make_counter_class, make_sorter_manager
@@ -306,3 +308,117 @@ def test_recover_instance_rejects_active_instance(runtime):
     loid = runtime.sim.run_process(class_object.create_instance())
     with pytest.raises(ValueError):
         runtime.sim.run_process(class_object.recover_instance(loid))
+
+
+# ----------------------------------------------------------------------
+# A re-armed wave survives a manager crash
+# ----------------------------------------------------------------------
+
+#: One delivery attempt per instance, so a cut-off instance fails fast.
+ONE_SHOT = RetryPolicy(base_s=1.0, max_attempts=1)
+
+
+def build_ico_pinned_fleet(hosts, instances):
+    """A journaled sorter fleet with every ICO on the manager's host00
+    and one instance per host from host01 on."""
+    runtime = LegionRuntime(build_lan(hosts, seed=7))
+    journal = ManagerJournal(name="Sorter")
+    manager = make_sorter_manager(
+        runtime,
+        component_hosts={
+            "sorter": "host00",
+            "compare-asc": "host00",
+            "compare-desc": "host00",
+        },
+        journal=journal,
+    )
+    loids = [
+        create_dcdo(runtime, manager, host_name=f"host{index + 1:02d}")[0]
+        for index in range(instances)
+    ]
+    return runtime, manager, journal, loids
+
+
+def adopt_desc_version(manager):
+    """Derive, freeze and designate v2; the explicit update policy
+    leaves every delivery to the test."""
+    version = manager.derive_version(manager.current_version)
+    manager.incorporate_into(version, "compare-desc")
+    manager.descriptor_of(version).enable(
+        "compare", "compare-desc", replace_current=True
+    )
+    manager.mark_instantiable(version)
+    manager.set_current_version(version)
+    return version
+
+
+def crash_and_recover_manager(runtime, journal):
+    """Crash host00, recover the manager there, and run to quiescence,
+    so any apply still in flight at the crash has landed."""
+    crash_host(runtime, runtime.host("host00"))
+    runtime.host("host00").restart()
+    recovered = runtime.sim.run_process(recover_manager(runtime, journal))
+    runtime.sim.run()
+    return recovered
+
+
+def test_recovered_table_matches_an_instance_a_rearmed_wave_reached():
+    """A re-arm re-opens a FAILED delivery; the manager crashes while
+    that delivery's apply is in flight, and the apply still lands.  The
+    recovered wave must hold the delivery open, so the table ends on
+    the version the instance really runs."""
+    runtime, manager, journal, loids = build_ico_pinned_fleet(4, 3)
+    victim = loids[1]  # on host02
+    v2 = adopt_desc_version(manager)
+    runtime.network.faults.add_partition(
+        PrefixPartition(["host00/"], ["host02/"], start=0.0, end=1_000.0)
+    )
+    tracker = runtime.sim.run_process(
+        manager.propagate_version(v2, retry_policy=ONE_SHOT)
+    )
+    assert tracker.complete
+    assert tracker.delivery(victim).status is DeliveryStatus.FAILED
+    runtime.sim.run(until=1_000.0)
+    runtime.sim.spawn(manager.propagate_version(v2), name="rearm")
+    runtime.sim.run(until=runtime.sim.now + 0.05)
+    recovered = crash_and_recover_manager(runtime, journal)
+    running = recovered.record(victim).obj.version
+    assert running == v2
+    assert recovered.instance_version(victim) == running
+
+
+def test_recovery_aborts_a_rearmed_transactional_wave():
+    """An abort-after-0 wave re-armed to admit more instances must keep
+    them across a crash: the cut-off one fails on the recovered
+    manager and the whole wave rolls back, not half of it."""
+    runtime, manager, journal, loids = build_ico_pinned_fleet(5, 4)
+    a, b, c, d = loids
+    v1, v2 = manager.current_version, adopt_desc_version(manager)
+    runtime.sim.run_process(
+        manager.propagate_version(
+            v2, loids=[a], retry_policy=ONE_SHOT, wave_policy=WavePolicy.abort_after(0)
+        )
+    )
+    assert manager.instance_version(a) == v2
+    runtime.network.faults.add_partition(
+        PrefixPartition(["host00/"], ["host04/"], start=0.0, end=50_000.0)
+    )
+
+    def rearm():
+        try:
+            yield from manager.propagate_version(
+                v2, loids=[a, c, d], retry_policy=ONE_SHOT
+            )
+        except WaveAborted:
+            pass
+
+    runtime.sim.spawn(rearm(), name="rearm")
+    runtime.sim.run(until=runtime.sim.now + 10.0)
+    assert manager.instance_version(c) == v2
+    recovered = crash_and_recover_manager(runtime, journal)
+    tracker = recovered.propagation(v2)
+    assert tracker.aborted
+    assert d in tracker
+    for loid in (a, b, c, d):
+        assert recovered.record(loid).obj.version == v1
+        assert recovered.instance_version(loid) == v1

@@ -382,18 +382,6 @@ def derive_desc_version(manager):
     return v2
 
 
-def test_update_all_instances_windowed_matches_sequential(runtime):
-    manager = make_sorter_manager(runtime)
-    loids = [create_dcdo(runtime, manager)[0] for __ in range(6)]
-    v2 = derive_desc_version(manager)
-    manager.set_current_version(v2)
-    results = runtime.sim.run_process(manager.update_all_instances(window=4))
-    assert set(results) == set(loids)
-    assert all(version == v2 for version in results.values())
-    for loid in loids:
-        assert manager.instance_version(loid) == v2
-
-
 def test_propagate_version_windowed_faster_than_sequential():
     from repro.cluster import build_lan
     from repro.legion import LegionRuntime

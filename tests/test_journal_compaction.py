@@ -26,6 +26,7 @@ from repro.legion import LegionRuntime
 from repro.net import RetryPolicy
 
 from tests.conftest import create_dcdo, make_sorter_manager
+from tests.invariants import assert_replay_matches
 from tests.test_chaos_transactions import assert_never_half_applied, derive_v2
 
 FAST_RETRY = RetryPolicy(
@@ -263,3 +264,4 @@ def test_chaos_compaction_invariants_hold(seed):
         recover_manager(runtime, current.journal, host_name="host04")
     )
     assert dcdo_table(recovered) == before, f"seed {seed}: replay diverged"
+    assert_replay_matches(recovered)
