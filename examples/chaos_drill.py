@@ -118,8 +118,9 @@ def drill_chaos_schedule():
     manager, loids = build_service(runtime, journal)
     coordinator = ChaosCoordinator(runtime, journals={"Service": journal})
     schedule = ChaosSchedule.generate(7, list(runtime.hosts), duration_s=90.0)
-    print(f"schedule: {schedule.crashes or 'no crashes'}, "
-          f"{len(schedule.partitions)} partition(s), {len(schedule.drops)} drop rule(s)")
+    print(f"schedule: {schedule!r}")
+    for fault in schedule.faults:
+        print(f"  {fault.kind:<10} {fault.start:5.1f}s-{fault.end:5.1f}s {fault.params}")
     schedule.install(runtime, coordinator)
     v2 = cut_version(manager, "hotfix")
 

@@ -9,9 +9,13 @@ Building blocks for fault-tolerance tests and drills:
 - :class:`ChaosCoordinator` — wires a :class:`CrashPlan`'s hooks to
   that reconciliation, and on restart recovers dead managers from
   their journals and rebuilds crash-lost instances.
-- :class:`ChaosSchedule` — a seeded, deterministic fault scenario
-  (host outages, prefix partitions, drop rules) generated from one
-  integer seed, so every chaos test run is reproducible.
+- :class:`ChaosSchedule` — a deterministic fault scenario: one list of
+  :class:`Fault` records (crashes, partitions, drops, gray faults,
+  version faults), either drawn from a seed through the per-kind table
+  :data:`FAULT_KINDS` or given literally, as a shrunk reproducer is.
+  Each kind draws from its own seeded stream, so enabling or adding a
+  kind never moves another kind's draws (a crash kind only skips the
+  hosts an earlier crash kind took).
 - :func:`drive_to_convergence` — the heal phase: repair what is
   repairable and re-propagate until every surviving DCDO reaches the
   manager's current version.
@@ -22,6 +26,9 @@ package importable on its own.
 """
 
 import random
+from collections import Counter
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.cluster.host import CrashPlan
 from repro.net import (
@@ -182,85 +189,324 @@ class ChaosCoordinator:
                     continue
 
 
-class ChaosSchedule:
-    """A deterministic fault scenario generated from one seed.
+@dataclass(frozen=True)
+class Fault:
+    """One fault of a :class:`ChaosSchedule`.
 
-    Attributes
-    ----------
-    crashes:
-        ``(host_name, crash_at, restart_at)`` outages.
-    partitions:
-        ``(prefixes_a, prefixes_b, start, end)`` prefix partitions.
-    drops:
-        ``(count, start, end)`` bounded random-drop windows.
-    degradations:
-        ``(kind, amount)`` version-quality regressions — ``("latency",
-        seconds)`` or ``("errors", every_k)``.  Not installed on the
-        network: the harness feeds them to
-        :func:`repro.workloads.generator.build_degraded_version` to
-        stage the bad build whose rollout the SLO gate must catch.
-    one_way:
-        ``(from_host, to_hosts, start, end)`` asymmetric partitions:
-        traffic from ``from_host`` toward ``to_hosts`` is lost, the
-        reverse direction flows.
-    flaps:
-        ``(host, other_hosts, period_s, down_s, start, end)`` link-flap
-        schedules between one host and the rest.
-    slow_links:
-        ``(host, other_hosts, extra_s, jitter_s, rule_seed, start,
-        end)`` latency-inflation windows.
-    duplicates:
-        ``(probability, spread_s, rule_seed, start, end)`` message
-        duplication windows over all traffic.
-    reorders:
-        ``(probability, max_skew_s, rule_seed, start, end)`` bounded
-        reordering windows over all traffic.
-    limps:
-        ``(host, factor, start, end)`` limping-host windows: CPU (and
-        NIC) service times multiply by ``factor``, then heal.
-    bad_deploys:
-        ``(at, added_latency_s, error_every)`` unguarded bad rollouts:
-        at ``at`` the harness adopts a degraded build fleet-wide
-        *outside* any canary (the operator-pushed regression the SLO
-        gate never saw).  Not installed on the network — the harness
-        stages the build via
-        :func:`repro.workloads.generator.build_degraded_version` and
-        propagates it; the reactive controller must sense the breach
-        and demote.
-    flaky_limps:
-        ``(host, factor, start, end)`` limping windows drawn from the
-        instance-bearing host pool — semantics identical to ``limps``,
-        but guaranteed to land where instances live, so quarantine and
-        migrate-off-flaky-host remediation actually trigger.
+    ``kind`` names its row in :data:`FAULT_KINDS`; ``start`` and
+    ``end`` are offsets from :meth:`ChaosSchedule.install` (a crash's
+    ``end`` is its restart, a bad deploy's window is its instant, a
+    degradation has none); ``params`` are the kind's own draws.  The
+    ``repr`` is a literal that rebuilds the fault, so a shrunk schedule
+    prints as a reproducer.
     """
 
-    def __init__(
-        self,
-        crashes=(),
-        partitions=(),
-        drops=(),
-        degradations=(),
-        one_way=(),
-        flaps=(),
-        slow_links=(),
-        duplicates=(),
-        reorders=(),
-        limps=(),
-        bad_deploys=(),
-        flaky_limps=(),
-    ):
-        self.crashes = list(crashes)
-        self.partitions = list(partitions)
-        self.drops = list(drops)
-        self.degradations = list(degradations)
-        self.one_way = list(one_way)
-        self.flaps = list(flaps)
-        self.slow_links = list(slow_links)
-        self.duplicates = list(duplicates)
-        self.reorders = list(reorders)
-        self.limps = list(limps)
-        self.bad_deploys = list(bad_deploys)
-        self.flaky_limps = list(flaky_limps)
+    kind: str
+    start: float
+    end: float
+    params: dict = field(default_factory=dict)
+
+
+def _window(rng, earliest, latest, min_len, max_len):
+    start = rng.uniform(earliest, latest)
+    return start, start + rng.uniform(min_len, max_len)
+
+
+def _outage(rng, host, earliest, latest, duration):
+    start, end = _window(rng, earliest, latest, 5.0, duration * 0.4)
+    return start, end, {"host": host}
+
+
+def _cut(rng, side_a, side_b, earliest, latest, min_len, max_len):
+    start, end = _window(rng, earliest, latest, min_len, max_len)
+    return start, end, {"a": tuple(side_a), "b": tuple(side_b)}
+
+
+def _sides(victim, rest, label):
+    return {"a": (victim,), "b": rest, "label": f"{label}:{victim}"}
+
+
+def _victim(rng, pool):
+    """A random host and every other host of ``pool``."""
+    victim = rng.choice(pool)
+    return victim, tuple(name for name in pool if name != victim)
+
+
+# Draws: ``draw(rng, count, ctx)`` yields ``(start, end, params)`` per
+# fault.  ``ctx`` holds the hosts, the duration ``d``, the host pools,
+# and ``crashed``: the hosts the crash kinds earlier in the table took.
+
+
+def _draw_crashes(rng, count, ctx):
+    if ctx.eligible:
+        k = rng.randint(1, min(count, len(ctx.eligible)))
+        for name in rng.sample(ctx.eligible, k=k):
+            yield _outage(rng, name, 1.0, ctx.d * 0.4, ctx.d)
+
+
+def _draw_partitions(rng, count, ctx):
+    for __ in range(rng.randint(0, count)):
+        if len(ctx.hosts) < 2:
+            break
+        shuffled = list(ctx.hosts)
+        rng.shuffle(shuffled)
+        cut = rng.randint(1, len(shuffled) - 1)
+        yield _cut(
+            rng, shuffled[:cut], shuffled[cut:], 0.0, ctx.d * 0.5, 2.0, ctx.d * 0.4
+        )
+
+
+def _draw_drops(rng, count, ctx):
+    for __ in range(rng.randint(0, count)):
+        start = rng.uniform(0.0, ctx.d * 0.6)
+        drops = rng.randint(1, 4)
+        yield start, start + rng.uniform(1.0, 20.0), {"count": drops}
+
+
+def _draw_ico_partitions(rng, count, ctx):
+    others = [name for name in ctx.hosts if name not in ctx.ico_hosts]
+    if ctx.ico_hosts and others:
+        for __ in range(rng.randint(1, count)):
+            yield _cut(rng, ctx.ico_hosts, others, 0.0, ctx.d * 0.25, 5.0, ctx.d * 0.5)
+
+
+def _fresh(ctx):
+    """Crashable hosts that no earlier crash kind took."""
+    return [name for name in ctx.eligible if name not in ctx.crashed]
+
+
+def _sampled_outages(rng, count, ctx, pool, earliest, latest):
+    for name in rng.sample(pool, k=min(count, len(pool))):
+        yield _outage(rng, name, earliest, latest, ctx.d)
+
+
+def _draw_mid_apply_crashes(rng, count, ctx):
+    return _sampled_outages(rng, count, ctx, _fresh(ctx), 0.6, 6.0)
+
+
+def _draw_relay_crashes(rng, count, ctx):
+    pool = [name for name in ctx.relay_hosts if name in _fresh(ctx)]
+    return _sampled_outages(rng, count, ctx, pool, 0.5, 8.0)
+
+
+def _draw_manager_partitions(rng, count, ctx):
+    """Isolate the first manager host: the split-brain scenario."""
+    if ctx.manager_hosts:
+        primary = ctx.manager_hosts[0]
+        rest = [name for name in ctx.hosts if name != primary]
+        if rest:
+            for __ in range(rng.randint(1, count)):
+                yield _cut(rng, [primary], rest, 0.5, ctx.d * 0.2, 6.0, ctx.d * 0.35)
+
+
+def _draw_failovers(rng, count, ctx):
+    """Crash manager hosts in sequence, each after the last promotion."""
+    crash_at = rng.uniform(0.5, 6.0)
+    down = ctx.protect | ctx.crashed
+    for name in [name for name in ctx.manager_hosts if name not in down][:count]:
+        yield crash_at, crash_at + rng.uniform(10.0, ctx.d * 0.35), {"host": name}
+        crash_at += rng.uniform(8.0, 20.0)
+
+
+def _draw_degradations(rng, count, ctx):
+    """Version faults: a build that installs fine but breaks the SLO."""
+    for __ in range(rng.randint(1, count)):
+        if rng.random() < 0.5:
+            yield 0.0, 0.0, _degraded(round(rng.uniform(0.1, 0.5), 3), 0)
+        else:
+            yield 0.0, 0.0, _degraded(0.0, rng.randint(1, 3))
+
+
+def _degraded(added_latency_s, error_every):
+    return {"added_latency_s": added_latency_s, "error_every": error_every}
+
+
+def _draw_one_way(rng, count, ctx):
+    if len(ctx.hosts) >= 2:
+        for __ in range(rng.randint(1, count)):
+            victim, rest = _victim(rng, ctx.hosts)
+            start, end = _window(rng, 0.5, ctx.d * 0.4, 5.0, ctx.d * 0.4)
+            if rng.random() < 0.5:
+                # The victim goes mute: its sends vanish, it still hears.
+                yield start, end, {"a": (victim,), "b": rest}
+            else:
+                # The victim goes deaf: it talks, nothing reaches it.
+                yield start, end, {"a": rest, "b": (victim,)}
+
+
+def _draw_flaps(rng, count, ctx):
+    if len(ctx.hosts) >= 2:
+        for __ in range(rng.randint(1, count)):
+            victim, rest = _victim(rng, ctx.hosts)
+            period = rng.uniform(2.0, 10.0)
+            down = period * rng.uniform(0.2, 0.6)
+            start, end = _window(rng, 0.5, ctx.d * 0.4, 8.0, ctx.d * 0.4)
+            yield start, end, {
+                **_sides(victim, rest, "flap"),
+                "period_s": period,
+                "down_s": down,
+            }
+
+
+def _draw_slow_links(rng, count, ctx):
+    if len(ctx.hosts) >= 2:
+        for __ in range(rng.randint(1, count)):
+            victim, rest = _victim(rng, ctx.hosts)
+            params = {
+                **_sides(victim, rest, "slow"),
+                "extra_s": rng.uniform(0.05, 0.3),
+                "jitter_s": rng.uniform(0.0, 0.2),
+                "seed": rng.randrange(2**32),
+            }
+            yield (*_window(rng, 0.5, ctx.d * 0.4, 5.0, ctx.d * 0.4), params)
+
+
+def _draw_duplicates(rng, count, ctx):
+    for __ in range(rng.randint(1, count)):
+        params = {
+            "probability": rng.uniform(0.05, 0.3),
+            "spread_s": rng.uniform(0.005, 0.05),
+            "seed": rng.randrange(2**32),
+        }
+        yield (*_window(rng, 0.0, ctx.d * 0.5, 5.0, ctx.d * 0.4), params)
+
+
+def _draw_reorders(rng, count, ctx):
+    for __ in range(rng.randint(1, count)):
+        params = {
+            "probability": rng.uniform(0.05, 0.3),
+            "max_skew_s": rng.uniform(0.002, 0.02),
+            "seed": rng.randrange(2**32),
+        }
+        yield (*_window(rng, 0.0, ctx.d * 0.5, 5.0, ctx.d * 0.4), params)
+
+
+def _draw_limps(rng, count, ctx):
+    if ctx.hosts:
+        for __ in range(rng.randint(1, count)):
+            victim = rng.choice(ctx.hosts)
+            factor = round(rng.uniform(2.0, 8.0), 2)
+            start, end = _window(rng, 0.5, ctx.d * 0.4, 5.0, ctx.d * 0.4)
+            yield start, end, {"host": victim, "factor": factor}
+
+
+def _draw_bad_deploys(rng, count, ctx):
+    """Degraded builds the harness adopts fleet-wide, outside any canary."""
+    for __ in range(rng.randint(1, count)):
+        at = rng.uniform(1.0, ctx.d * 0.3)
+        if rng.random() < 0.5:
+            yield at, at, _degraded(round(rng.uniform(0.2, 1.0), 3), 0)
+        else:
+            yield at, at, _degraded(0.0, rng.randint(2, 4))
+
+
+def _draw_flaky_limps(rng, count, ctx):
+    """Limps that land where instances live, so quarantine fires."""
+    if ctx.instance_hosts:
+        for __ in range(rng.randint(1, count)):
+            victim = rng.choice(ctx.instance_hosts)
+            factor = round(rng.uniform(4.0, 10.0), 2)
+            start, end = _window(rng, 0.5, ctx.d * 0.3, 10.0, ctx.d * 0.5)
+            yield start, end, {"host": victim, "factor": factor}
+
+
+# Installers: ``install(runtime, coordinator, fault, base)`` arms one
+# fault at ``base`` plus its offsets.
+
+
+def _install_crash(runtime, coordinator, fault, base):
+    coordinator.crash_plan.schedule_outage(
+        runtime.host(fault.params["host"]), base + fault.start, base + fault.end
+    )
+
+
+def _rule(add, make):
+    """Installer for a network rule: ``make(*sides, **params)``, where
+    the sides are the ``a``/``b`` host tuples as address prefixes."""
+
+    def install(runtime, coordinator, fault, base):
+        params = dict(fault.params)
+        sides = [
+            [f"{name}/" for name in params.pop(side)]
+            for side in ("a", "b")
+            if side in params
+        ]
+        rule = make(*sides, **params, start=base + fault.start, end=base + fault.end)
+        getattr(runtime.network.faults, add)(rule)
+
+    return install
+
+
+_install_partition = _rule("add_partition", PrefixPartition)
+
+
+def _install_limp(runtime, coordinator, fault, base):
+    host_name = fault.params["host"]
+    runtime.sim.spawn(
+        _limp_window(
+            runtime,
+            host_name,
+            fault.params["factor"],
+            base + fault.start,
+            base + fault.end,
+        ),
+        name=f"{fault.kind}:{host_name}@{fault.start:g}",
+    )
+
+
+def _limp_window(runtime, host_name, factor, start, end):
+    """Process body: degrade a host's service times, then heal."""
+    sim = runtime.sim
+    yield sim.timeout(start - sim.now, daemon=True)
+    host = runtime.host(host_name)
+    host.set_limp(factor, slow_nic=True)
+    yield sim.timeout(end - sim.now, daemon=True)
+    host.clear_limp()
+
+
+#: Fault kind -> ``(draw, install)``, in generation order.  A crash kind
+#: below another skips the hosts that kind already crashes.  ``install``
+#: is None for version faults: staging a degraded build needs a manager,
+#: which the schedule does not hold, so the harness stages them.
+FAULT_KINDS = {
+    "crashes": (_draw_crashes, _install_crash),
+    "partitions": (_draw_partitions, _install_partition),
+    "drops": (_draw_drops, _rule("add_drop_rule", DropRule)),
+    "ico_partitions": (_draw_ico_partitions, _install_partition),
+    "mid_apply_crashes": (_draw_mid_apply_crashes, _install_crash),
+    "relay_crashes": (_draw_relay_crashes, _install_crash),
+    "manager_partitions": (_draw_manager_partitions, _install_partition),
+    "failovers": (_draw_failovers, _install_crash),
+    "degradations": (_draw_degradations, None),
+    "one_way": (_draw_one_way, _rule("add_partition", OneWayPartition)),
+    "flaps": (_draw_flaps, _rule("add_partition", LinkFlap)),
+    "slow_links": (_draw_slow_links, _rule("add_delay_rule", SlowLink)),
+    "duplicates": (_draw_duplicates, _rule("add_duplicate_rule", DuplicateRule)),
+    "reorders": (_draw_reorders, _rule("add_delay_rule", ReorderRule)),
+    "limps": (_draw_limps, _install_limp),
+    "bad_deploys": (_draw_bad_deploys, None),
+    "flaky_limps": (_draw_flaky_limps, _install_limp),
+}
+
+#: Kinds that fail-stop a host, and kinds that cut the network in two.
+CRASH_KINDS = tuple(k for k, (__, i) in FAULT_KINDS.items() if i is _install_crash)
+PARTITION_KINDS = ("partitions", "ico_partitions", "manager_partitions")
+
+#: Faults per kind when :meth:`ChaosSchedule.generate` is not told
+#: otherwise; every other kind is off.
+DEFAULT_COUNTS = {"crashes": 2, "partitions": 1, "drops": 2}
+
+
+class ChaosSchedule:
+    """A deterministic fault scenario: one list of :class:`Fault`.
+
+    Build one with :meth:`generate` from a seed, or directly from a
+    fault list (a shrunk reproducer).  :meth:`install` arms every
+    fault; :attr:`heal_time` is when the last one clears.
+    """
+
+    def __init__(self, faults=()):
+        self.faults = list(faults)
         #: Simulated time :meth:`install` rebased the offsets onto.
         self.installed_at = None
 
@@ -270,447 +516,95 @@ class ChaosSchedule:
         seed,
         host_names,
         duration_s=120.0,
-        max_crashes=2,
-        max_partitions=1,
-        max_drops=2,
+        counts=None,
         protect=(),
         ico_hosts=(),
-        max_ico_partitions=0,
-        mid_apply_crashes=0,
         relay_hosts=(),
-        max_relay_crashes=0,
         manager_hosts=(),
-        max_manager_partitions=0,
-        max_failovers=0,
-        max_degradations=0,
-        gray_one_way=0,
-        gray_flaps=0,
-        gray_slow_links=0,
-        gray_duplicates=0,
-        gray_reorders=0,
-        gray_limps=0,
         instance_hosts=(),
-        max_bad_deploys=0,
-        max_flaky_limps=0,
     ):
-        """Roll a scenario: every draw comes from ``random.Random(seed)``.
+        """Roll a scenario: ``counts`` maps a kind to its bound.
 
-        ``protect`` names hosts exempt from crashing (they may still be
-        partitioned) — e.g. a host whose manager has no journal.
+        Kinds ``counts`` leaves out keep :data:`DEFAULT_COUNTS`.  Each
+        kind ``k`` draws only from ``random.Random(f"{seed}:{k}")`` (a
+        string seed is hashed with SHA-512, so the stream depends on
+        neither ``PYTHONHASHSEED`` nor the process).  Turning a kind on
+        or off therefore moves no other kind's faults, except that a
+        crash kind skips hosts an earlier crash kind already took.
 
-        Two fault kinds target the transactional-evolution window
-        specifically; both default off, and their draws come strictly
-        after the legacy ones, so a given seed yields the same legacy
-        schedule either way:
-
-        - ``max_ico_partitions`` (with ``ico_hosts`` naming the hosts
-          serving ICOs) cuts the component servers off from everyone
-          else early in the run — an evolution that reaches its
-          prepare-phase fetch then fails and must roll back.
-        - ``mid_apply_crashes`` crashes extra hosts inside the first
-          few seconds, while prepare/commit work is typically in
-          flight.
-
-        ``max_relay_crashes`` (with ``relay_hosts`` naming hosts that
-        run evolution relays) crashes relay hosts in the first seconds
-        of the run — while a batched wave is typically mid-flight, so
-        the batch dies with its relay and its colocated instances.
-        Its draws come strictly after every other kind, preserving a
-        seed's legacy schedule.
-
-        Two further kinds target manager availability (PR 5); both
-        default off and draw strictly after everything above, again
-        preserving legacy schedules:
-
-        - ``max_manager_partitions`` (with ``manager_hosts`` naming
-          hosts that run — or may be promoted to run — a DCDO
-          Manager) isolates the *first* manager host from every other
-          host for a window: the split-brain scenario, where a healthy
-          primary is cut off, a standby is promoted, and the old
-          primary's stale-term traffic must be fenced after heal.
-        - ``max_failovers`` crashes manager hosts in sequence along
-          ``manager_hosts`` — the first early (while a wave is
-          typically mid-flight), each next one spaced out so it can
-          land after the previous promotion: the double-failover
-          scenario.  Crash times are chained, not overlapping, so a
-          supervisor is always chasing the *current* primary.
-
-        ``max_degradations`` (default off, draws strictly last) rolls
-        version-quality faults: ``("latency", s)`` or ``("errors", k)``
-        pairs the harness turns into a degraded build (see
-        :func:`repro.workloads.generator.build_degraded_version`)
-        whose gated rollout must breach and roll back.
-
-        The six ``gray_*`` kinds roll *gray* failures — faults where
-        messages or hosts are degraded rather than dead: asymmetric
-        (one-way) partitions, link flaps, slow links, duplication,
-        bounded reordering, and limping hosts.  All default off; their
-        draws come strictly after every kind above, in exactly this
-        order, so legacy seeds keep their schedules and each gray kind
-        added later never perturbs the earlier ones.  Rules that need
-        per-message randomness (slow-link jitter, duplication,
-        reordering) carry their own sub-seed drawn here, keeping the
-        whole scenario a pure function of ``seed``.
-
-        The two controller kinds (PR 10) target the self-healing loop;
-        both default off and draw strictly after every kind above —
-        including every gray kind — in exactly this order, so every
-        legacy seed keeps its exact schedule:
-
-        - ``max_bad_deploys`` rolls unguarded degraded rollouts the
-          harness adopts fleet-wide at the drawn time, outside any
-          canary — the controller must sense the SLO breach and
-          originate the rollback.
-        - ``max_flaky_limps`` (with ``instance_hosts`` naming hosts
-          that carry instances) rolls limp windows guaranteed to land
-          on instance-bearing hosts, so health quarantine and the
-          migrate-off-flaky-host policy actually fire.
+        The pools: ``protect`` names hosts no kind crashes (they may
+        still be partitioned); ``ico_hosts`` serve the components an
+        evolution fetches (``ico_partitions`` cut them off early);
+        ``relay_hosts`` run evolution relays (``relay_crashes`` kill
+        them mid-wave); ``manager_hosts`` run, or may be promoted to
+        run, the manager (``manager_partitions`` isolate the first,
+        ``failovers`` crash them in turn); ``instance_hosts`` carry
+        instances (``flaky_limps`` limp them).
         """
-        rng = random.Random(seed)
-        host_names = list(host_names)
-        eligible = [name for name in host_names if name not in protect]
-        crashes = []
-        if eligible and max_crashes > 0:
-            victims = rng.sample(
-                eligible, k=rng.randint(1, min(max_crashes, len(eligible)))
-            )
-            for name in victims:
-                crash_at = rng.uniform(1.0, duration_s * 0.4)
-                restart_at = crash_at + rng.uniform(5.0, duration_s * 0.4)
-                crashes.append((name, crash_at, restart_at))
-        partitions = []
-        for __ in range(rng.randint(0, max_partitions)):
-            if len(host_names) < 2:
-                break
-            shuffled = list(host_names)
-            rng.shuffle(shuffled)
-            cut = rng.randint(1, len(shuffled) - 1)
-            start = rng.uniform(0.0, duration_s * 0.5)
-            end = start + rng.uniform(2.0, duration_s * 0.4)
-            partitions.append(
-                (
-                    [f"{name}/" for name in shuffled[:cut]],
-                    [f"{name}/" for name in shuffled[cut:]],
-                    start,
-                    end,
-                )
-            )
-        drops = []
-        for __ in range(rng.randint(0, max_drops)):
-            start = rng.uniform(0.0, duration_s * 0.6)
-            drops.append((rng.randint(1, 4), start, start + rng.uniform(1.0, 20.0)))
-        ico_hosts = [name for name in ico_hosts if name in host_names]
-        others = [name for name in host_names if name not in ico_hosts]
-        if ico_hosts and others and max_ico_partitions > 0:
-            for __ in range(rng.randint(1, max_ico_partitions)):
-                start = rng.uniform(0.0, duration_s * 0.25)
-                end = start + rng.uniform(5.0, duration_s * 0.5)
-                partitions.append(
-                    (
-                        [f"{name}/" for name in ico_hosts],
-                        [f"{name}/" for name in others],
-                        start,
-                        end,
-                    )
-                )
-        already_down = {name for name, __, __ in crashes}
-        fresh = [name for name in eligible if name not in already_down]
-        if fresh and mid_apply_crashes > 0:
-            victims = rng.sample(fresh, k=min(mid_apply_crashes, len(fresh)))
-            for name in victims:
-                crash_at = rng.uniform(0.6, 6.0)
-                restart_at = crash_at + rng.uniform(5.0, duration_s * 0.4)
-                crashes.append((name, crash_at, restart_at))
-        already_down = {name for name, __, __ in crashes}
-        relay_eligible = [
-            name
-            for name in relay_hosts
-            if name in host_names and name not in protect and name not in already_down
-        ]
-        if relay_eligible and max_relay_crashes > 0:
-            victims = rng.sample(
-                relay_eligible, k=min(max_relay_crashes, len(relay_eligible))
-            )
-            for name in victims:
-                crash_at = rng.uniform(0.5, 8.0)
-                restart_at = crash_at + rng.uniform(5.0, duration_s * 0.4)
-                crashes.append((name, crash_at, restart_at))
-        manager_hosts = [name for name in manager_hosts if name in host_names]
-        if manager_hosts and max_manager_partitions > 0:
-            primary = manager_hosts[0]
-            rest = [name for name in host_names if name != primary]
-            if rest:
-                for __ in range(rng.randint(1, max_manager_partitions)):
-                    start = rng.uniform(0.5, duration_s * 0.2)
-                    end = start + rng.uniform(6.0, duration_s * 0.35)
-                    partitions.append(
-                        (
-                            [f"{primary}/"],
-                            [f"{name}/" for name in rest],
-                            start,
-                            end,
-                        )
-                    )
-        if manager_hosts and max_failovers > 0:
-            already_down = {name for name, __, __ in crashes}
-            crash_at = rng.uniform(0.5, 6.0)
-            scheduled = 0
-            for name in manager_hosts:
-                if scheduled >= max_failovers:
-                    break
-                if name in protect or name in already_down:
-                    continue
-                restart_at = crash_at + rng.uniform(10.0, duration_s * 0.35)
-                crashes.append((name, crash_at, restart_at))
-                scheduled += 1
-                crash_at += rng.uniform(8.0, 20.0)
-        degradations = []
-        if max_degradations > 0:
-            # Strictly after every network/crash draw, preserving
-            # legacy seed schedules.  These are *version* faults, not
-            # network faults: the k-th deploy is a build that works but
-            # violates the SLO, which only a live traffic gate catches.
-            for __ in range(rng.randint(1, max_degradations)):
-                if rng.random() < 0.5:
-                    degradations.append(
-                        ("latency", round(rng.uniform(0.1, 0.5), 3))
-                    )
-                else:
-                    degradations.append(("errors", rng.randint(1, 3)))
-        # Gray kinds, strictly after everything above and in a fixed
-        # order relative to each other.
-        one_way = []
-        if gray_one_way > 0 and len(host_names) >= 2:
-            for __ in range(rng.randint(1, gray_one_way)):
-                victim = rng.choice(host_names)
-                rest = [name for name in host_names if name != victim]
-                start = rng.uniform(0.5, duration_s * 0.4)
-                end = start + rng.uniform(5.0, duration_s * 0.4)
-                if rng.random() < 0.5:
-                    # The victim goes mute: its sends vanish, it still hears.
-                    one_way.append(([victim], rest, start, end))
-                else:
-                    # The victim goes deaf: it talks, nothing reaches it.
-                    one_way.append((rest, [victim], start, end))
-        flaps = []
-        if gray_flaps > 0 and len(host_names) >= 2:
-            for __ in range(rng.randint(1, gray_flaps)):
-                victim = rng.choice(host_names)
-                rest = [name for name in host_names if name != victim]
-                period = rng.uniform(2.0, 10.0)
-                down = period * rng.uniform(0.2, 0.6)
-                start = rng.uniform(0.5, duration_s * 0.4)
-                end = start + rng.uniform(8.0, duration_s * 0.4)
-                flaps.append((victim, rest, period, down, start, end))
-        slow_links = []
-        if gray_slow_links > 0 and len(host_names) >= 2:
-            for __ in range(rng.randint(1, gray_slow_links)):
-                victim = rng.choice(host_names)
-                rest = [name for name in host_names if name != victim]
-                extra = rng.uniform(0.05, 0.3)
-                jitter = rng.uniform(0.0, 0.2)
-                rule_seed = rng.randrange(2**32)
-                start = rng.uniform(0.5, duration_s * 0.4)
-                end = start + rng.uniform(5.0, duration_s * 0.4)
-                slow_links.append(
-                    (victim, rest, extra, jitter, rule_seed, start, end)
-                )
-        duplicates = []
-        if gray_duplicates > 0:
-            for __ in range(rng.randint(1, gray_duplicates)):
-                probability = rng.uniform(0.05, 0.3)
-                spread = rng.uniform(0.005, 0.05)
-                rule_seed = rng.randrange(2**32)
-                start = rng.uniform(0.0, duration_s * 0.5)
-                end = start + rng.uniform(5.0, duration_s * 0.4)
-                duplicates.append((probability, spread, rule_seed, start, end))
-        reorders = []
-        if gray_reorders > 0:
-            for __ in range(rng.randint(1, gray_reorders)):
-                probability = rng.uniform(0.05, 0.3)
-                skew = rng.uniform(0.002, 0.02)
-                rule_seed = rng.randrange(2**32)
-                start = rng.uniform(0.0, duration_s * 0.5)
-                end = start + rng.uniform(5.0, duration_s * 0.4)
-                reorders.append((probability, skew, rule_seed, start, end))
-        limps = []
-        if gray_limps > 0 and host_names:
-            for __ in range(rng.randint(1, gray_limps)):
-                victim = rng.choice(host_names)
-                factor = rng.uniform(2.0, 8.0)
-                start = rng.uniform(0.5, duration_s * 0.4)
-                end = start + rng.uniform(5.0, duration_s * 0.4)
-                limps.append((victim, round(factor, 2), start, end))
-        # Controller kinds (PR 10), strictly after every kind above —
-        # legacy seeds keep their exact schedules.
-        bad_deploys = []
-        if max_bad_deploys > 0:
-            for __ in range(rng.randint(1, max_bad_deploys)):
-                at = rng.uniform(1.0, duration_s * 0.3)
-                if rng.random() < 0.5:
-                    added_latency_s, error_every = round(rng.uniform(0.2, 1.0), 3), 0
-                else:
-                    added_latency_s, error_every = 0.0, rng.randint(2, 4)
-                bad_deploys.append((at, added_latency_s, error_every))
-        flaky_limps = []
-        flaky_pool = [name for name in instance_hosts if name in host_names]
-        if flaky_pool and max_flaky_limps > 0:
-            for __ in range(rng.randint(1, max_flaky_limps)):
-                victim = rng.choice(flaky_pool)
-                factor = rng.uniform(4.0, 10.0)
-                start = rng.uniform(0.5, duration_s * 0.3)
-                end = start + rng.uniform(10.0, duration_s * 0.5)
-                flaky_limps.append((victim, round(factor, 2), start, end))
-        return cls(
-            crashes=crashes,
-            partitions=partitions,
-            drops=drops,
-            degradations=degradations,
-            one_way=one_way,
-            flaps=flaps,
-            slow_links=slow_links,
-            duplicates=duplicates,
-            reorders=reorders,
-            limps=limps,
-            bad_deploys=bad_deploys,
-            flaky_limps=flaky_limps,
+        counts = {**DEFAULT_COUNTS, **(counts or {})}
+        unknown = sorted(set(counts) - set(FAULT_KINDS))
+        if unknown:
+            raise ValueError(f"unknown fault kinds {unknown}")
+        hosts = list(host_names)
+        ctx = SimpleNamespace(
+            hosts=hosts,
+            d=duration_s,
+            protect=set(protect),
+            eligible=[name for name in hosts if name not in protect],
+            ico_hosts=[name for name in ico_hosts if name in hosts],
+            relay_hosts=[name for name in relay_hosts if name in hosts],
+            manager_hosts=[name for name in manager_hosts if name in hosts],
+            instance_hosts=[name for name in instance_hosts if name in hosts],
+            crashed=set(),
         )
+        faults = []
+        for kind, (draw, __) in FAULT_KINDS.items():
+            if counts.get(kind, 0) <= 0:
+                continue
+            rng = random.Random(f"{seed}:{kind}")
+            drawn = [Fault(kind, *fault) for fault in draw(rng, counts[kind], ctx)]
+            if kind in CRASH_KINDS:
+                ctx.crashed.update(fault.params["host"] for fault in drawn)
+            faults += drawn
+        return cls(faults)
+
+    def faults_of(self, *kinds):
+        """This schedule's faults of ``kinds``, in schedule order."""
+        return [fault for fault in self.faults if fault.kind in kinds]
+
+    @property
+    def first_outage(self):
+        """Offset of the first crash or partition, or None."""
+        starts = [
+            fault.start for fault in self.faults_of(*CRASH_KINDS, *PARTITION_KINDS)
+        ]
+        return min(starts) if starts else None
 
     @property
     def heal_time(self):
         """Time by which every fault has cleared (absolute once
         installed; an offset from install before that)."""
-        times = [0.0]
-        times += [restart_at for __, __, restart_at in self.crashes]
-        times += [end for __, __, __, end in self.partitions]
-        times += [end for __, __, end in self.drops]
-        times += [entry[-1] for entry in self.one_way]
-        times += [entry[-1] for entry in self.flaps]
-        times += [entry[-1] for entry in self.slow_links]
-        times += [entry[-1] for entry in self.duplicates]
-        times += [entry[-1] for entry in self.reorders]
-        times += [entry[-1] for entry in self.limps]
-        times += [at for at, __, __ in self.bad_deploys]
-        times += [entry[-1] for entry in self.flaky_limps]
-        return max(times) + (self.installed_at or 0.0)
+        return max([0.0] + [fault.end for fault in self.faults]) + (
+            self.installed_at or 0.0
+        )
 
     def install(self, runtime, coordinator):
         """Arm the scenario on ``runtime`` via ``coordinator``'s plan.
 
-        Generated times are *offsets*; they are rebased onto the
-        current simulated time here, so a scenario can be installed on
-        a testbed that has already been running.
+        Fault times are *offsets*; they are rebased onto the current
+        simulated time here, so a scenario can be installed on a
+        testbed that has already been running.
         """
         base = self.installed_at = runtime.sim.now
-        for name, crash_at, restart_at in self.crashes:
-            coordinator.crash_plan.schedule_outage(
-                runtime.host(name), base + crash_at, base + restart_at
-            )
-        for prefixes_a, prefixes_b, start, end in self.partitions:
-            runtime.network.faults.add_partition(
-                PrefixPartition(
-                    prefixes_a, prefixes_b, start=base + start, end=base + end
-                )
-            )
-        for count, start, end in self.drops:
-            runtime.network.faults.add_drop_rule(
-                DropRule(count=count, start=base + start, end=base + end)
-            )
-        faults = runtime.network.faults
-        for from_hosts, to_hosts, start, end in self.one_way:
-            faults.add_partition(
-                OneWayPartition(
-                    [f"{name}/" for name in from_hosts],
-                    [f"{name}/" for name in to_hosts],
-                    start=base + start,
-                    end=base + end,
-                )
-            )
-        for host, rest, period, down, start, end in self.flaps:
-            faults.add_partition(
-                LinkFlap(
-                    [f"{host}/"],
-                    [f"{name}/" for name in rest],
-                    period_s=period,
-                    down_s=down,
-                    start=base + start,
-                    end=base + end,
-                    label=f"flap:{host}",
-                )
-            )
-        for host, rest, extra, jitter, rule_seed, start, end in self.slow_links:
-            faults.add_delay_rule(
-                SlowLink(
-                    [f"{host}/"],
-                    [f"{name}/" for name in rest],
-                    extra_s=extra,
-                    jitter_s=jitter,
-                    seed=rule_seed,
-                    start=base + start,
-                    end=base + end,
-                    label=f"slow:{host}",
-                )
-            )
-        for probability, spread, rule_seed, start, end in self.duplicates:
-            faults.add_duplicate_rule(
-                DuplicateRule(
-                    probability,
-                    spread_s=spread,
-                    seed=rule_seed,
-                    start=base + start,
-                    end=base + end,
-                )
-            )
-        for probability, skew, rule_seed, start, end in self.reorders:
-            faults.add_delay_rule(
-                ReorderRule(
-                    probability,
-                    max_skew_s=skew,
-                    seed=rule_seed,
-                    start=base + start,
-                    end=base + end,
-                )
-            )
-        for host_name, factor, start, end in self.limps:
-            runtime.sim.spawn(
-                self._limp_window(runtime, host_name, factor, base + start, base + end),
-                name=f"limp:{host_name}@{start:g}",
-            )
-        # bad_deploys are harness-driven (like degradations): staging
-        # and adopting the degraded build needs a manager, which the
-        # schedule does not hold.
-        for host_name, factor, start, end in self.flaky_limps:
-            runtime.sim.spawn(
-                self._limp_window(runtime, host_name, factor, base + start, base + end),
-                name=f"flaky-limp:{host_name}@{start:g}",
-            )
-
-    @staticmethod
-    def _limp_window(runtime, host_name, factor, start, end):
-        """Process body: degrade a host's service times, then heal."""
-        sim = runtime.sim
-        yield sim.timeout(start - sim.now, daemon=True)
-        host = runtime.host(host_name)
-        host.set_limp(factor, slow_nic=True)
-        yield sim.timeout(end - sim.now, daemon=True)
-        host.clear_limp()
+        for fault in self.faults:
+            install = FAULT_KINDS[fault.kind][1]
+            if install is not None:
+                install(runtime, coordinator, fault, base)
 
     def __repr__(self):
-        gray = (
-            len(self.one_way)
-            + len(self.flaps)
-            + len(self.slow_links)
-            + len(self.duplicates)
-            + len(self.reorders)
-            + len(self.limps)
-        )
-        controller = len(self.bad_deploys) + len(self.flaky_limps)
-        return (
-            f"<ChaosSchedule crashes={len(self.crashes)} "
-            f"partitions={len(self.partitions)} drops={len(self.drops)} "
-            f"degradations={len(self.degradations)} gray={gray} "
-            f"controller={controller}>"
-        )
+        counts = Counter(fault.kind for fault in self.faults)
+        body = " ".join(f"{kind}={count}" for kind, count in counts.items())
+        return f"<ChaosSchedule {body}>" if body else "<ChaosSchedule>"
 
 
 def drive_to_convergence(

@@ -324,8 +324,15 @@ class Supervisor:
             # replacement could be armed, or its bootstrap never
             # landed).  Fall back to the durable primary journal with a
             # full replay — slower, but the fleet still gets an
-            # authority without an operator.
-            journal = self._manager.journal
+            # authority without an operator.  The promotee owns a copy,
+            # as the hot path owns the replica's: a merely partitioned
+            # predecessor keeps appending to the original.
+            from repro.core.recovery import ManagerJournal
+
+            source = self._manager.journal
+            journal = ManagerJournal(name=source.name)
+            journal.meta = dict(source.meta)
+            journal.write_checkpoint(source.replay())
             skip_entries = 0
             target = self._pick_standby_host(exclude=old_host)
         if target is None:

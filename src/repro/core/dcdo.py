@@ -28,7 +28,7 @@ from repro.core.errors import (
     RollbackFailed,
 )
 from repro.core.impltype import ImplementationType
-from repro.legion.errors import MethodNotFound
+from repro.legion.errors import MethodNotFound, ObjectDeactivated
 from repro.legion.objects import CallContext, LegionObject
 from repro.legion.rpc import ReplyEnvelope
 from repro.sim import Signal
@@ -532,6 +532,9 @@ class DCDO(LegionObject):
         steps.  Per-version application counters make the exactly-once
         *effect* checkable from outside.
         """
+        if self._version is None:
+            # Still bootstrapping: a diff would blend with the build.
+            raise ObjectDeactivated(f"{self.loid} is not configured yet")
         target = diff.target_version
         while target is not None:
             if self._version == target:

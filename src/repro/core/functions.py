@@ -9,7 +9,7 @@ implementation is frozen in).
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class Marking(enum.Enum):
@@ -53,7 +53,9 @@ class FunctionDef:
     """
 
     name: str
-    body: object
+    #: Left out of the repr: a function's address differs per process,
+    #: and the event record must replay byte for byte.
+    body: object = field(repr=False)
     exported: bool = True
     signature: str = ""
 

@@ -246,14 +246,21 @@ class ManagerState:
                 loid, self.instance_versions.get(loid)
             )
 
+    # A duplicate delivery can outlive its wave: once a checkpoint has
+    # settled and dropped the wave, its late ack, failure or completion
+    # changes nothing.
+
     def _on_propagation_ack(self, data):
-        self.propagations[data["version"]].ack(data["loid"])
+        if data["version"] in self.propagations:
+            self.propagations[data["version"]].ack(data["loid"])
 
     def _on_propagation_failed(self, data):
-        self.propagations[data["version"]].fail(data["loid"])
+        if data["version"] in self.propagations:
+            self.propagations[data["version"]].fail(data["loid"])
 
     def _on_propagation_complete(self, data):
-        self.propagations[data["version"]].complete = True
+        if data["version"] in self.propagations:
+            self.propagations[data["version"]].complete = True
 
     def _on_wave_aborting(self, data):
         self.propagations[data["version"]].aborting = True
@@ -701,7 +708,14 @@ class DCDOManager(ClassObject):
         DCDOs are created to reflect the characteristics of the
         designated current version", §3.4); re-activations after
         migration or deactivation rebuild the instance's *own* version.
+
+        Only the authority builds, and it must still be the authority
+        when the bootstrap ends: a promotion mid-build abandons the
+        half-built DCDO, which the new authority rebuilds.  A version
+        is set only under authority, so a configured DCDO is always
+        one some authority finished.
         """
+        self._require_authority()
         state = self._state
         version = state.instance_versions.get(loid, state.current_version)
         if version is None:
@@ -729,6 +743,7 @@ class DCDOManager(ClassObject):
                 yield from obj.incorporate_component(ico_loid, bootstrap=True)
             obj.dfm.apply_entry_states(descriptor)
             obj.dfm.adopt_restrictions(descriptor)
+            self._require_authority()
             obj.set_version(version)
         except Exception:
             # A failed component fetch must not leave a half-configured
@@ -1783,6 +1798,10 @@ class DCDOManager(ClassObject):
             f"/components/{self.type_name}/{component.component_id}", ico_loid
         )
 
+    def _is_live(self, obj):
+        # A DCDO still bootstrapping has no version: it is not live yet.
+        return super()._is_live(obj) and obj.version is not None
+
     def _restore_instance(self, loid, host_name):
         """Rebuild the :class:`InstanceRecord` for a journaled instance."""
         obj = self._runtime.live_object(loid)
@@ -1794,7 +1813,7 @@ class DCDOManager(ClassObject):
         if obj is not None:
             host = obj.host
         process = host.process_for(loid) if host.is_up else None
-        active = obj is not None and obj.is_active and process is not None
+        active = self._is_live(obj) and process is not None
         self._instances[loid] = InstanceRecord(
             loid=loid,
             obj=obj,

@@ -273,16 +273,21 @@ class ClassObject(LegionObject):
         semantics.  If the vault does hold an OPR (a deactivation or
         checkpoint preceded the crash), state is restored from it.
 
+        Only the authority rebuilds: a class object that is not active
+        or no longer the type's registered one raises
+        :class:`ObjectDeactivated` before it starts.
+
         Returns the new binding.
         """
         lock = self.management_lock(loid)
         yield lock.acquire()
         try:
+            self._require_authority()
             record = self.record(loid)
             if record.active:
                 raise ValueError(f"instance {loid} is already active")
             live = self._runtime.live_object(loid)
-            if live is not None and live.is_active and live.host.is_up:
+            if self._is_live(live):
                 # Another class-object incarnation already rebuilt this
                 # instance (recovery racing a manager promotion): adopt
                 # the live incarnation instead of rebuilding over it.
@@ -305,7 +310,13 @@ class ClassObject(LegionObject):
                     vault.discard(loid)
             record.host = target_host
             process = yield from target_host.spawn_process(loid)
-            obj, version_tag = yield from self._build_instance(loid, target_host)
+            try:
+                obj, version_tag = yield from self._build_instance(
+                    loid, target_host
+                )
+            except Exception:
+                process.kill()
+                raise
             if opr is not None:
                 obj.restore_state(opr.state)
                 obj.state_bytes = opr.size_bytes
@@ -322,6 +333,10 @@ class ClassObject(LegionObject):
             self._runtime.attach_object(obj)
         finally:
             lock.release()
+        if self._invoker is not None:
+            # Our own next management RPC must not chase the dead
+            # incarnation's address through the whole timeout schedule.
+            self._invoker.binding_cache.put(binding)
         self._runtime.network.count("instance.recoveries")
         self._runtime.network.bus.publish(
             "instance-recovered",
@@ -330,6 +345,18 @@ class ClassObject(LegionObject):
             from_opr=opr is not None,
         )
         return binding
+
+    def _require_authority(self):
+        """Raise unless this incarnation may build instances of its type:
+        it is active and still the type's registered class object."""
+        if not self.is_active or self._runtime.class_of(self._type_name) is not self:
+            raise ObjectDeactivated(
+                f"{self} is not the authority for {self._type_name!r}"
+            )
+
+    def _is_live(self, obj):
+        """Hook: True when ``obj`` is an incarnation to keep, not rebuild."""
+        return obj is not None and obj.is_active and obj.host.is_up
 
     def _transfer_opr(self, source_host, target_host, opr):
         """Generator: move an OPR between vaults over the network."""

@@ -1,41 +1,32 @@
 """Shared fixtures and builders for the test suite."""
 
-import itertools
-
 import pytest
 
 from repro.cluster import build_lan
-from repro.core import ComponentBuilder, DCDOManager, define_dcdo_type
+from repro.core import ComponentBuilder, define_dcdo_type
 from repro.legion import Implementation, LegionRuntime
+from repro.net import RetryPolicy
 
-from tests.invariants import replay_mismatch
+from tests.invariants import replay_sampling
 
 #: The shadow-replay invariant is checked after every this-many-th
 #: journaled manager record, counted per test.
 REPLAY_CHECK_EVERY = 7
 
+#: Tight-ish retry policy so chaos runs converge in bounded sim time.
+FAST_RETRY = RetryPolicy(
+    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
+)
+
 
 @pytest.fixture(autouse=True)
-def shadow_replay_check(monkeypatch):
+def shadow_replay_check():
     """Fold the journal at sampled records; it must equal the live state.
 
-    Mismatches are collected rather than raised inside the manager, so
-    no handler in the code under test can swallow them; the test fails
-    at teardown.
+    The test fails at teardown on the first mismatch.
     """
-    record = DCDOManager._record
-    journaled = itertools.count(1)
-    mismatches = []
-
-    def checked_record(manager, kind, **fields):
-        record(manager, kind, **fields)
-        if manager.journal is not None and next(journaled) % REPLAY_CHECK_EVERY == 0:
-            mismatch = replay_mismatch(manager)
-            if mismatch is not None:
-                mismatches.append(f"after {kind!r}: {mismatch}")
-
-    monkeypatch.setattr(DCDOManager, "_record", checked_record)
-    yield
+    with replay_sampling(REPLAY_CHECK_EVERY) as mismatches:
+        yield
     assert not mismatches, f"shadow replay differs {mismatches[0]}"
 
 
@@ -186,6 +177,22 @@ def make_sorter_manager(runtime, type_name="Sorter", component_hosts=None, **pol
     manager.mark_instantiable(version)
     manager.set_current_version(version)
     return manager
+
+
+def derive_v2(manager):
+    """Derive the descending-sort version from the current version."""
+    version = manager.derive_version(manager.current_version)
+    manager.incorporate_into(version, "compare-desc")
+    manager.descriptor_of(version).enable(
+        "compare", "compare-desc", replace_current=True
+    )
+    manager.mark_instantiable(version)
+    return version
+
+
+def lan_host_names(count):
+    """The host names :func:`~repro.cluster.build_lan` gives ``count`` hosts."""
+    return [f"host{index:02d}" for index in range(count)]
 
 
 def create_dcdo(runtime, manager, host_name=None):

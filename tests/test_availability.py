@@ -534,58 +534,6 @@ def test_primary_crash_mid_bootstrap_never_promotes_an_empty_standby():
 
 
 # ----------------------------------------------------------------------
-# Schedule determinism for the new fault kinds
-# ----------------------------------------------------------------------
-
-
-def test_manager_fault_kinds_extend_legacy_schedule_deterministically():
-    from repro.cluster.chaos import ChaosSchedule
-
-    names = [f"host{i:02d}" for i in range(6)]
-    legacy = ChaosSchedule.generate(
-        5, names, ico_hosts=("host05",), max_ico_partitions=2, mid_apply_crashes=1
-    )
-    extended = ChaosSchedule.generate(
-        5,
-        names,
-        ico_hosts=("host05",),
-        max_ico_partitions=2,
-        mid_apply_crashes=1,
-        manager_hosts=("host00", "host02"),
-        max_manager_partitions=1,
-        max_failovers=2,
-    )
-    assert extended.crashes[: len(legacy.crashes)] == legacy.crashes
-    assert extended.partitions[: len(legacy.partitions)] == legacy.partitions
-    assert extended.drops == legacy.drops
-    # The new kinds actually produced faults, reproducibly.
-    new_partitions = extended.partitions[len(legacy.partitions) :]
-    assert all(part[0] == ["host00/"] for part in new_partitions)
-    # Failover crashes target the manager hosts (a host the legacy
-    # draws already crashed is skipped) and are chained in time.
-    new_crashes = extended.crashes[len(legacy.crashes) :]
-    assert 1 <= len(new_crashes) <= 2
-    assert all(name in ("host00", "host02") for name, __, __ in new_crashes)
-    crash_times = [at for __, at, __ in new_crashes]
-    assert crash_times == sorted(crash_times)
-    again = ChaosSchedule.generate(
-        5,
-        names,
-        ico_hosts=("host05",),
-        max_ico_partitions=2,
-        mid_apply_crashes=1,
-        manager_hosts=("host00", "host02"),
-        max_manager_partitions=1,
-        max_failovers=2,
-    )
-    assert (again.crashes, again.partitions, again.drops) == (
-        extended.crashes,
-        extended.partitions,
-        extended.drops,
-    )
-
-
-# ----------------------------------------------------------------------
 # Gray failures: phi-accrual vs fixed-threshold detection
 # ----------------------------------------------------------------------
 

@@ -11,12 +11,11 @@ rolls back or migrates by hand.
 Acceptance invariants, every seed:
 
 - the controller's rollback *converges*: the fleet ends on the prior
-  version, current-version designation included, exactly-once per
-  instance per version;
-- never-half-applied for every settled instance, at heal and at end;
-- no supervisor fight: the shared convergence guard records zero
-  violations (denials are the races *avoided*), and the remediation
-  lease is never held under a stale term when the controller acts;
+  version, current-version designation included;
+- the shared checker holds at heal and at the end: never-half-applied,
+  exactly-once, term fencing, single ownership (no supervisor fight:
+  the shared convergence guard records zero violations — denials are
+  the races *avoided*), replay;
 - journal hygiene: every controller intent on the surviving authority
   is closed (done, failed, or orphaned by GC) — nothing dangles.
 
@@ -24,16 +23,9 @@ Acceptance invariants, every seed:
 the controller pieces lives in ``tests/test_controller.py``.
 """
 
-import os
-
 import pytest
 
-from repro.cluster import (
-    ReactiveController,
-    Supervisor,
-    build_lan,
-    convergence_guard,
-)
+from repro.cluster import ReactiveController, Supervisor, build_lan
 from repro.cluster.chaos import ChaosCoordinator, ChaosSchedule
 from repro.core import ManagerJournal, RemovePolicy
 from repro.core.policies import (
@@ -43,7 +35,6 @@ from repro.core.policies import (
     ReliableUpdatePolicy,
 )
 from repro.legion import LegionRuntime
-from repro.net import RetryPolicy
 from repro.obs import SLO
 from repro.workloads import (
     OpenLoopLoad,
@@ -52,11 +43,11 @@ from repro.workloads import (
     make_noop_manager,
 )
 
-from tests.invariants import assert_replay_matches
-from tests.test_chaos_slo import assert_never_half_applied
-
-FAST_RETRY = RetryPolicy(
-    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
+from tests.conftest import FAST_RETRY, lan_host_names
+from tests.invariants import (
+    assert_instance_invariants,
+    assert_invariants,
+    chaos_seeds,
 )
 
 MANAGER_HOST = "host00"
@@ -64,9 +55,9 @@ STANDBY_HOSTS = ("host02", "host03")
 DETECTOR_HOST = "host04"
 CLIENT_HOST = "host05"
 INSTANCE_HOSTS = ("host01", "host02", "host03")
+HOSTS = lan_host_names(6)
 
 INSTANCES = 6
-CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
 
 #: Controller rollbacks and migrations per seed, checked in aggregate:
 #: the sweep must actually exercise the remediation paths it certifies.
@@ -99,11 +90,30 @@ def build_fleet(sim_seed):
     return runtime, manager, journal, loids
 
 
-@pytest.mark.parametrize("seed", range(CHAOS_SEEDS))
-def test_chaos_controller_selfheals(seed):
-    """Seeded bad deploy + flaky hosts + crashes + failover: the
-    controller must detect, decide, and remediate on its own, with the
-    full invariant set intact on whichever manager survives."""
+def controller_schedule(seed):
+    """A bad deploy plus, by seed, flaky limps, crashes, partitions and
+    manager faults; the detector and client hosts are protected."""
+    return ChaosSchedule.generate(
+        seed,
+        HOSTS,
+        duration_s=90.0,
+        counts={
+            "crashes": 1 if seed % 4 == 2 else 0,
+            "partitions": 1 if seed % 5 == 3 else 0,
+            "manager_partitions": 1 if seed % 3 == 0 else 0,
+            "failovers": seed % 2,
+            "bad_deploys": 1,
+            "flaky_limps": 1 if seed % 2 == 1 else 0,
+        },
+        protect=(DETECTOR_HOST, CLIENT_HOST),
+        manager_hosts=(MANAGER_HOST,) + STANDBY_HOSTS,
+        instance_hosts=INSTANCE_HOSTS,
+    )
+
+
+def run_controller(seed, schedule):
+    """Adopt the schedule's bad deploy under ``schedule``, let the
+    controller remediate, and check; returns the simulated end time."""
     runtime, manager, journal, loids = build_fleet(sim_seed=3100 + seed)
     sim = runtime.sim
     v1 = manager.current_version
@@ -133,25 +143,9 @@ def test_chaos_controller_selfheals(seed):
     ).start()
 
     coordinator = ChaosCoordinator(runtime, journals={})
-    schedule = ChaosSchedule.generate(
-        seed,
-        list(runtime.hosts),
-        duration_s=90.0,
-        max_crashes=1 if seed % 4 == 2 else 0,
-        max_partitions=1 if seed % 5 == 3 else 0,
-        protect=(DETECTOR_HOST, CLIENT_HOST),
-        manager_hosts=(MANAGER_HOST,) + STANDBY_HOSTS,
-        max_manager_partitions=1 if seed % 3 == 0 else 0,
-        max_failovers=seed % 2,
-        instance_hosts=INSTANCE_HOSTS,
-        max_bad_deploys=1,
-        max_flaky_limps=1 if seed % 2 == 1 else 0,
-    )
-    assert schedule.bad_deploys, "every seed must stage a bad deploy"
-    deploy_at, added_latency_s, error_every = schedule.bad_deploys[0]
-    v2 = build_degraded_version(
-        manager, added_latency_s=added_latency_s, error_every=error_every
-    )
+    bad_deploys = schedule.faults_of("bad_deploys")
+    assert bad_deploys, "every seed must stage a bad deploy"
+    v2 = build_degraded_version(manager, **bad_deploys[0].params)
     schedule.install(runtime, coordinator)
 
     slo = SLO(
@@ -171,7 +165,7 @@ def test_chaos_controller_selfheals(seed):
     )
     load.start()
 
-    deploy_abs = schedule.installed_at + deploy_at
+    deploy_abs = schedule.installed_at + bad_deploys[0].start
 
     def rollback_done():
         return any(
@@ -191,9 +185,7 @@ def test_chaos_controller_selfheals(seed):
         heal = schedule.heal_time + 1.0
         if sim.now < heal:
             yield sim.timeout(heal - sim.now)
-        assert_never_half_applied(
-            supervisor.manager, loids, f"seed {seed} at heal"
-        )
+        assert_instance_invariants(runtime, "Svc", f"seed {seed} at heal")
         deadline = sim.now + 420.0
         while sim.now < deadline:
             current = supervisor.manager
@@ -229,18 +221,16 @@ def test_chaos_controller_selfheals(seed):
     sim.run_process(scenario())
     sim.run()
 
+    # No supervisor fight: the guard's discipline held everywhere.
+    assert_invariants(runtime, "Svc", f"seed {seed} converged ({schedule!r})")
     current = supervisor.manager
-    assert current.is_active and not current.deposed, (
-        f"seed {seed}: no live authority after chaos ({schedule!r})"
-    )
 
     # The controller-originated rollback converged: official version
-    # and every instance back on v1, exactly-once per version.
+    # and every instance back on v1.
     assert current.current_version == v1, (
         f"seed {seed}: fleet still designated {current.current_version} "
         f"(controller log: {controller.remediation_log})"
     )
-    assert_never_half_applied(current, loids, f"seed {seed} converged")
     for loid in loids:
         record = current.record(loid)
         assert record.active, f"seed {seed}: {loid} never recovered"
@@ -249,19 +239,6 @@ def test_chaos_controller_selfheals(seed):
             f"seed {seed}: {loid} stuck at {obj.version} "
             f"(controller log: {controller.remediation_log})"
         )
-        assert obj.applications_by_version.get(v2, 0) <= 1, (
-            f"seed {seed}: {loid} applied {v2} "
-            f"{obj.applications_by_version.get(v2)} times"
-        )
-        assert (obj.observed_manager_term or 0) <= current.term, (
-            f"seed {seed}: {loid} observed a term from the future"
-        )
-
-    # No supervisor fight: the guard's discipline held everywhere.
-    guard = convergence_guard(runtime)
-    assert guard.violations == 0, (
-        f"seed {seed}: {guard.violations} convergence-guard violations"
-    )
 
     # Journal hygiene: nothing the controller started dangles open on
     # the surviving authority (done, failed, or orphaned — all closed).
@@ -282,7 +259,15 @@ def test_chaos_controller_selfheals(seed):
     )
     ROLLBACKS[seed] = runtime.network.count_value("controller.rollbacks")
     MIGRATIONS[seed] = runtime.network.count_value("controller.migrations")
-    assert_replay_matches(current)
+    return sim.now
+
+
+@pytest.mark.parametrize("seed", chaos_seeds(20))
+def test_chaos_controller_selfheals(seed):
+    """Seeded bad deploy + flaky hosts + crashes + failover: the
+    controller must detect, decide, and remediate on its own, with the
+    full invariant set intact on whichever manager survives."""
+    run_controller(seed, controller_schedule(seed))
 
 
 def test_controller_paths_exercised_across_sweep():

@@ -10,8 +10,9 @@ and converge the fleet entirely on its own.
 
 Acceptance invariants, every seed:
 
-- the fleet ends fully on v2, exactly-once per instance;
-- never-half-applied holds at heal and at the end;
+- the fleet ends fully on v2;
+- the shared checker holds at heal and at the end (never-half-applied,
+  exactly-once, term fencing, single ownership, replay);
 - the supervisor promoted at least once with no help;
 - across the sweep, at least one seed observes the fencing mechanism
   in action (``manager.stale_term_rejections`` > 0), and the relay
@@ -20,8 +21,6 @@ Acceptance invariants, every seed:
 ``CHAOS_EXTRA_SEEDS`` (env) widens the seed sweep in CI.
 """
 
-import os
-
 import pytest
 
 from repro.cluster import Supervisor, build_lan, deploy_relays
@@ -29,14 +28,18 @@ from repro.cluster.chaos import ChaosCoordinator, ChaosSchedule
 from repro.core import ManagerJournal
 from repro.core.policies import ReliableUpdatePolicy
 from repro.legion import LegionRuntime
-from repro.net import RetryPolicy
 
-from tests.conftest import create_dcdo, make_sorter_manager
-from tests.invariants import assert_replay_matches
-from tests.test_chaos_transactions import assert_never_half_applied, derive_v2
-
-FAST_RETRY = RetryPolicy(
-    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
+from tests.conftest import (
+    FAST_RETRY,
+    create_dcdo,
+    derive_v2,
+    lan_host_names,
+    make_sorter_manager,
+)
+from tests.invariants import (
+    assert_instance_invariants,
+    assert_invariants,
+    chaos_seeds,
 )
 
 #: The host serving the component every v1→v2 evolution must fetch.
@@ -44,8 +47,7 @@ ICO_HOST = "host05"
 MANAGER_HOST = "host00"
 STANDBY_HOSTS = ("host02", "host03")
 DETECTOR_HOST = "host04"
-
-CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
+HOSTS = lan_host_names(6)
 
 #: Stale-term rejections observed per seed, checked in aggregate by
 #: :func:`test_stale_term_rejections_observed` after the sweep.
@@ -82,17 +84,39 @@ def build_fleet(sim_seed=7, hosts=6, instances=4, **manager_kwargs):
     return runtime, manager, journal, loids
 
 
-@pytest.mark.parametrize("seed", range(CHAOS_SEEDS))
-def test_chaos_supervised_failover(seed):
-    """Crash or partition the manager mid-wave across seeded schedules:
-    the supervisor alone converges the fleet, exactly-once, with a
-    properly fenced succession of terms."""
+def failover_schedule(seed):
+    """Crash (and on some seeds partition) the manager hosts in turn."""
+    return ChaosSchedule.generate(
+        seed,
+        HOSTS,
+        duration_s=120.0,
+        counts={
+            "drops": 1 if seed % 4 == 0 else 0,
+            "manager_partitions": 1 if seed % 3 == 0 else 0,
+            "failovers": 1 + seed % 2,
+        },
+        protect=(DETECTOR_HOST, ICO_HOST),
+        manager_hosts=(MANAGER_HOST,) + STANDBY_HOSTS,
+    )
+
+
+def wave_offset(schedule):
+    """Fire the wave just before the first manager fault lands, so the
+    crash/partition catches deliveries in flight (acks pending) but the
+    standby already holds the wave's journal prefix."""
+    first = schedule.first_outage
+    return 0.5 if first is None else max(0.1, first - 0.03)
+
+
+def run_failover(seed, schedule):
+    """Evolve a supervised fleet under ``schedule``, wait for the
+    supervisor to converge it, and check; returns the stale-term
+    rejections and announced instances."""
     use_relays = seed % 5 == 0
     runtime, manager, journal, loids = build_fleet(
         sim_seed=1100 + seed,
         update_policy=ReliableUpdatePolicy(retry_policy=FAST_RETRY),
     )
-    v1 = manager.current_version
     relays = deploy_relays(runtime) if use_relays else None
     if use_relays:
         manager.use_relays(relays, fanout_k=2)
@@ -109,49 +133,20 @@ def test_chaos_supervised_failover(seed):
     # restart, but with no journals it NEVER recovers the manager:
     # only the supervisor can bring the authority back.
     coordinator = ChaosCoordinator(runtime, journals={}, relays=relays)
-    max_failovers = 1 + (seed % 2)
-    schedule = ChaosSchedule.generate(
-        seed,
-        list(runtime.hosts),
-        duration_s=120.0,
-        protect=(DETECTOR_HOST, ICO_HOST),
-        max_drops=1 if seed % 4 == 0 else 0,
-        manager_hosts=(MANAGER_HOST,) + STANDBY_HOSTS,
-        max_manager_partitions=1 if seed % 3 == 0 else 0,
-        max_failovers=max_failovers,
-    )
     schedule.install(runtime, coordinator)
-    base = schedule.installed_at
-    # Fire the wave just before the first manager fault lands, so the
-    # crash/partition catches deliveries in flight (acks pending) but
-    # the standby already holds the wave's journal prefix.
-    fault_offsets = [crash_at for __, crash_at, __ in schedule.crashes]
-    fault_offsets += [start for __, __, start, __ in schedule.partitions]
-    wave_at = max(0.1, min(fault_offsets) - 0.03) if fault_offsets else 0.5
+    wave_at = schedule.installed_at + wave_offset(schedule)
     v2 = derive_v2(manager)
 
     def scenario():
-        if runtime.sim.now < base + wave_at:
-            yield runtime.sim.timeout(base + wave_at - runtime.sim.now)
+        if runtime.sim.now < wave_at:
+            yield runtime.sim.timeout(wave_at - runtime.sim.now)
         manager.set_current_version_async(v2)
         heal = schedule.heal_time + 1.0
         if runtime.sim.now < heal:
             yield runtime.sim.timeout(heal - runtime.sim.now)
-        # Unlike PR 3's suite, the supervisor may be mid-convergence at
-        # the heal instant: a just-rebuilt instance that has not yet
-        # received its configuration (version None) is not *half*
-        # applied, so it is excluded here; the converged check below is
-        # strict.
-        current = supervisor.manager
-        settled = [
-            loid
-            for loid in loids
-            if not current.record(loid).active
-            or current.record(loid).obj.version is not None
-        ]
-        assert_never_half_applied(
-            current, settled, v1, v2, f"seed {seed} at heal"
-        )
+        # The supervisor may be mid-convergence at the heal instant;
+        # the instance checks skip what is not settled yet.
+        assert_instance_invariants(runtime, "Sorter", f"seed {seed} at heal")
         # No operator call: just wait for the supervisor to converge.
         deadline = runtime.sim.now + 420.0
         while runtime.sim.now < deadline:
@@ -170,16 +165,10 @@ def test_chaos_supervised_failover(seed):
 
     manager_now = supervisor.manager
     assert supervisor.promotions >= 1, (
-        f"seed {seed}: supervisor never promoted "
-        f"(schedule {schedule.crashes} / {schedule.partitions})"
+        f"seed {seed}: supervisor never promoted ({schedule!r})"
     )
-    assert manager_now.is_active and not manager_now.deposed, (
-        f"seed {seed}: no live authority after chaos"
-    )
+    assert_invariants(runtime, "Sorter", f"seed {seed} converged")
     assert manager_now.term >= 1 + supervisor.promotions
-    assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
-    )
     for loid in loids:
         record = manager_now.record(loid)
         assert record.active, f"seed {seed}: {loid} never recovered"
@@ -189,15 +178,20 @@ def test_chaos_supervised_failover(seed):
         )
         obj = record.obj
         assert obj.version == v2, f"seed {seed}: {loid} stuck at {obj.version}"
-        assert obj.applications_by_version.get(v2, 0) <= 1, (
-            f"seed {seed}: {loid} applied v2 "
-            f"{obj.applications_by_version.get(v2)} times"
-        )
-    STALE_REJECTIONS[seed] = runtime.network.count_value(
-        "manager.stale_term_rejections"
+    return (
+        runtime.network.count_value("manager.stale_term_rejections"),
+        runtime.network.count_value("relay.announced_instances"),
     )
-    ANNOUNCED[seed] = runtime.network.count_value("relay.announced_instances")
-    assert_replay_matches(manager_now)
+
+
+@pytest.mark.parametrize("seed", chaos_seeds(20))
+def test_chaos_supervised_failover(seed):
+    """Crash or partition the manager mid-wave across seeded schedules:
+    the supervisor alone converges the fleet, exactly-once, with a
+    properly fenced succession of terms."""
+    STALE_REJECTIONS[seed], ANNOUNCED[seed] = run_failover(
+        seed, failover_schedule(seed)
+    )
 
 
 def test_stale_term_rejections_observed():

@@ -8,11 +8,11 @@ lost requests, and duplicated wire messages are not duplicated
 invocations; the invariants that held under fail-stop chaos must hold
 unchanged when every fault is partial:
 
-- never-half-applied at heal and at convergence;
-- exactly-once application per instance (fabric duplication and
-  hedged backups included);
-- term fencing: a promoted succession of terms, and no instance ever
-  observes a term above the live authority's.
+- the shared checker at heal and at convergence: never-half-applied,
+  exactly-once application per instance (fabric duplication and
+  hedged backups included), term fencing (no instance ever observes a
+  term above the live authority's), single ownership, replay;
+- a promoted succession of terms.
 
 The supervisor runs its detector in phi-accrual mode and no test code
 ever recovers the manager by hand.  ``CHAOS_EXTRA_SEEDS`` (env) widens
@@ -20,31 +20,27 @@ the sweep in CI.  Unit coverage for the fault kinds themselves lives
 in ``tests/test_gray_faults.py``.
 """
 
-import os
-
 import pytest
 
-from repro.cluster import Supervisor, build_lan, deploy_relays
+from repro.cluster import Supervisor, deploy_relays
 from repro.cluster.chaos import ChaosCoordinator, ChaosSchedule
-from repro.core import ManagerJournal
 from repro.core.policies import ReliableUpdatePolicy
-from repro.legion import LegionRuntime
-from repro.net import RetryPolicy
 
-from tests.conftest import create_dcdo, make_sorter_manager
-from tests.invariants import assert_replay_matches
-from tests.test_chaos_transactions import assert_never_half_applied, derive_v2
-
-FAST_RETRY = RetryPolicy(
-    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
+from tests.conftest import FAST_RETRY, derive_v2
+from tests.invariants import (
+    assert_instance_invariants,
+    assert_invariants,
+    chaos_seeds,
 )
-
-ICO_HOST = "host05"
-MANAGER_HOST = "host00"
-STANDBY_HOSTS = ("host02", "host03")
-DETECTOR_HOST = "host04"
-
-CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
+from tests.test_chaos_failover import (
+    DETECTOR_HOST,
+    HOSTS,
+    ICO_HOST,
+    MANAGER_HOST,
+    STANDBY_HOSTS,
+    build_fleet,
+    wave_offset,
+)
 
 #: Fabric-duplicated requests absorbed per seed, checked in aggregate
 #: after the sweep: the dedupe table must actually be exercised.
@@ -54,33 +50,31 @@ DUPLICATES_ABSORBED = {}
 ANNOUNCED = {}
 
 
-def build_fleet(sim_seed=7, hosts=6, instances=4, **manager_kwargs):
-    """Runtime + journaled, supervised sorter fleet (see chaos_failover)."""
-    runtime = LegionRuntime(build_lan(hosts, seed=sim_seed))
-    journal = ManagerJournal(name="Sorter")
-    manager = make_sorter_manager(
-        runtime,
-        component_hosts={
-            "sorter": MANAGER_HOST,
-            "compare-asc": MANAGER_HOST,
-            "compare-desc": ICO_HOST,
+def gray_schedule(seed):
+    """Every gray kind plus one manager crash (and on some seeds a
+    manager partition, a one-way partition or a flap)."""
+    return ChaosSchedule.generate(
+        seed,
+        HOSTS,
+        duration_s=120.0,
+        counts={
+            "manager_partitions": 1 if seed % 3 == 0 else 0,
+            "failovers": 1,
+            "one_way": 1 if seed % 2 == 0 else 0,
+            "flaps": 1 if seed % 4 == 1 else 0,
+            "slow_links": 1,
+            "duplicates": 1,
+            "reorders": 1,
+            "limps": 1,
         },
-        journal=journal,
-        propagation_retry_policy=FAST_RETRY,
-        **manager_kwargs,
+        protect=(DETECTOR_HOST, ICO_HOST),
+        manager_hosts=(MANAGER_HOST,) + STANDBY_HOSTS,
     )
-    loids = []
-    for index in range(instances):
-        loid, __ = create_dcdo(runtime, manager, host_name=f"host{index + 1:02d}")
-        loids.append(loid)
-    return runtime, manager, journal, loids
 
 
-@pytest.mark.parametrize("seed", range(CHAOS_SEEDS))
-def test_chaos_gray_invariants_hold(seed):
-    """Gray faults plus a real manager failover, across seeded
-    schedules: the phi-supervised fleet converges on its own with the
-    full invariant set intact."""
+def run_gray(seed, schedule):
+    """Evolve a phi-supervised fleet under ``schedule`` and check;
+    returns the duplicates absorbed and instances announced."""
     use_relays = seed % 5 == 0
     runtime, manager, journal, loids = build_fleet(
         sim_seed=1900 + seed,
@@ -93,7 +87,6 @@ def test_chaos_gray_invariants_hold(seed):
     if seed % 2 == 0:
         manager.invoker.enable_adaptive_timeouts()
         manager.invoker.enable_hedging()
-    v1 = manager.current_version
     relays = deploy_relays(runtime) if use_relays else None
     if use_relays:
         manager.use_relays(relays, fanout_k=2)
@@ -108,48 +101,20 @@ def test_chaos_gray_invariants_hold(seed):
         retry_policy=FAST_RETRY,
     ).start()
     coordinator = ChaosCoordinator(runtime, journals={}, relays=relays)
-    schedule = ChaosSchedule.generate(
-        seed,
-        list(runtime.hosts),
-        duration_s=120.0,
-        protect=(DETECTOR_HOST, ICO_HOST),
-        manager_hosts=(MANAGER_HOST,) + STANDBY_HOSTS,
-        max_manager_partitions=1 if seed % 3 == 0 else 0,
-        max_failovers=1,
-        gray_one_way=1 if seed % 2 == 0 else 0,
-        gray_flaps=1 if seed % 4 == 1 else 0,
-        gray_slow_links=1,
-        gray_duplicates=1,
-        gray_reorders=1,
-        gray_limps=1,
-    )
     schedule.install(runtime, coordinator)
-    base = schedule.installed_at
-    fault_offsets = [crash_at for __, crash_at, __ in schedule.crashes]
-    fault_offsets += [start for __, __, start, __ in schedule.partitions]
-    wave_at = max(0.1, min(fault_offsets) - 0.03) if fault_offsets else 0.5
+    wave_at = schedule.installed_at + wave_offset(schedule)
     v2 = derive_v2(manager)
 
     def scenario():
-        if runtime.sim.now < base + wave_at:
-            yield runtime.sim.timeout(base + wave_at - runtime.sim.now)
+        if runtime.sim.now < wave_at:
+            yield runtime.sim.timeout(wave_at - runtime.sim.now)
         manager.set_current_version_async(v2)
         heal = schedule.heal_time + 1.0
         if runtime.sim.now < heal:
             yield runtime.sim.timeout(heal - runtime.sim.now)
-        # Mid-run observation at heal: settled instances only (a
-        # just-rebuilt instance with no configuration yet is not half
-        # applied); the converged check below is strict.
-        current = supervisor.manager
-        settled = [
-            loid
-            for loid in loids
-            if not current.record(loid).active
-            or current.record(loid).obj.version is not None
-        ]
-        assert_never_half_applied(
-            current, settled, v1, v2, f"seed {seed} at heal"
-        )
+        # Mid-run observation at heal: settled instances only; the
+        # converged check below is strict.
+        assert_instance_invariants(runtime, "Sorter", f"seed {seed} at heal")
         deadline = runtime.sim.now + 420.0
         while runtime.sim.now < deadline:
             current = supervisor.manager
@@ -178,38 +143,31 @@ def test_chaos_gray_invariants_hold(seed):
     manager_now = supervisor.manager
     assert supervisor.promotions >= 1, (
         f"seed {seed}: phi supervisor never promoted for a real crash "
-        f"(schedule {schedule.crashes})"
+        f"({schedule!r})"
     )
-    assert manager_now.is_active and not manager_now.deposed, (
-        f"seed {seed}: no live authority after gray chaos"
-    )
-    # Term fencing: an unbroken promoted succession, and nobody ever
-    # observed a term from the future.
+    # Exactly-once under duplication, hedging, and retries alike; term
+    # fencing: nobody ever observed a term from the future.
+    assert_invariants(runtime, "Sorter", f"seed {seed} converged")
+    # An unbroken promoted succession of terms.
     assert manager_now.term >= 1 + supervisor.promotions
-    assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
-    )
     for loid in loids:
         record = manager_now.record(loid)
         assert record.active, f"seed {seed}: {loid} never recovered"
         assert manager_now.instance_version(loid) == v2
         obj = record.obj
         assert obj.version == v2, f"seed {seed}: {loid} stuck at {obj.version}"
-        # Exactly-once under duplication, hedging, and retries alike.
-        assert obj.applications_by_version.get(v2, 0) <= 1, (
-            f"seed {seed}: {loid} applied v2 "
-            f"{obj.applications_by_version.get(v2)} times"
-        )
-        assert (obj.observed_manager_term or 0) <= manager_now.term, (
-            f"seed {seed}: {loid} observed term "
-            f"{obj.observed_manager_term} above the authority's "
-            f"{manager_now.term}"
-        )
-    DUPLICATES_ABSORBED[seed] = runtime.network.count_value(
-        "transport.duplicate_requests"
+    return (
+        runtime.network.count_value("transport.duplicate_requests"),
+        runtime.network.count_value("relay.announced_instances"),
     )
-    ANNOUNCED[seed] = runtime.network.count_value("relay.announced_instances")
-    assert_replay_matches(manager_now)
+
+
+@pytest.mark.parametrize("seed", chaos_seeds(20))
+def test_chaos_gray_invariants_hold(seed):
+    """Gray faults plus a real manager failover, across seeded
+    schedules: the phi-supervised fleet converges on its own with the
+    full invariant set intact."""
+    DUPLICATES_ABSORBED[seed], ANNOUNCED[seed] = run_gray(seed, gray_schedule(seed))
 
 
 def test_fabric_duplication_exercised_dedupe_across_sweep():

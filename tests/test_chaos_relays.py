@@ -7,6 +7,9 @@ layer: no live settled instance is ever half-applied, batch re-sends
 never double-apply (idempotence keyed by target version), abortive
 waves roll committed instances all the way back, and the fleet still
 converges once faults heal — with relays restored and back in use.
+Every seed runs the shared checker at heal and at the end.
+
+``CHAOS_EXTRA_SEEDS`` (env) widens the seed sweeps.
 """
 
 import pytest
@@ -17,17 +20,25 @@ from repro.cluster.chaos import (
     ChaosSchedule,
     drive_to_convergence,
 )
-from repro.core import EvolutionPhase, ManagerJournal, WaveAborted, WavePolicy
+from repro.core import ManagerJournal, WaveAborted, WavePolicy
 from repro.legion import LegionRuntime
 from repro.net import RetryPolicy
 
-from tests.conftest import create_dcdo, make_sorter_manager
-from tests.invariants import assert_replay_matches
-
-FAST_RETRY = RetryPolicy(
-    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
+from tests.conftest import (
+    FAST_RETRY,
+    create_dcdo,
+    derive_v2,
+    lan_host_names,
+    make_sorter_manager,
 )
+from tests.invariants import (
+    assert_instance_invariants,
+    assert_invariants,
+    chaos_seeds,
+)
+
 ONE_SHOT = RetryPolicy(base_s=1.0, max_attempts=1)
+HOSTS = lan_host_names(6)
 
 #: Instances committed by announcement rounds, per (sweep, seed);
 #: checked in aggregate after both sweeps.
@@ -35,9 +46,6 @@ ANNOUNCED = {}
 
 ICO_HOST = "host05"
 INSTANCE_HOSTS = ("host01", "host02", "host03", "host04")
-
-V1_COMPONENTS = {"sorter", "compare-asc"}
-V2_COMPONENTS = {"sorter", "compare-asc", "compare-desc"}
 
 
 def build_relay_fleet(sim_seed, instances_per_host=2, **manager_kwargs):
@@ -71,65 +79,28 @@ def build_relay_fleet(sim_seed, instances_per_host=2, **manager_kwargs):
     return runtime, manager, journal, loids, directory
 
 
-def derive_v2(manager):
-    version = manager.derive_version(manager.current_version)
-    manager.incorporate_into(version, "compare-desc")
-    manager.descriptor_of(version).enable(
-        "compare", "compare-desc", replace_current=True
+def relay_schedule(seed, drops):
+    """Crash two relay hosts early; the manager and ICO are protected."""
+    return ChaosSchedule.generate(
+        seed,
+        HOSTS,
+        duration_s=120.0,
+        counts={"crashes": 0, "partitions": 0, "drops": drops, "relay_crashes": 2},
+        protect=("host00", ICO_HOST),
+        relay_hosts=INSTANCE_HOSTS,
     )
-    manager.mark_instantiable(version)
-    return version
 
 
-def assert_never_half_applied(manager, loids, v1, v2, context):
-    """Every live, settled instance is fully on v1 or fully on v2."""
-    for loid in loids:
-        record = manager.record(loid)
-        if not record.active:
-            continue
-        obj = record.obj
-        if obj.evolution_phase is not EvolutionPhase.IDLE:
-            continue
-        components = obj.dfm.component_ids
-        if obj.version == v2:
-            assert components == V2_COMPONENTS, (
-                f"{context}: {loid} at v2 with components {components}"
-            )
-        else:
-            assert obj.version == v1, (
-                f"{context}: {loid} at unexpected version {obj.version}"
-            )
-            assert components == V1_COMPONENTS, (
-                f"{context}: {loid} at v1 with components {components} "
-                f"(half-applied evolution)"
-            )
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_chaos_relay_crash_mid_batch_never_half_applied(seed):
-    """Crash relay hosts while batches are mid-flight: instances die
-    with their relay, nothing is half-applied, batch re-sends never
-    double-apply, and the fleet converges through restored relays."""
+def run_relay_crash(seed, schedule):
+    """Run a relay wave under ``schedule``, heal, converge, and check."""
     runtime, manager, journal, loids, directory = build_relay_fleet(
         sim_seed=1100 + seed
     )
-    v1 = manager.current_version
     coordinator = ChaosCoordinator(
         runtime, journals={"Sorter": journal}, relays=directory
     )
-    schedule = ChaosSchedule.generate(
-        seed,
-        list(runtime.hosts),
-        duration_s=120.0,
-        max_crashes=0,
-        max_partitions=0,
-        max_drops=1,
-        protect=("host00", ICO_HOST),
-        relay_hosts=INSTANCE_HOSTS,
-        max_relay_crashes=2,
-    )
     schedule.install(runtime, coordinator)
-    assert schedule.crashes, "schedule must actually crash relay hosts"
+    assert schedule.faults_of("relay_crashes"), "schedule must crash relay hosts"
     v2 = derive_v2(manager)
     manager.set_current_version(v2)
 
@@ -137,12 +108,11 @@ def test_chaos_relay_crash_mid_batch_never_half_applied(seed):
         yield runtime.sim.timeout(0.5)
         # Kick the batched wave off while the relay crashes are armed.
         yield from manager.propagate_version(v2, retry_policy=FAST_RETRY)
-        assert_never_half_applied(
-            runtime.class_of("Sorter"), loids, v1, v2, f"seed {seed} post-wave"
-        )
+        assert_instance_invariants(runtime, "Sorter", f"seed {seed} post-wave")
         heal = schedule.heal_time + 1.0
         if runtime.sim.now < heal:
             yield runtime.sim.timeout(heal - runtime.sim.now)
+        assert_instance_invariants(runtime, "Sorter", f"seed {seed} at heal")
         tracker = yield from drive_to_convergence(
             runtime,
             "Sorter",
@@ -158,47 +128,34 @@ def test_chaos_relay_crash_mid_batch_never_half_applied(seed):
     assert tracker is not None and tracker.all_acked, (
         f"seed {seed}: fleet did not converge: {tracker and tracker.summary()}"
     )
+    # At-least-once batches, exactly-once application.
+    assert_invariants(runtime, "Sorter", f"seed {seed} converged")
     manager_now = runtime.class_of("Sorter")
-    assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
-    )
     for loid in loids:
         assert manager_now.instance_version(loid) == v2
-        obj = manager_now.record(loid).obj
-        assert obj.version == v2
-        # At-least-once batches, exactly-once application.
-        assert obj.applications_by_version.get(v2, 0) <= 1
+        assert manager_now.record(loid).obj.version == v2
     # Crashed relays came back and the wave kept flowing through them.
     assert runtime.network.count_value("relay.recoveries") >= 1
     assert runtime.network.count_value("relay.batches") >= 1
-    ANNOUNCED["crash", seed] = runtime.network.count_value(
-        "relay.announced_instances"
-    )
-    assert_replay_matches(manager_now)
+    return runtime.network.count_value("relay.announced_instances")
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_chaos_abortive_relay_wave_rolls_back(seed):
-    """An abort-on-first-failure wave delivered through relays: the
-    rollback undoes relay-committed instances exactly as it undoes
-    directly-committed ones, and convergence still lands on v2."""
+@pytest.mark.parametrize("seed", chaos_seeds(8))
+def test_chaos_relay_crash_mid_batch_never_half_applied(seed):
+    """Crash relay hosts while batches are mid-flight: instances die
+    with their relay, nothing is half-applied, batch re-sends never
+    double-apply, and the fleet converges through restored relays."""
+    ANNOUNCED["crash", seed] = run_relay_crash(seed, relay_schedule(seed, drops=1))
+
+
+def run_relay_abort(seed, schedule):
+    """Run an abortive relay wave under ``schedule``, heal, converge,
+    and check."""
     runtime, manager, journal, loids, directory = build_relay_fleet(
         sim_seed=1300 + seed
     )
-    v1 = manager.current_version
     coordinator = ChaosCoordinator(
         runtime, journals={"Sorter": journal}, relays=directory
-    )
-    schedule = ChaosSchedule.generate(
-        seed,
-        list(runtime.hosts),
-        duration_s=120.0,
-        max_crashes=0,
-        max_partitions=0,
-        max_drops=0,
-        protect=("host00", ICO_HOST),
-        relay_hosts=INSTANCE_HOSTS,
-        max_relay_crashes=2,
     )
     schedule.install(runtime, coordinator)
     v2 = derive_v2(manager)
@@ -213,12 +170,16 @@ def test_chaos_abortive_relay_wave_rolls_back(seed):
             )
         except WaveAborted:
             aborted = True
-        assert_never_half_applied(
-            manager, loids, v1, v2, f"seed {seed} post-wave"
+        # Converging re-drives the aborted wave: v2 may apply twice.
+        assert_instance_invariants(
+            runtime, "Sorter", f"seed {seed} post-wave", max_applications=2
         )
         heal = schedule.heal_time + 1.0
         if runtime.sim.now < heal:
             yield runtime.sim.timeout(heal - runtime.sim.now)
+        assert_instance_invariants(
+            runtime, "Sorter", f"seed {seed} at heal", max_applications=2
+        )
         tracker = yield from drive_to_convergence(
             runtime,
             "Sorter",
@@ -239,16 +200,21 @@ def test_chaos_abortive_relay_wave_rolls_back(seed):
     assert tracker is not None and tracker.all_acked, (
         f"seed {seed}: fleet did not converge: {tracker and tracker.summary()}"
     )
-    manager_now = runtime.class_of("Sorter")
-    assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
+    assert_invariants(
+        runtime, "Sorter", f"seed {seed} converged", max_applications=2
     )
+    manager_now = runtime.class_of("Sorter")
     for loid in loids:
         assert manager_now.record(loid).obj.version == v2
-    ANNOUNCED["abort", seed] = runtime.network.count_value(
-        "relay.announced_instances"
-    )
-    assert_replay_matches(manager_now)
+    return runtime.network.count_value("relay.announced_instances")
+
+
+@pytest.mark.parametrize("seed", chaos_seeds(6))
+def test_chaos_abortive_relay_wave_rolls_back(seed):
+    """An abort-on-first-failure wave delivered through relays: the
+    rollback undoes relay-committed instances exactly as it undoes
+    directly-committed ones, and convergence still lands on v2."""
+    ANNOUNCED["abort", seed] = run_relay_abort(seed, relay_schedule(seed, drops=0))
 
 
 def test_announcements_committed_instances_across_sweeps():

@@ -11,28 +11,26 @@ Acceptance invariants, every seed:
 
 - the gate breaches and the breach-triggered abort *completes* — on
   the original manager or on whichever standby was promoted — with the
-  whole fleet back on the prior version, exactly-once per instance;
-- never-half-applied holds for every settled instance;
+  whole fleet back on the prior version;
+- the shared checker holds at heal and at the end (never-half-applied,
+  exactly-once, term fencing, single ownership, replay);
 - blast radius stays within the stages the gate admitted (canary +
   first ramp) — the unvetted version never reaches the full fleet.
 
 ``CHAOS_EXTRA_SEEDS`` (env) widens the sweep in CI.
 """
 
-import os
-
 import pytest
 
 from repro.cluster import Supervisor, build_lan
 from repro.cluster.chaos import ChaosCoordinator, ChaosSchedule
-from repro.core import EvolutionPhase, ManagerJournal, RemovePolicy
+from repro.core import ManagerJournal, RemovePolicy
 from repro.core.policies import (
     CanaryWavePolicy,
     IncreasingVersionPolicy,
     run_canary_wave,
 )
 from repro.legion import LegionRuntime
-from repro.net import RetryPolicy
 from repro.obs import SLO
 from repro.workloads import (
     OpenLoopLoad,
@@ -41,10 +39,11 @@ from repro.workloads import (
     make_noop_manager,
 )
 
-from tests.invariants import assert_replay_matches
-
-FAST_RETRY = RetryPolicy(
-    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
+from tests.conftest import FAST_RETRY, lan_host_names
+from tests.invariants import (
+    assert_instance_invariants,
+    assert_invariants,
+    chaos_seeds,
 )
 
 MANAGER_HOST = "host00"
@@ -53,6 +52,7 @@ DETECTOR_HOST = "host04"
 #: The traffic client's host: protected, so the SLO gate always has a
 #: vantage point (a blinded gate is a different experiment).
 CLIENT_HOST = "host05"
+HOSTS = lan_host_names(6)
 
 INSTANCES = 8
 RAMP = CanaryWavePolicy(
@@ -62,33 +62,8 @@ RAMP = CanaryWavePolicy(
 #: the canary (1 of 8) plus the first ramp (4 of 8).
 MAX_BLAST = 5
 
-CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
-
 #: Supervisor promotions per seed, checked in aggregate after the sweep.
 PROMOTIONS = {}
-
-
-def assert_never_half_applied(manager, loids, context):
-    """Every live, settled instance's DFM matches the full component
-    set of the version it reports — fully one version, never a blend."""
-    for loid in loids:
-        record = manager.record(loid)
-        if not record.active:
-            continue  # crashed: no live state to be half of anything
-        obj = record.obj
-        if obj.evolution_phase is not EvolutionPhase.IDLE:
-            continue  # mid-transaction; prepare/commit/rollback settles it
-        if obj.version is None:
-            continue  # just rebuilt, configuration not yet delivered
-        expected = set(
-            manager.descriptor_of(
-                obj.version, allow_instantiable=True
-            ).component_ids
-        )
-        assert set(obj.dfm.component_ids) == expected, (
-            f"{context}: {loid} at {obj.version} with components "
-            f"{sorted(obj.dfm.component_ids)} (half-applied evolution)"
-        )
 
 
 def build_fleet(sim_seed):
@@ -114,11 +89,29 @@ def build_fleet(sim_seed):
     return runtime, manager, journal, loids
 
 
-@pytest.mark.parametrize("seed", range(CHAOS_SEEDS))
-def test_chaos_slo_gated_canary(seed):
-    """Seeded degraded rollout + seeded chaos: the gate must catch the
-    regression, bound the blast radius, and finish the rollback no
-    matter which manager ends up holding the journal."""
+def slo_schedule(seed):
+    """A degraded build plus, by seed, crashes, partitions, drops and
+    manager faults; the detector and client hosts are protected."""
+    return ChaosSchedule.generate(
+        seed,
+        HOSTS,
+        duration_s=90.0,
+        counts={
+            "crashes": 1 if seed % 4 == 2 else 0,
+            "partitions": 1 if seed % 5 == 3 else 0,
+            "drops": 1 if seed % 4 == 0 else 0,
+            "manager_partitions": 1 if seed % 3 == 0 else 0,
+            "failovers": seed % 2,
+            "degradations": 1,
+        },
+        protect=(DETECTOR_HOST, CLIENT_HOST),
+        manager_hosts=(MANAGER_HOST,) + STANDBY_HOSTS,
+    )
+
+
+def run_slo(seed, schedule):
+    """Roll the schedule's degraded build out through a gated canary
+    under ``schedule`` and check; returns the supervisor's promotions."""
     runtime, manager, journal, loids = build_fleet(sim_seed=2300 + seed)
     v1 = manager.current_version
     sim = runtime.sim
@@ -131,26 +124,9 @@ def test_chaos_slo_gated_canary(seed):
         retry_policy=FAST_RETRY,
     ).start()
     coordinator = ChaosCoordinator(runtime, journals={})
-    schedule = ChaosSchedule.generate(
-        seed,
-        list(runtime.hosts),
-        duration_s=90.0,
-        max_crashes=1 if seed % 4 == 2 else 0,
-        max_partitions=1 if seed % 5 == 3 else 0,
-        max_drops=1 if seed % 4 == 0 else 0,
-        protect=(DETECTOR_HOST, CLIENT_HOST),
-        manager_hosts=(MANAGER_HOST,) + STANDBY_HOSTS,
-        max_manager_partitions=1 if seed % 3 == 0 else 0,
-        max_failovers=seed % 2,
-        max_degradations=1,
-    )
-    assert schedule.degradations, "every seed must roll a degraded build"
-    kind, amount = schedule.degradations[0]
-    v2 = build_degraded_version(
-        manager,
-        added_latency_s=amount if kind == "latency" else 0.0,
-        error_every=amount if kind == "errors" else 0,
-    )
+    degradations = schedule.faults_of("degradations")
+    assert degradations, "every seed must roll a degraded build"
+    v2 = build_degraded_version(manager, **degradations[0].params)
     schedule.install(runtime, coordinator)
 
     slo = SLO(
@@ -187,8 +163,7 @@ def test_chaos_slo_gated_canary(seed):
         heal = schedule.heal_time + 1.0
         if sim.now < heal:
             yield sim.timeout(heal - sim.now)
-        current = supervisor.manager
-        assert_never_half_applied(current, loids, f"seed {seed} at heal")
+        assert_instance_invariants(runtime, "Svc", f"seed {seed} at heal")
         deadline = sim.now + 200.0
         while sim.now < deadline:
             current = supervisor.manager
@@ -210,10 +185,8 @@ def test_chaos_slo_gated_canary(seed):
     sim.run()
 
     outcome = result["outcome"]
+    assert_invariants(runtime, "Svc", f"seed {seed} converged ({schedule!r})")
     current = supervisor.manager
-    assert current.is_active and not current.deposed, (
-        f"seed {seed}: no live authority after chaos ({schedule!r})"
-    )
 
     # The gate caught the regression and the abort completed — possibly
     # on a promoted standby — leaving the fleet on the prior version.
@@ -222,9 +195,13 @@ def test_chaos_slo_gated_canary(seed):
     )
     assert not outcome.stalled, f"seed {seed}: runner stalled ({outcome})"
     state = current.canary_state(v2)
-    assert state is not None and state.breached
+    assert state is not None and state.breached and state.aborted, (
+        f"seed {seed}: breach-abort never completed ({state})"
+    )
+    # A promoted authority can inherit the breached canary without its
+    # wave; then the abort closes the canary alone.
     tracker = current.propagation(v2)
-    assert tracker is not None and tracker.aborted, (
+    assert tracker is None or tracker.aborted, (
         f"seed {seed}: breach-abort never completed ({tracker.summary()})"
     )
     assert current.current_version == v1
@@ -235,7 +212,6 @@ def test_chaos_slo_gated_canary(seed):
         f"seed {seed}: blast radius {len(state.admitted)}/{INSTANCES}"
     )
 
-    assert_never_half_applied(current, loids, f"seed {seed} converged")
     for loid in loids:
         record = current.record(loid)
         assert record.active, f"seed {seed}: {loid} never recovered"
@@ -245,13 +221,16 @@ def test_chaos_slo_gated_canary(seed):
         )
         obj = record.obj
         assert obj.version == v1, f"seed {seed}: {loid} serving {obj.version}"
-        assert obj.applications_by_version.get(v2, 0) <= 1, (
-            f"seed {seed}: {loid} applied v2 "
-            f"{obj.applications_by_version.get(v2)} times"
-        )
     assert len(monitor.breach_log) >= 1, f"seed {seed}: gate never fired"
-    PROMOTIONS[seed] = supervisor.promotions
-    assert_replay_matches(current)
+    return supervisor.promotions
+
+
+@pytest.mark.parametrize("seed", chaos_seeds(20))
+def test_chaos_slo_gated_canary(seed):
+    """Seeded degraded rollout + seeded chaos: the gate must catch the
+    regression, bound the blast radius, and finish the rollback no
+    matter which manager ends up holding the journal."""
+    PROMOTIONS[seed] = run_slo(seed, slo_schedule(seed))
 
 
 def test_failover_observed_somewhere_in_sweep():

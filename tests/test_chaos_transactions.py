@@ -4,14 +4,13 @@ Seeded fault schedules crash hosts and partition ICO servers while a
 fleet evolves.  The acceptance invariant: at *every* observation point
 — mid-chaos, after heal, after convergence — a live instance that is
 not mid-transaction is either fully on the old configuration or fully
-on the new one.  Prepare failures roll back; commit is all-or-nothing;
-aborted waves undo their committed instances.
+on the new one (the shared checker's never-half-applied).  Prepare
+failures roll back; commit is all-or-nothing; aborted waves undo their
+committed instances.
 
-``CHAOS_EXTRA_SEEDS`` (env) widens the seed sweep — CI runs extra
-schedules beyond the default 20.
+``CHAOS_EXTRA_SEEDS`` (env) widens the seed sweeps — CI runs extra
+schedules beyond the defaults.
 """
-
-import os
 
 import pytest
 
@@ -21,29 +20,30 @@ from repro.cluster.chaos import (
     ChaosSchedule,
     drive_to_convergence,
 )
-from repro.core import (
-    EvolutionPhase,
-    ManagerJournal,
-    WaveAborted,
-    WavePolicy,
-    recover_manager,
-)
+from repro.core import ManagerJournal, WaveAborted, WavePolicy, recover_manager
 from repro.core.policies import ReliableUpdatePolicy
 from repro.legion import LegionRuntime
 from repro.net import RetryPolicy
 
-from tests.conftest import create_dcdo, make_sorter_manager
-from tests.invariants import assert_replay_matches
-
-FAST_RETRY = RetryPolicy(
-    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
+from tests.conftest import (
+    FAST_RETRY,
+    create_dcdo,
+    derive_v2,
+    lan_host_names,
+    make_sorter_manager,
 )
+from tests.invariants import (
+    assert_instance_invariants,
+    assert_invariants,
+    chaos_seeds,
+)
+
 ONE_SHOT = RetryPolicy(base_s=1.0, max_attempts=1)
 
 #: The host serving the component every v1→v2 evolution must fetch.
 ICO_HOST = "host05"
 
-CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
+HOSTS = lan_host_names(6)
 
 
 def build_fleet(sim_seed=7, hosts=6, instances=4, **manager_kwargs):
@@ -74,72 +74,24 @@ def build_fleet(sim_seed=7, hosts=6, instances=4, **manager_kwargs):
     return runtime, manager, journal, loids
 
 
-def derive_v2(manager):
-    version = manager.derive_version(manager.current_version)
-    manager.incorporate_into(version, "compare-desc")
-    manager.descriptor_of(version).enable(
-        "compare", "compare-desc", replace_current=True
+def transaction_schedule(seed):
+    """Crashes mid-apply and partitions of the ICO server mid-prepare."""
+    return ChaosSchedule.generate(
+        seed,
+        HOSTS,
+        duration_s=120.0,
+        counts={"ico_partitions": 2, "mid_apply_crashes": 1},
+        ico_hosts=(ICO_HOST,),
     )
-    manager.mark_instantiable(version)
-    return version
 
 
-V1_COMPONENTS = {"sorter", "compare-asc"}
-V2_COMPONENTS = {"sorter", "compare-asc", "compare-desc"}
-
-
-def assert_never_half_applied(manager, loids, v1, v2, context):
-    """Every live, settled instance is fully on v1 or fully on v2."""
-    for loid in loids:
-        record = manager.record(loid)
-        if not record.active:
-            continue  # a crashed instance has no live state to be half
-        obj = record.obj
-        if obj.evolution_phase is not EvolutionPhase.IDLE:
-            continue  # mid-transaction: prepare/commit/rollback settles it
-        components = obj.dfm.component_ids
-        compare = obj.dfm.enabled_components_of("compare")
-        if obj.version == v2:
-            assert components == V2_COMPONENTS, (
-                f"{context}: {loid} at v2 with components {components}"
-            )
-            assert compare == {"compare-desc"}, (
-                f"{context}: {loid} at v2 comparing with {compare}"
-            )
-        else:
-            assert obj.version == v1, (
-                f"{context}: {loid} at unexpected version {obj.version}"
-            )
-            assert components == V1_COMPONENTS, (
-                f"{context}: {loid} at v1 with components {components} "
-                f"(half-applied evolution)"
-            )
-            assert compare == {"compare-asc"}, (
-                f"{context}: {loid} at v1 comparing with {compare}"
-            )
-        assert sorted(obj.dfm.exported_interface()) == ["compare", "sort"], (
-            f"{context}: {loid} exports {obj.dfm.exported_interface()}"
-        )
-
-
-@pytest.mark.parametrize("seed", range(CHAOS_SEEDS))
-def test_chaos_never_half_applied(seed):
-    """Crash hosts mid-apply and partition the ICO server mid-prepare,
-    across many seeded schedules: zero half-applied instances, ever."""
+def run_transactions(seed, schedule):
+    """Evolve the fleet under ``schedule``, heal, converge, and check."""
     runtime, manager, journal, loids = build_fleet(
         sim_seed=700 + seed,
         update_policy=ReliableUpdatePolicy(retry_policy=FAST_RETRY),
     )
-    v1 = manager.current_version
     coordinator = ChaosCoordinator(runtime, journals={"Sorter": journal})
-    schedule = ChaosSchedule.generate(
-        seed,
-        list(runtime.hosts),
-        duration_s=120.0,
-        ico_hosts=(ICO_HOST,),
-        max_ico_partitions=2,
-        mid_apply_crashes=1,
-    )
     schedule.install(runtime, coordinator)
     v2 = derive_v2(manager)
 
@@ -151,9 +103,7 @@ def test_chaos_never_half_applied(seed):
             yield runtime.sim.timeout(heal - runtime.sim.now)
         # Mid-run observation: faults just healed, deliveries may still
         # be retrying — but nothing may be half-applied.
-        assert_never_half_applied(
-            runtime.class_of("Sorter"), loids, v1, v2, f"seed {seed} at heal"
-        )
+        assert_instance_invariants(runtime, "Sorter", f"seed {seed} at heal")
         tracker = yield from drive_to_convergence(
             runtime, "Sorter", journal=journal, retry_policy=FAST_RETRY
         )
@@ -165,38 +115,40 @@ def test_chaos_never_half_applied(seed):
     assert tracker is not None and tracker.all_acked, (
         f"seed {seed}: propagation did not converge: {tracker.summary()}"
     )
+    assert_invariants(runtime, "Sorter", f"seed {seed} converged")
     manager_now = runtime.class_of("Sorter")
-    assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
-    )
     for loid in loids:
         assert manager_now.instance_version(loid) == v2
         obj = manager_now.record(loid).obj
         assert obj.version == v2, f"seed {seed}: {loid} stuck at {obj.version}"
-        assert obj.applications_by_version.get(v2, 0) <= 1
-    assert_replay_matches(manager_now)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_chaos_abortive_wave_keeps_fleet_consistent(seed):
-    """An abort-on-first-failure wave under chaos: whether it aborts or
-    completes, no instance is ever half-applied, rolled-back instances
-    land fully on v1, and the fleet still converges afterwards."""
-    runtime, manager, journal, loids = build_fleet(sim_seed=900 + seed)
-    v1 = manager.current_version
-    coordinator = ChaosCoordinator(runtime, journals={"Sorter": journal})
-    # The manager and ICO host are protected: this test aims chaos at
-    # the *instances* so wave rollback, not manager recovery, is on
-    # trial (the recovery interplay has its own dedicated test).
-    schedule = ChaosSchedule.generate(
+@pytest.mark.parametrize("seed", chaos_seeds(20))
+def test_chaos_never_half_applied(seed):
+    """Crash hosts mid-apply and partition the ICO server mid-prepare,
+    across many seeded schedules: zero half-applied instances, ever."""
+    run_transactions(seed, transaction_schedule(seed))
+
+
+def abortive_schedule(seed):
+    """Chaos aimed at the *instances*: the manager and ICO host are
+    protected, so wave rollback, not manager recovery, is on trial (the
+    recovery interplay has its own dedicated test)."""
+    return ChaosSchedule.generate(
         seed,
-        list(runtime.hosts),
+        HOSTS,
         duration_s=120.0,
+        counts={"ico_partitions": 1, "mid_apply_crashes": 2},
         protect=("host00", ICO_HOST),
         ico_hosts=(ICO_HOST,),
-        max_ico_partitions=1,
-        mid_apply_crashes=2,
     )
+
+
+def run_abortive(seed, schedule):
+    """Run an abort-on-first-failure wave under ``schedule``, re-drive
+    it to convergence after heal, and check."""
+    runtime, manager, journal, loids = build_fleet(sim_seed=900 + seed)
+    coordinator = ChaosCoordinator(runtime, journals={"Sorter": journal})
     schedule.install(runtime, coordinator)
     v2 = derive_v2(manager)
     manager.set_current_version(v2)  # explicit policy: no auto-propagation
@@ -211,8 +163,9 @@ def test_chaos_abortive_wave_keeps_fleet_consistent(seed):
         except WaveAborted:
             aborted = True
         tracker = manager.propagation(v2)
-        assert_never_half_applied(
-            manager, loids, v1, v2, f"seed {seed} post-wave"
+        # A re-driven wave may apply v2 again after its rollback.
+        assert_instance_invariants(
+            runtime, "Sorter", f"seed {seed} post-wave", max_applications=2
         )
         if tracker.aborting:
             # The abort decision is durable before any rollback runs.
@@ -221,6 +174,9 @@ def test_chaos_abortive_wave_keeps_fleet_consistent(seed):
         heal = schedule.heal_time + 1.0
         if runtime.sim.now < heal:
             yield runtime.sim.timeout(heal - runtime.sim.now)
+        assert_instance_invariants(
+            runtime, "Sorter", f"seed {seed} at heal", max_applications=2
+        )
         # Convergence: finish any interrupted abort, rebuild crash-lost
         # instances, then re-drive the wave under an explicit converge
         # override of the tracker's abortive policy.
@@ -252,51 +208,18 @@ def test_chaos_abortive_wave_keeps_fleet_consistent(seed):
         f"seed {seed}: fleet did not converge after the wave: "
         f"{final and final.summary()}"
     )
-    manager_now = runtime.class_of("Sorter")
-    assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
+    assert_invariants(
+        runtime, "Sorter", f"seed {seed} converged", max_applications=2
     )
+    manager_now = runtime.class_of("Sorter")
     for loid in loids:
         assert manager_now.instance_version(loid) == v2
-        obj = manager_now.record(loid).obj
-        assert obj.version == v2
-        # Applied at most twice: once before a rollback, once after.
-        assert obj.applications_by_version.get(v2, 0) <= 2
-    assert_replay_matches(manager_now)
+        assert manager_now.record(loid).obj.version == v2
 
 
-def test_new_fault_kinds_extend_legacy_schedule_deterministically():
-    """The transactional fault kinds draw strictly after the legacy
-    ones: a given seed yields the identical legacy schedule with the
-    new kinds off or on — existing seeded tests stay reproducible."""
-    names = [f"host{i:02d}" for i in range(6)]
-    legacy = ChaosSchedule.generate(5, names)
-    extended = ChaosSchedule.generate(
-        5,
-        names,
-        ico_hosts=(ICO_HOST,),
-        max_ico_partitions=2,
-        mid_apply_crashes=1,
-    )
-    assert extended.crashes[: len(legacy.crashes)] == legacy.crashes
-    assert extended.partitions[: len(legacy.partitions)] == legacy.partitions
-    assert extended.drops == legacy.drops
-    # The new kinds actually produced faults, and reproducibly so.
-    assert len(extended.partitions) > len(legacy.partitions)
-    assert len(extended.crashes) == len(legacy.crashes) + 1
-    again = ChaosSchedule.generate(
-        5,
-        names,
-        ico_hosts=(ICO_HOST,),
-        max_ico_partitions=2,
-        mid_apply_crashes=1,
-    )
-    assert (again.crashes, again.partitions, again.drops) == (
-        extended.crashes,
-        extended.partitions,
-        extended.drops,
-    )
-    # ICO partitions isolate the component servers from everyone else.
-    ico_side = [f"{ICO_HOST}/"]
-    new_partitions = extended.partitions[len(legacy.partitions) :]
-    assert all(part[0] == ico_side for part in new_partitions)
+@pytest.mark.parametrize("seed", chaos_seeds(6))
+def test_chaos_abortive_wave_keeps_fleet_consistent(seed):
+    """An abort-on-first-failure wave under chaos: whether it aborts or
+    completes, no instance is ever half-applied, rolled-back instances
+    land fully on v1, and the fleet still converges afterwards."""
+    run_abortive(seed, abortive_schedule(seed))

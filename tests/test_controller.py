@@ -244,7 +244,7 @@ def test_supervisor_defers_while_controller_holds_claims():
     guard = convergence_guard(runtime)
     assert guard.try_claim("controller:Sorter", [loids[0]])
 
-    from tests.test_chaos_transactions import derive_v2
+    from tests.conftest import derive_v2
 
     v2 = derive_v2(manager)
 

@@ -11,10 +11,11 @@ Unit coverage for the PR 8 gray-failure stack below the chaos sweep:
 - hedged requests racing a backup against a gray primary;
 - limping hosts (CPU + egress inflation) and per-peer health scoring
   with quarantine hysteresis;
-- seeded gray :class:`ChaosSchedule` kinds: legacy-prefix stability
-  and an end-to-end same-seed trace-digest equality check.
+- seeded gray :class:`ChaosSchedule` kinds: an end-to-end same-seed
+  trace-digest equality check.
 
-The 20-seed invariant sweep lives in ``tests/test_chaos_gray.py``.
+The seeded invariant sweep lives in ``tests/test_chaos_gray.py``; the
+per-kind schedule streams are tested in ``tests/test_chaos_harness.py``.
 """
 
 import pytest
@@ -809,39 +810,8 @@ def test_request_timeouts_feed_armed_health_scores():
 
 
 # ----------------------------------------------------------------------
-# Seeded determinism of the gray schedule kinds
+# Seeded determinism of gray schedules, end to end
 # ----------------------------------------------------------------------
-
-
-def test_gray_kinds_extend_legacy_schedule_deterministically():
-    """The gray draws come strictly after every legacy draw: a given
-    seed yields the identical legacy schedule with gray kinds off or
-    on, and the gray lists themselves reproduce exactly."""
-    names = [f"host{i:02d}" for i in range(6)]
-    legacy = ChaosSchedule.generate(5, names, max_failovers=1)
-    gray_kwargs = dict(
-        gray_one_way=2,
-        gray_flaps=1,
-        gray_slow_links=2,
-        gray_duplicates=1,
-        gray_reorders=1,
-        gray_limps=1,
-    )
-    extended = ChaosSchedule.generate(5, names, max_failovers=1, **gray_kwargs)
-    assert extended.crashes == legacy.crashes
-    assert extended.partitions == legacy.partitions
-    assert extended.drops == legacy.drops
-    assert extended.degradations == legacy.degradations
-    # Gray kinds actually produced faults...
-    assert extended.one_way and extended.slow_links and extended.limps
-    assert extended.flaps and extended.duplicates and extended.reorders
-    # ...and reproducibly so.
-    again = ChaosSchedule.generate(5, names, max_failovers=1, **gray_kwargs)
-    for field in ("one_way", "flaps", "slow_links", "duplicates", "reorders", "limps"):
-        assert getattr(again, field) == getattr(extended, field), field
-    # heal_time covers the gray windows too.
-    gray_ends = [entry[-1] for entry in extended.one_way + extended.flaps]
-    assert extended.heal_time >= max(gray_ends)
 
 
 def _run_gray_trace(seed):
@@ -854,12 +824,14 @@ def _run_gray_trace(seed):
         seed,
         list(runtime.hosts),
         duration_s=30.0,
+        counts={
+            "one_way": 1,
+            "slow_links": 1,
+            "duplicates": 1,
+            "reorders": 1,
+            "limps": 1,
+        },
         protect=("host00",),
-        gray_one_way=1,
-        gray_slow_links=1,
-        gray_duplicates=1,
-        gray_reorders=1,
-        gray_limps=1,
     )
     schedule.install(runtime, ChaosCoordinator(runtime))
     results = []

@@ -9,12 +9,11 @@ journal N ways; here one manager gets it by forgetting history.
 The seeded sweep crashes and partitions the supervised manager while a
 wave is in flight and a compactor checkpoints every few seconds, so
 checkpoints interleave with acks, shipping, and promotions.  Per seed:
-the fleet converges exactly-once and never half-applied, and the
-promoted authority's journal compacts back to the bound and replays
-into an identical DCDO table.  ``CHAOS_EXTRA_SEEDS`` (env) widens it.
+the fleet converges, the shared checker holds at heal and at the end,
+and the promoted authority's journal compacts back to the bound and
+replays into an identical DCDO table.  ``CHAOS_EXTRA_SEEDS`` (env)
+widens it.
 """
-
-import os
 
 import pytest
 
@@ -23,21 +22,25 @@ from repro.cluster.chaos import ChaosCoordinator, ChaosSchedule, crash_host
 from repro.core import ManagerJournal, recover_manager
 from repro.core.policies import ReliableUpdatePolicy
 from repro.legion import LegionRuntime
-from repro.net import RetryPolicy
 
-from tests.conftest import create_dcdo, make_sorter_manager
-from tests.invariants import assert_replay_matches
-from tests.test_chaos_transactions import assert_never_half_applied, derive_v2
-
-FAST_RETRY = RetryPolicy(
-    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
+from tests.conftest import (
+    FAST_RETRY,
+    create_dcdo,
+    derive_v2,
+    lan_host_names,
+    make_sorter_manager,
 )
+from tests.invariants import (
+    assert_instance_invariants,
+    assert_invariants,
+    assert_replay_matches,
+    chaos_seeds,
+)
+from tests.test_chaos_failover import wave_offset
 
 #: Checkpoint entries allowed beyond one per instance: term, components,
 #: versions, current version, and any unsettled wave.
 SLACK = 16
-
-CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
 
 
 def build_fleet(hosts=4, instances=6, sim_seed=7, **manager_kwargs):
@@ -170,11 +173,25 @@ def test_standby_promotes_from_compacted_checkpoint():
     assert dcdo_table(supervisor.manager) == before
 
 
-@pytest.mark.parametrize("seed", range(CHAOS_SEEDS))
-def test_chaos_compaction_invariants_hold(seed):
-    """Manager crashes and partitions mid-wave while a compactor keeps
-    checkpointing: the supervised fleet converges exactly-once, and the
-    surviving journal compacts to the bound and replays identically."""
+def compaction_schedule(seed):
+    """Crash (and on some seeds partition) the manager hosts in turn."""
+    return ChaosSchedule.generate(
+        seed,
+        lan_host_names(6),
+        duration_s=120.0,
+        counts={
+            "drops": 1 if seed % 4 == 0 else 0,
+            "manager_partitions": 1 if seed % 3 == 0 else 0,
+            "failovers": 1 + seed % 2,
+        },
+        protect=("host04", "host05"),
+        manager_hosts=("host00", "host02", "host03"),
+    )
+
+
+def run_compaction(seed, schedule):
+    """Evolve a supervised, compacting fleet under ``schedule``, then
+    check it and its compacted recovery."""
     runtime, manager, journal, loids = build_fleet(
         hosts=6,
         instances=4,
@@ -186,7 +203,6 @@ def test_chaos_compaction_invariants_hold(seed):
         },
         update_policy=ReliableUpdatePolicy(retry_policy=FAST_RETRY),
     )
-    v1 = manager.current_version
     supervisor = Supervisor(
         runtime,
         "Sorter",
@@ -195,21 +211,8 @@ def test_chaos_compaction_invariants_hold(seed):
         retry_policy=FAST_RETRY,
     ).start()
     coordinator = ChaosCoordinator(runtime, journals={})
-    schedule = ChaosSchedule.generate(
-        seed,
-        list(runtime.hosts),
-        duration_s=120.0,
-        protect=("host04", "host05"),
-        max_drops=1 if seed % 4 == 0 else 0,
-        manager_hosts=("host00", "host02", "host03"),
-        max_manager_partitions=1 if seed % 3 == 0 else 0,
-        max_failovers=1 + seed % 2,
-    )
     schedule.install(runtime, coordinator)
-    base = schedule.installed_at
-    fault_offsets = [crash_at for __, crash_at, __ in schedule.crashes]
-    fault_offsets += [start for __, __, start, __ in schedule.partitions]
-    wave_at = max(0.1, min(fault_offsets) - 0.03) if fault_offsets else 0.5
+    wave_at = schedule.installed_at + wave_offset(schedule)
     v2 = derive_v2(manager)
     heal = schedule.heal_time + 1.0
     period = 1.0 + (seed % 3)
@@ -223,11 +226,12 @@ def test_chaos_compaction_invariants_hold(seed):
                 compactions.append(current.write_checkpoint())
 
     def scenario():
-        if runtime.sim.now < base + wave_at:
-            yield runtime.sim.timeout(base + wave_at - runtime.sim.now)
+        if runtime.sim.now < wave_at:
+            yield runtime.sim.timeout(wave_at - runtime.sim.now)
         manager.set_current_version_async(v2)
         if runtime.sim.now < heal:
             yield runtime.sim.timeout(heal - runtime.sim.now)
+        assert_instance_invariants(runtime, "Sorter", f"seed {seed} at heal")
         deadline = runtime.sim.now + 420.0
         while runtime.sim.now < deadline:
             current = supervisor.manager
@@ -247,15 +251,10 @@ def test_chaos_compaction_invariants_hold(seed):
     current = supervisor.manager
     assert supervisor.promotions >= 1, f"seed {seed}: supervisor never promoted"
     assert compactions, f"seed {seed}: the compactor never ran"
-    assert current.is_active and not current.deposed
-    assert_never_half_applied(current, loids, v1, v2, f"seed {seed}")
+    assert_invariants(runtime, "Sorter", f"seed {seed}")
     for loid in loids:
         obj = current.record(loid).obj
         assert obj.version == v2, f"seed {seed}: {loid} stuck at {obj.version}"
-        assert obj.applications_by_version.get(v2, 0) <= 1, (
-            f"seed {seed}: {loid} applied v2 "
-            f"{obj.applications_by_version.get(v2)} times"
-        )
     entries = current.write_checkpoint()
     assert entries <= len(loids) + SLACK, f"seed {seed}: {entries} entries"
     before = dcdo_table(current)
@@ -265,3 +264,11 @@ def test_chaos_compaction_invariants_hold(seed):
     )
     assert dcdo_table(recovered) == before, f"seed {seed}: replay diverged"
     assert_replay_matches(recovered)
+
+
+@pytest.mark.parametrize("seed", chaos_seeds(20))
+def test_chaos_compaction_invariants_hold(seed):
+    """Manager crashes and partitions mid-wave while a compactor keeps
+    checkpointing: the supervised fleet converges exactly-once, and the
+    surviving journal compacts to the bound and replays identically."""
+    run_compaction(seed, compaction_schedule(seed))
