@@ -70,7 +70,6 @@ from repro.core.functions import FunctionDef, Marking
 from repro.core.ico import ImplementationComponentObject
 from repro.core.impltype import NATIVE, ImplementationType
 from repro.core.manager import (
-    CanaryState,
     DCDOManager,
     ManagerState,
     VersionRecord,
@@ -98,7 +97,6 @@ from repro.core.version import VersionId, VersionTree
 __all__ = [
     "AmbiguousFunction",
     "CanaryOutcome",
-    "CanaryState",
     "CanaryWavePolicy",
     "run_canary_wave",
     "ComponentAlreadyIncorporated",

@@ -100,56 +100,6 @@ class VersionRecord:
     parent: object = None
 
 
-@dataclass
-class CanaryState:
-    """Durable gate state for one SLO-gated canary rollout.
-
-    Every transition (stage admitted, gate passed, breach declared,
-    rollout completed) is journaled by the manager, so a promoted
-    standby knows exactly which instances a half-finished canary had
-    already touched — it resumes the frozen admitted set (or completes
-    the abort) instead of blindly re-converging the whole fleet.
-    """
-
-    version: object
-    #: Cumulative fleet fractions per ramp stage, e.g. (0.01, 0.1, 1.0).
-    stages: tuple
-    #: Bake window (seconds of healthy SLO) each stage must survive.
-    bake_s: float
-    #: Instances admitted to the wave so far, admission order.
-    admitted: list = None
-    #: Number of stages whose health gate has passed.
-    stage_index: int = 0
-    breached: bool = False
-    breach_reason: str = None
-    #: True when the final gate passed and the version was adopted.
-    complete: bool = False
-    #: True when a breach-triggered abort finished rolling back.
-    aborted: bool = False
-
-    def __post_init__(self):
-        if self.admitted is None:
-            self.admitted = []
-
-    @property
-    def closed(self):
-        """True when the rollout is finished, either way."""
-        return self.complete or self.aborted
-
-    def summary(self):
-        """Plain-dict view for reports and assertions."""
-        return {
-            "version": str(self.version),
-            "stages": list(self.stages),
-            "stage_index": self.stage_index,
-            "admitted": len(self.admitted),
-            "breached": self.breached,
-            "breach_reason": self.breach_reason,
-            "complete": self.complete,
-            "aborted": self.aborted,
-        }
-
-
 class ManagerState:
     """The manager's durable state: the fold of its journal.
 
@@ -170,10 +120,8 @@ class ManagerState:
         self.current_version = None
         #: The DCDO table's versions: instance LOID -> version.
         self.instance_versions = {}
-        #: version -> :class:`PropagationTracker`
+        #: version -> :class:`PropagationTracker`, canaries included
         self.propagations = {}
-        #: version -> :class:`CanaryState`
-        self.canaries = {}
         self.remediation_lease = None
         #: intent id -> intent record, open while its outcome is None.
         self.remediations = {}
@@ -233,9 +181,11 @@ class ManagerState:
     def _on_propagation_started(self, data):
         self.propagations[data["version"]] = PropagationTracker(
             data["version"],
-            data["loids"],
+            data.get("loids", ()),
             prior_versions=data.get("prior_versions"),
             wave_policy=data.get("wave_policy"),
+            stages=data.get("stages"),
+            bake_s=data.get("bake_s"),
         )
 
     def _on_propagation_rearmed(self, data):
@@ -263,7 +213,9 @@ class ManagerState:
             self.propagations[data["version"]].complete = True
 
     def _on_wave_aborting(self, data):
-        self.propagations[data["version"]].aborting = True
+        tracker = self.propagations[data["version"]]
+        tracker.aborting = True
+        tracker.abort_reason = data["reason"]
 
     def _on_wave_rollback(self, data):
         self.propagations[data["version"]].roll_back(data["loid"])
@@ -271,36 +223,11 @@ class ManagerState:
     def _on_wave_aborted(self, data):
         tracker = self.propagations[data["version"]]
         tracker.aborting = tracker.aborted = tracker.complete = True
-        canary = self.canaries.get(data["version"])
-        if canary is not None:
-            canary.aborted = True
 
-    def _on_canary_started(self, data):
-        if data["version"] not in self.canaries:
-            self.canaries[data["version"]] = CanaryState(
-                version=data["version"],
-                stages=tuple(data["stages"]),
-                bake_s=data["bake_s"],
-            )
-
-    def _on_canary_stage(self, data):
-        canary = self.canaries[data["version"]]
-        known = set(canary.admitted)
-        canary.admitted.extend(loid for loid in data["loids"] if loid not in known)
-
-    def _on_canary_gate(self, data):
-        self.canaries[data["version"]].stage_index = data["stage"]
-
-    def _on_canary_breached(self, data):
-        canary = self.canaries[data["version"]]
-        canary.breached = True
-        canary.breach_reason = data.get("reason")
-
-    def _on_canary_complete(self, data):
-        self.canaries[data["version"]].complete = True
-
-    def _on_canary_aborted(self, data):
-        self.canaries[data["version"]].aborted = True
+    def _on_wave_gate(self, data):
+        tracker = self.propagations[data["version"]]
+        tracker.stage_index = data["stage"]
+        tracker.adopted = data.get("adopted", False)
 
     def _on_remediation_lease(self, data):
         # A release is journaled as an already-expired lease.
@@ -882,15 +809,23 @@ class DCDOManager(ClassObject):
         back to their prior versions, the wave is journaled ABORTED,
         and :class:`WaveAborted` is raised.  Returns the
         :class:`PropagationTracker` otherwise.
+
+        ``loids`` defaults to the fleet, or to an open canary's
+        admitted set: a resume must never turn a 1% canary into a
+        full-fleet rollout of an unvetted version.
         """
         record = self.version_record(version)
         if not record.instantiable:
             raise VersionNotInstantiable(
                 f"cannot propagate configurable version {version}"
             )
-        if loids is None:
-            loids = self.instance_loids()
         tracker = self._state.propagations.get(version)
+        if loids is None:
+            loids = (
+                tracker.admitted
+                if tracker is not None and tracker.open_canary
+                else self.instance_loids()
+            )
         if tracker is None:
             versions = self._state.instance_versions
             self._record(
@@ -904,7 +839,7 @@ class DCDOManager(ClassObject):
         elif tracker.aborting and not tracker.aborted:
             # A crash interrupted the abort: finish the rollback; do
             # not deliver anything new.
-            yield from self._finish_abort(tracker)
+            yield from self._finish_abort(tracker, tracker.abort_reason)
             return tracker
         else:
             # Journaled even when it admits no one: a re-arm re-opens
@@ -944,7 +879,7 @@ class DCDOManager(ClassObject):
         wave = wave_policy or tracker.wave_policy or self.wave_policy
         failed = tracker.count(DeliveryStatus.FAILED)
         if wave.should_abort(failed):
-            yield from self._finish_abort(tracker)
+            yield from self._finish_abort(tracker, "delivery-failures")
             if not tracker.aborted:
                 # Crash (or unreachable instances) left the abort
                 # incomplete; recovery/resume finishes it.
@@ -1241,18 +1176,19 @@ class DCDOManager(ClassObject):
         tracker.delivery(loid).acked_at = self._runtime.sim.now
         self._record("propagation-ack", version=version, loid=loid)
 
-    def _finish_abort(self, tracker):
+    def _finish_abort(self, tracker, reason):
         """Generator: drive an aborting wave to the ABORTED state.
 
-        Journals the abort decision first (so recovery knows the wave
-        must never resume delivering), then rolls every ACKED instance
-        back to its prior version with policy enforcement off.  Each
-        rollback is journaled; the wave stays ABORTING — and is resumed
-        by :meth:`resume_propagations` — until every committed instance
-        has been undone, at which point it is journaled ABORTED.
+        Journals the abort decision and its ``reason`` first (so
+        recovery knows the wave must never resume delivering), then
+        rolls every ACKED instance back to its prior version with
+        policy enforcement off.  Each rollback is journaled; the wave
+        stays ABORTING — and is resumed by :meth:`resume_propagations`
+        — until every committed instance has been undone, at which
+        point it is journaled ABORTED.
         """
         if not tracker.aborting:
-            self._record("wave-aborting", version=tracker.version)
+            self._record("wave-aborting", version=tracker.version, reason=reason)
         for delivery in tracker.deliveries():
             if delivery.status is not DeliveryStatus.ACKED:
                 continue
@@ -1280,14 +1216,13 @@ class DCDOManager(ClassObject):
             for delivery in tracker.deliveries()
         ):
             return
-        state = self._state.canaries.get(tracker.version)
-        if state is not None:
-            settled = yield from self._reconcile_canary_abort(state, tracker)
+        if tracker.stages is not None:
+            settled = yield from self._reconcile_canary_abort(tracker)
             if not settled or not self.is_active:
                 return
         self._record("wave-aborted", version=tracker.version)
 
-    def _reconcile_canary_abort(self, state, tracker):
+    def _reconcile_canary_abort(self, tracker):
         """Generator: verify admitted instances really left the version.
 
         A promoted authority's replica journal can be missing the old
@@ -1301,20 +1236,15 @@ class DCDOManager(ClassObject):
         reachable admitted instance is off it; False means stay
         ABORTING and let a later resume retry.
         """
+        version = tracker.version
         prior = self._state.current_version
         settled = True
-        for loid in list(state.admitted):
+        for delivery in tracker.deliveries():
             if not self.is_active:
                 return False
-            if tracker is not None:
-                delivery = next(
-                    (d for d in tracker.deliveries() if d.loid == loid), None
-                )
-                if (
-                    delivery is not None
-                    and delivery.status is DeliveryStatus.ROLLED_BACK
-                ):
-                    continue  # this manager rolled it back itself
+            if delivery.status is DeliveryStatus.ROLLED_BACK:
+                continue  # this manager rolled it back itself
+            loid = delivery.loid
             try:
                 record = self.record(loid)
             except UnknownObject:
@@ -1331,12 +1261,12 @@ class DCDOManager(ClassObject):
                     return False
                 settled = False
                 continue
-            if reported != str(state.version):
+            if reported != str(version):
                 continue
             # The old primary's delivery landed but its ack never
             # shipped: adopt the fact, then undo it.
-            if self._state.instance_versions.get(loid) != state.version:
-                self._record("instance-version", loid=loid, version=state.version)
+            if self._state.instance_versions.get(loid) != version:
+                self._record("instance-version", loid=loid, version=version)
             try:
                 yield from self.evolve_instance(
                     loid, prior, enforce_policy=False
@@ -1350,7 +1280,7 @@ class DCDOManager(ClassObject):
             # Not journaled: the compensating evolution's own
             # instance-version entry is the durable record.
             self._runtime.network.bus.publish(
-                "canary-rollback", self.type_name, version=state.version, loid=loid
+                "canary-rollback", self.type_name, version=version, loid=loid
             )
         return settled
 
@@ -1409,7 +1339,7 @@ class DCDOManager(ClassObject):
                 # the instance just applied a version the wave has
                 # renounced.  Undo it with the same rollback machinery
                 # (journaled, resumable) instead of reporting success.
-                yield from self._finish_abort(tracker)
+                yield from self._finish_abort(tracker, tracker.abort_reason)
                 return False
             return True
 
@@ -1424,83 +1354,50 @@ class DCDOManager(ClassObject):
     def resume_propagations(self, retry_policy=None):
         """Generator: finish propagations a crash interrupted.
 
-        Only journaled-but-incomplete propagations run; acked
-        deliveries are never repeated (the acceptance condition: no
-        version re-derivation, no double application).  A wave the
-        crash caught mid-abort is *not* re-delivered: resuming it
-        completes the rollback instead, and the resulting
-        :class:`WaveAborted` is absorbed here (the abort is the wave's
-        journaled, final outcome — not an error of the recovery).
-
-        A wave that belongs to an open canary rollout resumes with its
-        journaled *admitted* set only — never the whole fleet: the
-        default ``loids=None`` expansion would turn a 1%-canary the
-        crash interrupted into a full-fleet rollout of an unvetted
-        version.  A canary the journal shows breached has its abort
-        driven here even if the crash landed between the breach
-        decision and the wave-aborting entry.
+        One rule for every wave, canaries included: a wave is left
+        alone once it is aborted, or complete with no abort begun.
+        Every other wave goes back through :meth:`propagate_version`,
+        which finishes a journaled abort (delivering nothing new),
+        re-delivers an incomplete wave without repeating an acked
+        delivery, and keeps an open canary to its admitted set.  The
+        :class:`WaveAborted` of a wave whose re-delivery crosses its
+        threshold is absorbed here: the abort is the wave's journaled,
+        final outcome — not an error of the recovery.
         """
         for version in list(self._state.propagations):
             tracker = self._state.propagations[version]
-            state = self._state.canaries.get(version)
-            if state is not None and state.breached and not tracker.aborted:
-                yield from self._finish_abort(tracker)
+            if tracker.aborted or (tracker.complete and not tracker.aborting):
                 continue
-            if tracker.complete:
-                continue
-            loids = None
-            if state is not None and not state.closed:
-                loids = list(state.admitted)
             try:
-                yield from self.propagate_version(
-                    version, loids=loids, retry_policy=retry_policy
-                )
+                yield from self.propagate_version(version, retry_policy=retry_policy)
             except WaveAborted:
                 continue
-        # Breached canaries whose wave tracker never reached this
-        # journal (a promotion raced the shipping) still need closing.
-        for version, state in list(self._state.canaries.items()):
-            if state.closed or not state.breached:
-                continue
-            if version in self._state.propagations:
-                continue
-            yield from self.abort_wave(
-                version, state.breach_reason or "slo-breach"
-            )
 
     # ------------------------------------------------------------------
-    # SLO-gated canary rollouts (durable gate decisions)
+    # SLO-gated canary rollouts: staged waves
     # ------------------------------------------------------------------
 
-    def begin_canary(self, version, stages, bake_s):
-        """Open (or re-open after recovery) a canary rollout of ``version``.
-
-        Idempotent: a state restored from the journal is returned as-is
-        — with its admitted set, passed gates, and any breach intact —
-        so a failed-over manager's gate runner picks up mid-rollout.
-        Returns the :class:`CanaryState`.
+    def begin_canary(self, version, stages, bake_s, wave_policy=None):
+        """Open (or re-open after recovery) a canary rollout of ``version``:
+        a staged wave with no instances yet, delivered under
+        ``wave_policy`` as in :meth:`propagate_version`.  Idempotent: a
+        tracker restored from the journal is returned as-is, admitted
+        set, passed gates and any abort intact.
         """
         record = self.version_record(version)
         if not record.instantiable:
             raise VersionNotInstantiable(
                 f"cannot canary configurable version {version}"
             )
-        if version not in self._state.canaries:
+        if version not in self._state.propagations:
             self._record(
-                "canary-started",
+                "propagation-started",
                 version=version,
+                wave_policy=wave_policy or self.wave_policy,
                 stages=tuple(stages),
                 bake_s=bake_s,
             )
-        return self._state.canaries[version]
-
-    def canary_state(self, version):
-        """The :class:`CanaryState` for ``version``, or None."""
-        return self._state.canaries.get(version)
-
-    def canary_status(self):
-        """Summaries of every canary rollout, oldest first."""
-        return [state.summary() for state in self._state.canaries.values()]
+        return self._require_canary(version)
 
     def canary_frozen_loids(self):
         """Instances admitted to any still-open canary rollout.
@@ -1510,76 +1407,62 @@ class DCDOManager(ClassObject):
         admitted instance back to the fleet's current version mid-bake
         would silently undo the experiment the gate is judging.
         """
-        frozen = set()
-        for state in self._state.canaries.values():
-            if not state.closed:
-                frozen.update(state.admitted)
-        return frozen
+        return {
+            loid
+            for tracker in self._state.propagations.values()
+            if tracker.open_canary
+            for loid in tracker.admitted
+        }
 
     def admit_canary_stage(self, version, loids):
-        """Admit ``loids`` to the canary wave (journaled); returns the
-        newly admitted subset (already-admitted instances are skipped)."""
-        state = self._require_canary(version)
-        if state.closed:
-            raise WaveAborted(version, 0, 0) if state.aborted else ValueError(
+        """Admit ``loids`` to the canary wave; returns the newly
+        admitted subset (already-admitted instances are skipped).
+
+        Journaled as a ``propagation-rearmed`` that delivers nothing:
+        the stage's :meth:`propagate_version` delivers.
+        """
+        tracker = self._require_canary(version)
+        if not tracker.open_canary:
+            raise WaveAborted(version, 0, 0) if tracker.abort_reason else ValueError(
                 f"canary for {version} already completed"
             )
-        known = set(state.admitted)
-        fresh = [loid for loid in loids if loid not in known]
+        fresh = [loid for loid in loids if loid not in tracker]
         if fresh:
-            self._record(
-                "canary-stage",
-                version=version,
-                stage=state.stage_index,
-                loids=list(fresh),
-            )
+            self._record("propagation-rearmed", version=version, loids=fresh)
         return fresh
 
     def record_canary_gate(self, version):
         """Mark the current stage's health gate passed (journaled)."""
-        state = self._require_canary(version)
-        self._record("canary-gate", version=version, stage=state.stage_index + 1)
-        return state.stage_index
+        tracker = self._require_canary(version)
+        self._record("wave-gate", version=version, stage=tracker.stage_index + 1)
+        return tracker.stage_index
 
     def mark_canary_breached(self, version, reason):
-        """Journal the breach decision; idempotent.
+        """Journal the breach, the wave's abort decision; idempotent.
 
-        The write-ahead entry lands *before* any rollback RPC, so a
-        crash between the decision and the abort leaves a journal a
-        promoted manager reads as "this wave must die", never as "this
-        wave should resume delivering".
+        The write-ahead ``wave-aborting`` entry lands *before* any
+        rollback RPC, so a crash between the decision and the rollback
+        leaves a journal a promoted manager reads as "this wave must
+        die", never as "this wave should resume delivering".
         """
-        state = self._require_canary(version)
-        if not state.breached:
-            self._record("canary-breached", version=version, reason=reason)
-        return state
+        tracker = self._require_canary(version)
+        if tracker.abort_reason is None:
+            self._record("wave-aborting", version=version, reason=reason)
+        return tracker
 
     def abort_wave(self, version, reason="slo-breach"):
         """Generator: breach-abort an open wave and roll everyone back.
 
         The public entry point the SLO gate (or an operator) uses when
         the wave itself is healthy at the delivery level but the
-        *service* is not: journals the breach, then drives the existing
-        transactional abort machinery — every ACKED instance evolves
-        back to its prior version, write-ahead logged, resumable by a
-        recovered or promoted manager.  Returns the tracker.
+        *service* is not: journals the abort decision with ``reason``,
+        then every ACKED instance evolves back to its prior version,
+        write-ahead logged, resumable by a recovered or promoted
+        manager.  Returns the tracker, or None without a wave.
         """
         tracker = self._state.propagations.get(version)
-        state = self._state.canaries.get(version)
-        if state is not None:
-            self.mark_canary_breached(version, reason)
-        if tracker is None:
-            # A promoted authority can inherit the canary record but
-            # not its wave (the journal shipped the admission and then
-            # the partition hit).  Reconcile straight from the admitted
-            # set and close the canary with its own journal entry.
-            if state is not None and not state.aborted:
-                settled = yield from self._reconcile_canary_abort(state, None)
-                if settled and self.is_active and not self.deposed:
-                    self._record("canary-aborted", version=version)
-            return None
-        if not tracker.aborted:
-            yield from self._finish_abort(tracker)
+        if tracker is not None and not tracker.aborted:
+            yield from self._finish_abort(tracker, reason)
         return tracker
 
     def complete_canary(self, version):
@@ -1589,19 +1472,21 @@ class DCDOManager(ClassObject):
         policy is *not* fired again — the current-version designation
         simply catches up with reality (new instances start on it).
         """
-        state = self._require_canary(version)
-        if state.breached:
+        tracker = self._require_canary(version)
+        if tracker.abort_reason is not None:
             raise WaveAborted(version, 0, 0)
-        if not state.complete:
-            self._record("canary-complete", version=version)
+        if not tracker.adopted:
+            self._record(
+                "wave-gate", version=version, stage=tracker.stage_index, adopted=True
+            )
             self._record("current-version", version=version)
-        return state
+        return tracker
 
     def _require_canary(self, version):
-        state = self._state.canaries.get(version)
-        if state is None:
-            raise UnknownVersion(f"no canary rollout open for version {version}")
-        return state
+        tracker = self._state.propagations.get(version)
+        if tracker is None or tracker.stages is None:
+            raise UnknownVersion(f"no canary rollout of version {version}")
+        return tracker
 
     # ------------------------------------------------------------------
     # Remediation lease and intents (self-healing controller)
@@ -1831,7 +1716,7 @@ class DCDOManager(ClassObject):
         ``instance`` entry carrying its version.
 
         Settled waves are forgotten first: a wave that completed with
-        every delivery acked, outside any open canary, is pure history
+        every delivery acked and is not an open canary is pure history
         (the instance rows already record its outcome), so its tracker
         is dropped instead of costing one replay entry per instance on
         every later recovery.  Replay then scales with the live fleet,
@@ -1845,7 +1730,10 @@ class DCDOManager(ClassObject):
         for version in [
             version
             for version, tracker in state.propagations.items()
-            if self._wave_settled(version, tracker)
+            if tracker.complete
+            and not tracker.aborting
+            and tracker.all_acked
+            and not tracker.open_canary
         ]:
             del state.propagations[version]
 
@@ -1888,32 +1776,6 @@ class DCDOManager(ClassObject):
                 host_name=record.host.name,
                 version=state.instance_versions.get(loid),
             )
-        # Canary states precede the trackers so a checkpointed
-        # "wave-aborted" replay finds (and closes) the canary it ended.
-        for version, canary in state.canaries.items():
-            add(
-                "canary-started",
-                version=version,
-                stages=tuple(canary.stages),
-                bake_s=canary.bake_s,
-            )
-            if canary.admitted:
-                add(
-                    "canary-stage",
-                    version=version,
-                    stage=canary.stage_index,
-                    loids=list(canary.admitted),
-                )
-            if canary.stage_index:
-                add("canary-gate", version=version, stage=canary.stage_index)
-            if canary.breached:
-                add("canary-breached", version=version, reason=canary.breach_reason)
-            if canary.complete:
-                add("canary-complete", version=version)
-            if canary.aborted and version not in state.propagations:
-                # Closed without a wave (orphan reconcile): the closure
-                # has no "wave-aborted" entry to replay.
-                add("canary-aborted", version=version)
         status_kinds = {
             DeliveryStatus.ACKED: "propagation-ack",
             DeliveryStatus.FAILED: "propagation-failed",
@@ -1923,12 +1785,25 @@ class DCDOManager(ClassObject):
             add(
                 "propagation-started",
                 version=version,
-                loids=[entry.loid for entry in tracker.deliveries()],
+                loids=tracker.admitted,
                 prior_versions=dict(tracker.prior_versions),
                 wave_policy=tracker.wave_policy,
+                stages=tracker.stages,
+                bake_s=tracker.bake_s,
             )
-            if tracker.aborting:
-                add("wave-aborting", version=version)
+            if tracker.stage_index or tracker.adopted:
+                add(
+                    "wave-gate",
+                    version=version,
+                    stage=tracker.stage_index,
+                    adopted=tracker.adopted,
+                )
+            if tracker.abort_reason is not None:
+                add("wave-aborting", version=version, reason=tracker.abort_reason)
+                if not tracker.aborting:
+                    # Pushed again since that abort: the re-arm cleared
+                    # the flags and kept the reason.
+                    add("propagation-rearmed", version=version, loids=[])
             for delivery in tracker.deliveries():
                 kind = status_kinds.get(delivery.status)
                 if kind is not None:
@@ -1953,16 +1828,6 @@ class DCDOManager(ClassObject):
         self._journal.write_checkpoint(entries)
         self._publish_journal_gauges()
         return len(entries)
-
-    def _wave_settled(self, version, tracker):
-        """True when a wave's tracker carries nothing recovery needs."""
-        state = self._state.canaries.get(version)
-        return (
-            tracker.complete
-            and not tracker.aborting
-            and tracker.all_acked
-            and (state is None or state.closed)
-        )
 
     # ------------------------------------------------------------------
     # Exported manager interface

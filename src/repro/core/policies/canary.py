@@ -12,10 +12,12 @@ subset first, holds each ramp stage for a *bake window* while an
 :class:`~repro.obs.slo.SLOMonitor` watches live traffic, and either
 ramps onward (1% → 10% → 100% by default) or drives the existing
 transactional abort — rolling every touched instance back to its prior
-version.  Every gate decision is journaled by the manager, so a
-promoted standby (PR 5 supervisor) resumes the frozen admitted set or
-completes the abort instead of blindly re-converging the fleet onto an
-unvetted version.
+version.  The rollout is one *staged wave*, whose journaled tracker
+also records its stages, gates, adoption and abort reason (a breach
+*is* the wave's abort decision), so a promoted standby resumes the
+frozen admitted set or completes the abort by the rule every wave
+follows, instead of blindly re-converging the fleet onto an unvetted
+version.
 
 Canary fleets must use a multi-version evolution policy
 (:class:`~repro.core.policies.evolution.IncreasingVersionPolicy` or
@@ -133,21 +135,21 @@ def run_canary_wave(
     sim = runtime.sim
     started = sim.now
 
-    def outcome(state, fleet_size, stalled=False):
-        admitted = len(state.admitted) if state is not None else 0
+    def outcome(tracker, fleet_size, stalled=False):
+        admitted = len(tracker.admitted) if tracker is not None else 0
         return CanaryOutcome(
             version=version,
-            completed=state is not None and state.complete,
-            breached=state is not None and (state.breached or state.aborted),
-            breach_reason=state.breach_reason if state is not None else None,
-            stage_reached=state.stage_index if state is not None else 0,
+            completed=tracker is not None and tracker.adopted,
+            breached=tracker is not None and tracker.abort_reason is not None,
+            breach_reason=tracker.abort_reason if tracker is not None else None,
+            stage_reached=tracker.stage_index if tracker is not None else 0,
             admitted=admitted,
             fleet_size=fleet_size,
             blast_radius=(admitted / fleet_size) if fleet_size else 0.0,
             stalled=stalled,
         )
 
-    last_state = None
+    last_tracker = None
     last_fleet = 0
     #: The gate's own memory of its verdict.  A promoted standby can
     #: legitimately miss the breach journal entry (it ships
@@ -170,32 +172,31 @@ def run_canary_wave(
 
     while True:
         if deadline_s is not None and sim.now - started > deadline_s:
-            return outcome(last_state, last_fleet, stalled=True)
+            return outcome(last_tracker, last_fleet, stalled=True)
         manager = _live_manager(runtime, type_name)
         if manager is None:
             yield sim.timeout(policy.check_interval_s)
             continue
 
         try:
-            state = manager.begin_canary(version, policy.stages, policy.bake_s)
-            last_state = state
+            tracker = manager.begin_canary(
+                version, policy.stages, policy.bake_s, policy.wave_policy
+            )
+            last_tracker = tracker
             fleet = manager.instance_loids()
             last_fleet = len(fleet)
 
-            if decided_reason is not None and not (
-                state.breached or state.aborted or state.complete
-            ):
+            if decided_reason is not None and tracker.open_canary:
                 # This authority never heard the verdict (failover lost
                 # the breach entry): re-assert it before it can ramp.
                 manager.mark_canary_breached(version, decided_reason)
                 continue
 
-            if state.breached or state.aborted:
-                decided_reason = (
-                    decided_reason or state.breach_reason or "slo-breach"
-                )
-                if state.aborted:
-                    return outcome(state, len(fleet))
+            if tracker.abort_reason is not None:
+                decided_reason = decided_reason or tracker.abort_reason
+                if tracker.aborted or not tracker.aborting:
+                    # Rolled back (or its version pushed again since).
+                    return outcome(tracker, len(fleet))
                 # Drive the rollback in the background and poll: the
                 # abort can take minutes against a sick fleet, and the
                 # authority may be deposed mid-way — the runner must
@@ -210,34 +211,32 @@ def run_canary_wave(
                 yield sim.timeout(policy.check_interval_s)
                 continue
 
-            if state.complete:
-                return outcome(state, len(fleet))
+            if tracker.adopted:
+                return outcome(tracker, len(fleet))
 
-            if state.stage_index >= len(state.stages):
+            if tracker.stage_index >= len(tracker.stages):
                 manager.complete_canary(version)
-                return outcome(state, len(fleet))
+                return outcome(tracker, len(fleet))
 
             # Admit up to this stage's cumulative target, then deliver.
             target = _stage_target(
-                state.stages[state.stage_index], len(fleet), policy.min_canary
+                tracker.stages[tracker.stage_index], len(fleet), policy.min_canary
             )
-            if len(state.admitted) < target:
-                known = set(state.admitted)
+            admitted = tracker.admitted
+            if len(admitted) < target:
+                known = set(admitted)
                 fresh = [loid for loid in fleet if loid not in known]
-                manager.admit_canary_stage(
-                    version, fresh[: target - len(state.admitted)]
-                )
+                manager.admit_canary_stage(version, fresh[: target - len(admitted)])
             try:
                 yield from manager.propagate_version(
                     version,
-                    loids=list(state.admitted),
+                    loids=tracker.admitted,
                     retry_policy=retry_policy,
                     wave_policy=policy.wave_policy,
                 )
             except WaveAborted:
                 if manager.is_active and not manager.deposed:
                     decided_reason = decided_reason or "delivery-failures"
-                    manager.mark_canary_breached(version, "delivery-failures")
                 # A fenced/dead manager's delivery failures say nothing
                 # about the version; let the next authority retry.
                 continue
@@ -245,8 +244,8 @@ def run_canary_wave(
             # Bake: hold the stage while the SLO gate watches traffic.
             baked = 0.0
             verdict = "pass"
-            while baked < state.bake_s:
-                step = min(policy.check_interval_s, state.bake_s - baked)
+            while baked < tracker.bake_s:
+                step = min(policy.check_interval_s, tracker.bake_s - baked)
                 yield sim.timeout(step)
                 baked += step
                 if (

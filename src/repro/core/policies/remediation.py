@@ -206,9 +206,9 @@ class DemoteDegradedVersion(RemediationPolicy):
             return []
         # A still-open canary owns its own breach handling: the gate
         # runner aborts and rolls back; demoting under it would fight.
-        for summary in manager.canary_status():
-            if not (summary["complete"] or summary["aborted"]):
-                return []
+        waves = manager.durable_state.propagations.values()
+        if any(tracker.open_canary for tracker in waves):
+            return []
         stream = self._breached(ctx)
         if stream is None:
             return []

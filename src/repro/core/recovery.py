@@ -112,9 +112,23 @@ class PropagationTracker:
     up (FAILED).  ``rearm`` re-opens FAILED deliveries and admits newly
     created instances, so calling the propagation again after faults
     heal finishes the job.
+
+    A canary rollout is a *staged* wave: the tracker also records its
+    ramp ``stages``, bake window, gates passed, adoption and abort
+    reason, so one journaled record carries the whole rollout, and a
+    breach is the wave's abort decision.  It stays open (its admitted
+    instances frozen) until adopted or aborted.
     """
 
-    def __init__(self, version, loids=(), prior_versions=None, wave_policy=None):
+    def __init__(
+        self,
+        version,
+        loids=(),
+        prior_versions=None,
+        wave_policy=None,
+        stages=None,
+        bake_s=None,
+    ):
         self.version = version
         self.complete = False
         #: loid -> the version each instance was on when admitted; the
@@ -130,6 +144,17 @@ class PropagationTracker:
         self.aborting = False
         #: True once every committed instance has been rolled back.
         self.aborted = False
+        #: Why the wave last aborted (a breach, ``delivery-failures``).
+        self.abort_reason = None
+        #: A staged wave's cumulative fleet fractions per ramp stage,
+        #: e.g. (0.01, 0.1, 1.0); None for a plain wave.
+        self.stages = tuple(stages) if stages is not None else None
+        #: Seconds of healthy SLO each stage must survive.
+        self.bake_s = bake_s
+        #: Number of stages whose health gate has passed.
+        self.stage_index = 0
+        #: True once the final gate passed and the version was adopted.
+        self.adopted = False
         self._deliveries = {}
         for loid in loids:
             self._deliveries[loid] = Delivery(loid)
@@ -145,12 +170,28 @@ class PropagationTracker:
         """All deliveries, in admission order."""
         return list(self._deliveries.values())
 
+    @property
+    def admitted(self):
+        """LOIDs admitted to the wave, in admission order."""
+        return list(self._deliveries)
+
+    @property
+    def open_canary(self):
+        """True for a staged wave neither adopted nor ever aborted."""
+        return (
+            self.stages is not None
+            and not self.adopted
+            and self.abort_reason is None
+        )
+
     def rearm(self, loids=()):
         """Re-open the propagation: admit ``loids``, retry failures.
 
         An aborted wave re-arms like any other: the abort flags clear
         and rolled-back deliveries re-open, so the operator can retry
-        the whole wave after the fault heals.
+        the whole wave after the fault heals.  The abort reason stays:
+        a re-pushed canary version is a plain fleet wave, never a
+        re-opened canary.
         """
         self.complete = False
         self.aborting = False
@@ -199,7 +240,7 @@ class PropagationTracker:
 
     def summary(self):
         """Plain-dict view for reports and assertions."""
-        return {
+        summary = {
             "version": str(self.version),
             "complete": self.complete,
             "pending": self.count(DeliveryStatus.PENDING),
@@ -209,6 +250,14 @@ class PropagationTracker:
             "aborting": self.aborting,
             "aborted": self.aborted,
         }
+        if self.stages is not None:
+            summary.update(
+                stages=list(self.stages),
+                stage_index=self.stage_index,
+                adopted=self.adopted,
+                abort_reason=self.abort_reason,
+            )
+        return summary
 
     def __repr__(self):
         s = self.summary()

@@ -15,6 +15,9 @@ runtime registers for the type (``runtime.class_of(type_name)``).
   active record holds the runtime's one live incarnation, and that
   incarnation is active; the convergence guard recorded no violation;
   no remediation intent of an older term is open.
+- *Table agreement* (§2.4), checked at the end of a run only: every
+  active record whose incarnation is configured and not mid-apply runs
+  the version its DCDO-table row records.
 - *Shadow replay:* folding the authority's journal through the reducers
   rebuilds exactly the durable state it holds.  A live change made
   without recording its journal kind is lost in a crash, and shows up
@@ -48,7 +51,8 @@ def _tracker_content(tracker):
         [(delivery.loid, delivery.status) for delivery in tracker.deliveries()],
         tracker.prior_versions,
         tracker.wave_policy,
-        (tracker.complete, tracker.aborting, tracker.aborted),
+        (tracker.complete, tracker.aborting, tracker.aborted, tracker.abort_reason),
+        (tracker.stages, tracker.bake_s, tracker.stage_index, tracker.adopted),
     )
 
 
@@ -75,7 +79,6 @@ def durable_view(state):
             version: _tracker_content(tracker)
             for version, tracker in state.propagations.items()
         },
-        "canaries": state.canaries,
         "remediation_lease": state.remediation_lease,
         "remediations": state.remediations,
     }
@@ -183,7 +186,8 @@ def assert_instance_invariants(runtime, type_name, context, max_applications=1):
 
 
 def assert_invariants(runtime, type_name, context, max_applications=1):
-    """Every invariant: the instance ones, single ownership, replay."""
+    """Every invariant: the instance ones, single ownership, table
+    agreement, replay."""
     assert_instance_invariants(runtime, type_name, context, max_applications)
     authority = runtime.class_of(type_name)
     assert authority.is_active and not authority.deposed, (
@@ -197,6 +201,12 @@ def assert_invariants(runtime, type_name, context, max_applications=1):
                 f"{context}: the authority's record of {loid} holds {record.obj}, "
                 f"the runtime {live}"
             )
+            if live.version is not None and live.evolution_phase is EvolutionPhase.IDLE:
+                row = authority.instance_version(loid)
+                assert live.version == row, (
+                    f"{context}: {loid} runs {live.version} but its table row "
+                    f"says {row}"
+                )
     guard = convergence_guard(runtime)
     assert guard.violations == 0, (
         f"{context}: {guard.violations} convergence-guard violations"

@@ -28,6 +28,8 @@ from repro.workloads import (
     make_noop_manager,
 )
 
+from tests.invariants import assert_invariants, assert_replay_matches
+
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
 )
@@ -128,8 +130,8 @@ def test_canary_wave_ramps_healthy_version_to_completion():
         assert manager.instance_version(loid) == v2
         obj = manager.record(loid).obj
         assert obj.applications_by_version.get(v2, 0) <= 1
-    state = manager.canary_state(v2)
-    assert state.complete and not state.breached
+    tracker = manager.propagation(v2)
+    assert tracker.adopted and tracker.abort_reason is None
 
 
 def test_canary_wave_catches_latency_regression_at_canary():
@@ -198,7 +200,7 @@ def test_canary_blast_radius_bounded_at_later_stage():
 # ----------------------------------------------------------------------
 
 
-def test_canary_state_survives_recovery():
+def test_staged_wave_survives_recovery():
     """Gate decisions replay from the journal: admitted set, passed
     gates, and a recorded breach all survive recover_manager."""
     runtime, manager, journal, loids, v2 = build_fleet()
@@ -210,12 +212,12 @@ def test_canary_state_survives_recovery():
     recovered = sim.run_process(
         recover_manager(runtime, journal, host_name="host02", resume=False)
     )
-    state = recovered.canary_state(v2)
-    assert state is not None
-    assert list(state.admitted) == loids[:2]
-    assert state.stage_index == 1
-    assert state.breached and state.breach_reason == "p99 9.9s > 0.2s"
-    assert not state.closed or state.aborted
+    tracker = recovered.propagation(v2)
+    assert tracker is not None
+    assert tracker.admitted == loids[:2]
+    assert tracker.stage_index == 1
+    assert tracker.aborting and tracker.abort_reason == "p99 9.9s > 0.2s"
+    assert not tracker.aborted and not tracker.open_canary
 
 
 def _open_and_admit(manager, loids, v2, count=2):
@@ -226,7 +228,7 @@ def _open_and_admit(manager, loids, v2, count=2):
     )
 
 
-def test_canary_state_survives_checkpoint():
+def test_staged_wave_survives_checkpoint():
     runtime, manager, journal, loids, v2 = build_fleet()
     sim = runtime.sim
     sim.run_process(_open_and_admit(manager, loids, v2))
@@ -236,10 +238,10 @@ def test_canary_state_survives_checkpoint():
     recovered = sim.run_process(
         recover_manager(runtime, journal, host_name="host02", resume=False)
     )
-    state = recovered.canary_state(v2)
-    assert list(state.admitted) == loids[:2]
-    assert state.stage_index == 1
-    assert not state.breached
+    tracker = recovered.propagation(v2)
+    assert tracker.admitted == loids[:2]
+    assert tracker.stage_index == 1
+    assert tracker.abort_reason is None and tracker.open_canary
 
 
 def test_resume_propagations_never_expands_open_canary():
@@ -273,9 +275,8 @@ def test_resume_propagations_completes_breached_abort():
         recover_manager(runtime, journal, host_name="host02", resume=True)
     )
     sim.run()
-    state = recovered.canary_state(v2)
-    assert state.aborted
-    assert recovered.propagation(v2).aborted
+    tracker = recovered.propagation(v2)
+    assert tracker.aborted and tracker.abort_reason == "slo-breach"
     for loid in loids:
         assert recovered.instance_version(loid) == v1
 
@@ -334,6 +335,82 @@ def _run_both(sim, runner, chaos):
     yield AllOf(sim, [a, b])
 
 
+def _breached_rollout(crash_after, hot):
+    """Roll out a build that adds 300 ms, which breaches at the canary;
+    crash the primary right after the rollout's ``crash_after``-th
+    journal append (None: never), let the runner finish, and check.
+
+    Cold, the test recovers the manager from the journal as the crash
+    left it; hot, a supervisor promotes a standby.  Returns the number
+    of appends the primary made before any crash.
+    """
+    runtime, manager, journal, loids, v2 = build_fleet(added_latency_s=0.3)
+    v1 = manager.current_version
+    sim = runtime.sim
+    supervisor = None
+    if hot:
+        supervisor = Supervisor(
+            runtime,
+            "Svc",
+            standby_hosts=("host02", "host03"),
+            detector_host_name="host04",
+            retry_policy=FAST_RETRY,
+        ).start()
+    monitor, load = start_traffic(runtime, loids)
+    appended = []
+
+    def recover(disk):
+        yield sim.timeout(1.0)
+        yield from recover_manager(runtime, disk, host_name="host02")
+
+    def crash_on_append(event, entry):
+        if event != "append" or not manager.is_active:
+            return
+        appended.append(entry.kind)
+        if len(appended) == crash_after:
+            # The disk holds exactly these entries: the dead manager's
+            # frames can still append to ``journal`` before they yield.
+            disk = ManagerJournal(name="Svc")
+            disk.meta.update(journal.meta)
+            for kept in journal.replay():
+                disk.append(kept.kind, **kept.data)
+            crash_host(runtime, manager.host)
+            if not hot:
+                sim.spawn(recover(disk), name="recover")
+
+    journal.subscribe(crash_on_append)
+    outcome = drive_canary(runtime, v2, monitor, load)
+    if supervisor is not None:
+        supervisor.stop()
+    sim.run()
+
+    context = f"{'hot' if hot else 'cold'} crash after append {crash_after}"
+    assert outcome.breached and not outcome.completed, f"{context}: {outcome}"
+    assert not outcome.stalled, f"{context}: {outcome}"
+    current = runtime.class_of("Svc")
+    tracker = current.propagation(v2)
+    assert tracker is not None and tracker.aborted, (
+        f"{context}: {tracker and tracker.summary()}"
+    )
+    for loid in loids:
+        assert current.instance_version(loid) == v1, f"{context}: {loid} row"
+        assert current.record(loid).obj.version == v1, f"{context}: {loid}"
+    assert_invariants(runtime, "Svc", context)
+    return len(appended)
+
+
+@pytest.mark.parametrize("hot", [False, True], ids=["cold", "hot"])
+def test_breached_canary_survives_a_crash_after_every_journal_append(hot):
+    """Whatever cut of a breached rollout's journal a crash leaves, the
+    rollout ends breached, its wave aborted, and the fleet on the prior
+    version: the breach is the wave's abort decision, and recovery
+    finishes every journaled abort by the one resume rule."""
+    appends = _breached_rollout(None, hot=False)
+    assert appends >= 10
+    for crash_after in range(1, appends + 1):
+        _breached_rollout(crash_after, hot)
+
+
 # ----------------------------------------------------------------------
 # Convergence respects frozen canary instances
 # ----------------------------------------------------------------------
@@ -353,8 +430,7 @@ def test_drive_to_convergence_skips_canary_frozen_instances():
         assert manager.instance_version(loid) == v2
     for loid in loids[2:]:
         assert manager.instance_version(loid) == v1
-    state = manager.canary_state(v2)
-    assert not state.closed
+    assert manager.propagation(v2).open_canary
 
 
 # ----------------------------------------------------------------------
@@ -364,12 +440,12 @@ def test_drive_to_convergence_skips_canary_frozen_instances():
 
 def test_begin_canary_is_idempotent():
     runtime, manager, __, loids, v2 = build_fleet()
-    state = manager.begin_canary(v2, (0.5, 1.0), 5.0)
+    tracker = manager.begin_canary(v2, (0.5, 1.0), 5.0)
     manager.admit_canary_stage(v2, loids[:4])
     again = manager.begin_canary(v2, (0.5, 1.0), 5.0)
-    assert again is state
+    assert again is tracker is manager.propagation(v2)
     assert len(again.admitted) == 4
-    assert runtime.network.bus.counts().get("canary-started", 0) == 1
+    assert runtime.network.bus.counts().get("propagation-started", 0) == 1
 
 
 def test_complete_canary_refuses_breached_rollout():
@@ -378,6 +454,48 @@ def test_complete_canary_refuses_breached_rollout():
     manager.mark_canary_breached(v2, "slo-breach")
     with pytest.raises(WaveAborted):
         manager.complete_canary(v2)
+
+
+def test_repush_of_an_aborted_canary_is_a_fleet_wave_that_keeps_it_closed():
+    """Pushing a breach-aborted canary's version again re-arms its wave
+    for the whole fleet, not the canary's admitted set, and the canary
+    stays closed: nothing is frozen, stages refuse, the runner only
+    reports the breach, and a checkpointed recovery keeps it closed."""
+    runtime, manager, journal, loids, v2 = build_fleet()
+    sim = runtime.sim
+    sim.run_process(_open_and_admit(manager, loids, v2))
+    sim.run_process(manager.abort_wave(v2, "slo-breach"))
+    assert manager.propagation(v2).aborted
+    # host04's two instances are down for the re-push: their deliveries
+    # fail, so the wave is not settled and the checkpoint keeps it.
+    crash_host(runtime, runtime.host("host04"))
+    up = [loid for loid in loids if manager.record(loid).host.is_up]
+    assert len(up) == 6
+    tracker = sim.run_process(manager.propagate_version(v2, retry_policy=FAST_RETRY))
+    assert tracker is manager.propagation(v2)
+    assert tracker.complete and not tracker.aborting
+    assert tracker.admitted[:2] == loids[:2]
+    assert set(tracker.admitted) == set(loids)
+    assert all(manager.instance_version(loid) == v2 for loid in up)
+    assert tracker.abort_reason == "slo-breach" and not tracker.open_canary
+    assert manager.canary_frozen_loids() == set()
+    with pytest.raises(WaveAborted):
+        manager.admit_canary_stage(v2, loids)
+    outcome = sim.run_process(
+        run_canary_wave(runtime, "Svc", v2, RAMP, retry_policy=FAST_RETRY)
+    )
+    assert outcome.breached and outcome.breach_reason == "slo-breach"
+    assert not tracker.aborting
+    manager.write_checkpoint()
+    crash_host(runtime, manager.host)
+    recovered = sim.run_process(
+        recover_manager(runtime, journal, host_name="host02")
+    )
+    again = recovered.propagation(v2)
+    assert again.abort_reason == "slo-breach"
+    assert again.complete and not again.aborting and not again.open_canary
+    assert recovered.canary_frozen_loids() == set()
+    assert_replay_matches(recovered)
 
 
 def test_canary_policy_validation():

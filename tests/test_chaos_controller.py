@@ -192,16 +192,16 @@ def run_controller(seed, schedule):
             if current.is_active and not current.deposed:
                 if (
                     current.current_version == v1
-                    and not rollback_done()
-                    and not current.open_remediations()
+                    and current.propagation(v2) is None
                 ):
                     # The crash beat the sync journal ship: the promoted
                     # authority recovered with no record of the bad
                     # designation, so the operator's never-acknowledged
                     # push retries against it — the controller must
-                    # still catch and demote it.  (Open intents pause
-                    # the retry: mid-demote the designation is already
-                    # back at the parent by design.)
+                    # still catch and demote it.  An authority holding
+                    # v2's wave heard the push (a demote puts the
+                    # designation back at the parent by design), and a
+                    # retry would re-deliver the bad build behind it.
                     current.set_current_version_async(v2)
                 elif (
                     rollback_done()

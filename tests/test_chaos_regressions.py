@@ -16,6 +16,11 @@ defect it exposed stays fixed whatever the seeded streams draw.
   so every delivery to it walked the whole timeout schedule first.
 - A duplicate delivery acked a wave a checkpoint had already dropped,
   leaving an entry no fold could apply.
+- A crash in the middle of a demote left the demoted wave aborting
+  for good: a wave whose abort began after it completed was never
+  resumed.
+- A designation the crash beat to the standby was never retried, so
+  the fleet ended split against its own table.
 """
 
 from repro.cluster.chaos import ChaosSchedule, Fault
@@ -161,3 +166,43 @@ def test_late_ack_of_a_compacted_wave_changes_nothing():
     )
     run_compaction(6, schedule)
 
+
+def test_a_demote_the_crash_interrupted_is_finished():
+    """Controller seed 42: host02 dies with the term-2 primary in the
+    middle of the demote's rollback, after v2's wave had completed.
+    The promotee must finish that journaled abort; skipping it left an
+    instance rebuilt at 1.1 that no later wave rolled back."""
+    schedule = ChaosSchedule(
+        [
+        Fault("crashes", 32.65162015277311, 40.71581541387017, {"host": "host02"}),
+        Fault(
+            "manager_partitions",
+            0.9236308152062749,
+            16.65709761768336,
+            {"a": ("host00",), "b": ("host01", "host02", "host03", "host04", "host05")},
+        ),
+        Fault(
+            "bad_deploys",
+            25.692941593689344,
+            25.692941593689344,
+            {"added_latency_s": 0.461, "error_every": 0},
+        ),
+        ]
+    )
+    run_controller(42, schedule)
+
+
+def test_a_designation_the_crash_beat_to_the_standby_is_retried():
+    """Compaction seed 32: the primary crashes 30 ms after designating
+    v2, before the entry ships.  The promotee acks the instances that
+    already run 1.1 at its own current version 1, so their table rows
+    say 1; the client must retry the designation it never saw
+    acknowledged, and the table must agree with every instance."""
+    schedule = ChaosSchedule(
+        [
+        Fault("crashes", 38.01199299186328, 64.89316236663406, {"host": "host02"}),
+        Fault("drops", 2.705664434552313, 14.839534176212615, {"count": 1}),
+        Fault("failovers", 5.940650243055615, 17.48848554244465, {"host": "host00"}),
+        ]
+    )
+    run_compaction(32, schedule)

@@ -194,22 +194,17 @@ def run_slo(seed, schedule):
         f"seed {seed}: degraded build survived the gate ({outcome})"
     )
     assert not outcome.stalled, f"seed {seed}: runner stalled ({outcome})"
-    state = current.canary_state(v2)
-    assert state is not None and state.breached and state.aborted, (
-        f"seed {seed}: breach-abort never completed ({state})"
-    )
-    # A promoted authority can inherit the breached canary without its
-    # wave; then the abort closes the canary alone.
     tracker = current.propagation(v2)
-    assert tracker is None or tracker.aborted, (
-        f"seed {seed}: breach-abort never completed ({tracker.summary()})"
+    assert tracker is not None and tracker.aborted, (
+        f"seed {seed}: breach-abort never completed "
+        f"({tracker and tracker.summary()})"
     )
     assert current.current_version == v1
 
     # Blast radius: the unvetted version never spread past the stages
     # the gate explicitly admitted.
-    assert len(state.admitted) <= MAX_BLAST, (
-        f"seed {seed}: blast radius {len(state.admitted)}/{INSTANCES}"
+    assert len(tracker.admitted) <= MAX_BLAST, (
+        f"seed {seed}: blast radius {len(tracker.admitted)}/{INSTANCES}"
     )
 
     for loid in loids:

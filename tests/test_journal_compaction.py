@@ -235,12 +235,18 @@ def run_compaction(seed, schedule):
         deadline = runtime.sim.now + 420.0
         while runtime.sim.now < deadline:
             current = supervisor.manager
-            if current.is_active and not current.deposed and all(
-                current.record(loid).active
-                and current.record(loid).obj.version == v2
-                for loid in loids
-            ):
-                break
+            if current.is_active and not current.deposed:
+                if current.current_version != v2:
+                    # The crash beat the journal ship of the
+                    # designation: the client retries its
+                    # never-acknowledged request, as in the gray sweep.
+                    current.set_current_version_async(v2)
+                elif all(
+                    current.record(loid).active
+                    and current.record(loid).obj.version == v2
+                    for loid in loids
+                ):
+                    break
             yield runtime.sim.timeout(5.0)
         supervisor.stop()
 

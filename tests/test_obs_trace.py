@@ -156,7 +156,7 @@ def test_manager_events_mirror_its_journal():
     events = [(event.topic, event.details) for event in tracer.about(manager.type_name)]
     assert events == [(entry.kind, entry.data) for entry in appended]
     assert {
-        "canary-started", "canary-stage", "canary-breached", "wave-aborting",
+        "propagation-started", "propagation-rearmed", "wave-aborting",
         "wave-rollback", "wave-aborted", "remediation-intent",
         "remediation-closed", "term",
     } <= {kind for kind, __ in events}
