@@ -47,10 +47,11 @@ where the fixed-threshold one flaps.
 ``--compaction`` gates the P8 one-manager invariants on a freshly
 produced ``BENCH_compaction.json``: announcement wave latency must stay
 flat across waves (within the recorded tolerance), every compacted
-checkpoint and the cold recovery replay must stay within the recorded
-bound of one entry per live instance plus a constant, and the recovered
-manager must hold an identical DCDO table and converge one more wave
-with no duplicate application.
+checkpoint, the live-path standby bootstrap and the cold recovery
+replay must stay within the recorded bound of one entry per live
+instance plus a constant, and the recovered manager must hold an
+identical DCDO table and converge one more wave with no duplicate
+application.
 
 ``--selfheal`` gates the P9 self-healing invariants on a freshly
 produced ``BENCH_selfheal.json``: both the controller-driven run and
@@ -377,6 +378,7 @@ def check_p8(path):
         spread = extra["wave_spread"]
         tolerance = extra["flatness_tolerance"]
         bound = extra["replay_bound"]
+        bootstrap = extra["bootstrap"]
         recovery = extra["recovery"]
     except KeyError as exc:
         raise SystemExit(f"{path}: missing {exc} — not a P8 result?")
@@ -398,6 +400,11 @@ def check_p8(path):
             f"compacted checkpoint held {worst} entries (bound {bound}) — "
             f"replay grows with history again"
         )
+    if bootstrap["entries"] > bound:
+        failures.append(
+            f"live-path standby bootstrap shipped {bootstrap['entries']} "
+            f"entries (bound {bound}) — a standby replays the history again"
+        )
     if recovery["replayed_entries"] > bound:
         failures.append(
             f"cold recovery replayed {recovery['replayed_entries']} entries "
@@ -410,6 +417,10 @@ def check_p8(path):
             f"duplicated applies"
         )
     status = "OK" if not failures else "REGRESSED"
+    print(
+        f"P8 standby bootstrap: {bootstrap['entries']} entries, hot after "
+        f"{bootstrap['hot_s'] * 1000:.2f} ms"
+    )
     print(
         f"P8 wave spread {spread:.1%} (tolerance {tolerance:.0%}), recovery "
         f"replayed {recovery['replayed_entries']} of "

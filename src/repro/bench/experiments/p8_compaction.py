@@ -18,7 +18,13 @@ what one manager gets from journal compaction instead:
    at most ``fleet + REPLAY_SLACK`` entries after every wave, so replay
    no longer grows with the number of waves.  The uncompacted journal
    size (every append ever made) is reported next to it.
-3. *Cold recovery* — the manager dies and is rebuilt from the
+3. *Standby bootstrap* — after the last wave, before its explicit
+   checkpoint, a :class:`~repro.core.replication.ReplicationLink` is
+   armed on the live manager, which checkpoints and ships the snapshot.
+   Gate: the bootstrap ships at most ``fleet + REPLAY_SLACK`` entries.
+   The simulated time until the standby applied them (its
+   time-to-hot: the snapshot's transfer and replay) is reported.
+4. *Cold recovery* — the manager dies and is rebuilt from the
    compacted journal on another host.  Gates: the replay stays within
    the bound, the recovered DCDO table is identical, and one more wave
    from the recovered manager converges with no duplicate application.
@@ -30,7 +36,12 @@ from repro.bench.experiments.p6_scale import tree_fanout
 from repro.bench.harness import ExperimentResult, millis
 from repro.cluster import deploy_relays
 from repro.cluster.testbed import build_lan
-from repro.core import ComponentBuilder, ManagerJournal, recover_manager
+from repro.core import (
+    ComponentBuilder,
+    ManagerJournal,
+    ReplicationLink,
+    recover_manager,
+)
 from repro.legion import LegionRuntime
 from repro.workloads import make_noop_manager
 
@@ -119,6 +130,26 @@ def _drive_wave(runtime, manager, version):
     return {"wave_s": sim.now - started, "wall_s": wall_s}
 
 
+def _bootstrap_standby(runtime, manager, host_name):
+    """Arm a standby on the live manager and let its bootstrap land.
+
+    Returns the entries the bootstrap shipped and the simulated seconds
+    until the standby applied them (the one ship's round trip).  The
+    link is stopped afterwards, so nothing else is shipped.
+    """
+    link = ReplicationLink(runtime, manager, host_name)
+    entries = len(manager.journal)
+    runtime.sim.run()
+    ship = runtime.network.metrics.timer("repl.ship_latency_s")
+    assert link.lag == 0 and ship.count == 1, link
+    link.stop()
+    return {
+        "entries": entries,
+        "hot_s": ship.max(),
+        "bytes": runtime.network.count_value("repl.bytes_shipped"),
+    }
+
+
 def _duplicate_applications(manager):
     """Instances that applied any version more than once."""
     duplicated = 0
@@ -159,6 +190,10 @@ def run_p8(seed=0, fleet=FLEET):
     for index in range(WAVES):
         version = _stage_upgrade(runtime, manager, f"w{index}")
         wave = _drive_wave(runtime, manager, version)
+        if index == WAVES - 1:
+            bootstrap = _bootstrap_standby(
+                runtime, manager, sorted(runtime.hosts)[-1]
+            )
         wave["checkpoint_entries"] = manager.write_checkpoint()
         wave["uncompacted_entries"] = journal.appends
         rounds.append(wave)
@@ -190,6 +225,20 @@ def run_p8(seed=0, fleet=FLEET):
         f"{worst_checkpoint}",
         "entries",
         ok=worst_checkpoint <= replay_bound,
+    )
+
+    result.add(
+        "live-path standby bootstrap: entries shipped",
+        f"<= {replay_bound} (fleet + {REPLAY_SLACK})",
+        f"{bootstrap['entries']}",
+        "entries",
+        ok=bootstrap["entries"] <= replay_bound,
+    )
+    result.add(
+        "live-path standby bootstrap: time to hot",
+        "proportional to the live fleet",
+        millis(bootstrap["hot_s"]),
+        "ms",
     )
 
     sim = runtime.sim
@@ -247,6 +296,7 @@ def run_p8(seed=0, fleet=FLEET):
         "flatness_tolerance": FLATNESS_TOLERANCE,
         "wave_spread": spread,
         "replay_bound": replay_bound,
+        "bootstrap": bootstrap,
         "recovery": {
             "replayed_entries": replayed,
             "uncompacted_entries": rounds[-1]["uncompacted_entries"],

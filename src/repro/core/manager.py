@@ -828,14 +828,12 @@ class DCDOManager(ClassObject):
             )
         if tracker is None:
             versions = self._state.instance_versions
-            self._record(
-                "propagation-started",
+            tracker = self._start_wave(
                 version=version,
                 loids=list(loids),
                 prior_versions={loid: versions.get(loid) for loid in loids},
                 wave_policy=wave_policy or self.wave_policy,
             )
-            tracker = self._state.propagations[version]
         elif tracker.aborting and not tracker.aborted:
             # A crash interrupted the abort: finish the rollback; do
             # not deliver anything new.
@@ -887,6 +885,22 @@ class DCDOManager(ClassObject):
             raise WaveAborted(version, failed, wave.abort_threshold)
         self._record("propagation-complete", version=version)
         return tracker
+
+    def _start_wave(self, version, **fields):
+        """Record a new wave's ``propagation-started``; returns its tracker.
+
+        Once the journal's tail (the entries since the last checkpoint)
+        holds more entries than the DCDO table has rows, the journal is
+        checkpointed first, which drops only waves that settled before
+        this one.  A checkpoint when a wave settles would drop it while
+        its callers still read it (``propagation(version)``, the
+        converge re-push after a promotion).
+        """
+        journal = self._journal
+        if journal is not None and len(journal.entries) > len(self._instances):
+            self.write_checkpoint()
+        self._record("propagation-started", version=version, **fields)
+        return self._state.propagations[version]
 
     # ------------------------------------------------------------------
     # Host-relay fan-out (scale-out waves)
@@ -1186,6 +1200,10 @@ class DCDOManager(ClassObject):
         stays ABORTING — and is resumed by :meth:`resume_propagations`
         — until every committed instance has been undone, at which
         point it is journaled ABORTED.
+
+        An instance that already ran the wave's version when the wave
+        started has nothing to undo: its rollback is journaled without
+        an evolution, which would re-apply the aborted build.
         """
         if not tracker.aborting:
             self._record("wave-aborting", version=tracker.version, reason=reason)
@@ -1195,7 +1213,7 @@ class DCDOManager(ClassObject):
             if not self.is_active:
                 return
             prior = tracker.prior_versions.get(delivery.loid)
-            if prior is not None:
+            if prior is not None and prior != tracker.version:
                 try:
                     yield from self.evolve_instance(
                         delivery.loid, prior, enforce_policy=False
@@ -1364,8 +1382,7 @@ class DCDOManager(ClassObject):
         threshold is absorbed here: the abort is the wave's journaled,
         final outcome — not an error of the recovery.
         """
-        for version in list(self._state.propagations):
-            tracker = self._state.propagations[version]
+        for version, tracker in list(self._state.propagations.items()):
             if tracker.aborted or (tracker.complete and not tracker.aborting):
                 continue
             try:
@@ -1390,9 +1407,8 @@ class DCDOManager(ClassObject):
                 f"cannot canary configurable version {version}"
             )
         if version not in self._state.propagations:
-            self._record(
-                "propagation-started",
-                version=version,
+            self._start_wave(
+                version,
                 wave_policy=wave_policy or self.wave_policy,
                 stages=tuple(stages),
                 bake_s=bake_s,
@@ -1594,7 +1610,11 @@ class DCDOManager(ClassObject):
         return orphaned
 
     def remediation_status(self):
-        """Plain-dict view of lease + intents, for reports."""
+        """Plain-dict view of lease + intents, for reports.
+
+        ``total`` counts the intents begun since the last checkpoint
+        plus those still open: a checkpoint drops closed intents.
+        """
         lease = self._state.remediation_lease
         open_intents = self.open_remediations()
         return {
@@ -1715,12 +1735,19 @@ class DCDOManager(ClassObject):
         list, so replay needs no second code path; each instance is one
         ``instance`` entry carrying its version.
 
-        Settled waves are forgotten first: a wave that completed with
-        every delivery acked and is not an open canary is pure history
-        (the instance rows already record its outcome), so its tracker
-        is dropped instead of costing one replay entry per instance on
-        every later recovery.  Replay then scales with the live fleet,
-        not with the number of waves it has seen.
+        Settled waves and closed remediation intents are forgotten
+        first, in the live state as in the checkpoint: a wave that
+        completed with every delivery acked and is not an open canary
+        is pure history (the instance rows already record its outcome),
+        and so is a closed intent (recovery's job is resume-or-GC).
+        Dropping them keeps a wave from costing one replay entry per
+        instance on every later recovery, so replay scales with the
+        live fleet, not with the number of waves it has seen.
+
+        The live path calls this just before a new wave starts, once
+        the journal's tail outgrows the DCDO table, and before a
+        :class:`~repro.core.replication.ReplicationLink` ships its
+        bootstrap.
         """
         if self._journal is None:
             raise ValueError("no journal attached")
@@ -1736,6 +1763,12 @@ class DCDOManager(ClassObject):
             and not tracker.open_canary
         ]:
             del state.propagations[version]
+        for intent_id in [
+            intent_id
+            for intent_id, record in state.remediations.items()
+            if record["outcome"] is not None
+        ]:
+            del state.remediations[intent_id]
 
         entries = []
 
@@ -1814,9 +1847,7 @@ class DCDOManager(ClassObject):
                 add("propagation-complete", version=version)
         if state.remediation_lease is not None:
             add("remediation-lease", **state.remediation_lease)
-        # Only open intents survive a checkpoint: a closed remediation
-        # is pure history, and recovery's job is resume-or-GC.
-        for record in self.open_remediations():
+        for record in state.remediations.values():
             add(
                 "remediation-intent",
                 intent_id=record["intent_id"],

@@ -288,6 +288,14 @@ class ManagerJournal:
     identity facts (type name, policies) the recovery path needs before
     any entry is replayed — set once at attach time.
 
+    The manager checkpoints on its live path
+    (:meth:`~repro.core.manager.DCDOManager.write_checkpoint`): just
+    before a new wave starts, once the tail holds more entries than
+    the DCDO table has rows, and before a replication link ships its
+    bootstrap.  The checkpoint drops settled waves and closed
+    remediation intents, so the journal holds about one entry per
+    instance plus at most a wave's tail.
+
     Durability is simulated by object lifetime: the journal is owned by
     the test/harness (the "disk"), not by the manager object that dies.
     """

@@ -28,9 +28,13 @@ Design points:
   harmless.  The link ships one batch at a time (single flight) and the
   standby rejects overlapping batches, so records never apply out of
   order.
-- **Bootstrap through the front door.**  The initial full snapshot is
-  enqueued as an ordinary checkpoint record, paying the same transfer
-  cost as any other ship — no magic state copy.
+- **Bootstrap through the front door.**  The link first checkpoints
+  the primary (:meth:`~repro.core.manager.DCDOManager.write_checkpoint`),
+  then enqueues that compacted snapshot as an ordinary checkpoint
+  record, paying the same transfer cost as any other ship — no magic
+  state copy.  A new standby receives about one entry per instance
+  plus the open waves, not the history, so its time-to-hot tracks the
+  live fleet rather than the number of waves the primary has seen.
 - **Shipped on every write.**  Each journal write kicks a ship; writes
   that land while one is in flight go out together in the next batch.
 """
@@ -196,8 +200,10 @@ class ReplicationLink:
         self._stopped = False
         self._shipping = False
         self._retry_armed = False
-        # Bootstrap: the standby starts from a full snapshot, shipped
+        # Bootstrap: the standby starts from the compacted snapshot
+        # (about one entry per instance, not the history), shipped
         # through the same queue as every later write.
+        manager.write_checkpoint()
         self._enqueue("checkpoint", self._journal.replay())
         self._observer = self._journal.subscribe(self._on_journal_write)
         self._kick()

@@ -499,13 +499,13 @@ def test_primary_crash_mid_bootstrap_never_promotes_an_empty_standby():
     with no instances and no current version — so the supervisor takes
     the cold path and recovers the whole fleet."""
     runtime, manager, journal, loids = build_fleet(instances=4)
-    # History: ~1,300 journal entries, so the bootstrap replay (0.2 ms
-    # of CPU per entry) outlasts failure detection below.
-    for __ in range(100):
-        version = manager.derive_version(manager.current_version)
-        manager.mark_instantiable(version)
-        manager.set_current_version(version)
-        runtime.sim.run_process(manager.propagate_version(version))
+    # The bootstrap ships the compacted state, about one entry per
+    # instance (a wave history compacts away), so the fleet itself is
+    # large: ~1,000 entries, whose replay (0.2 ms of CPU per entry)
+    # outlasts failure detection below.
+    for index in range(1000):
+        loid, __ = create_dcdo(runtime, manager, host_name=f"host{index % 5 + 1:02d}")
+        loids.append(loid)
     supervisor = Supervisor(
         runtime,
         "Sorter",

@@ -38,6 +38,7 @@ from repro.workloads import (
 )
 
 from tests.conftest import create_dcdo, make_sorter_manager
+from tests.invariants import assert_replay_matches
 
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
@@ -213,6 +214,21 @@ def test_remediation_state_survives_checkpoint(runtime):
         recover_manager(runtime, journal, host_name="host02")
     )
     assert [r["intent_id"] for r in recovered.open_remediations()] == ["i1"]
+
+
+def test_checkpoint_drops_closed_intents_from_the_live_state(runtime):
+    """A checkpoint writes only open intents, so the live state drops
+    the closed ones too: the journal's fold still equals it."""
+    journal = ManagerJournal(name="Sorter")
+    manager = make_sorter_manager(runtime, journal=journal)
+    manager.acquire_remediation_lease("controller:Sorter", ttl_s=1e6)
+    manager.begin_remediation("i1", "rollback", "v2")
+    manager.complete_remediation("i1")
+    manager.begin_remediation("i2", "rollback", "v2")
+    manager.write_checkpoint()
+    assert_replay_matches(manager)
+    assert [r["intent_id"] for r in manager.open_remediations()] == ["i2"]
+    assert manager.remediation_status()["total"] == 1
 
 
 # ----------------------------------------------------------------------

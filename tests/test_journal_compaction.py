@@ -6,6 +6,12 @@ instance no matter how many waves the fleet has seen.  This is the
 recovery-scope property a sharded plane used to buy by splitting the
 journal N ways; here one manager gets it by forgetting history.
 
+The live path checkpoints too: before each new wave once the journal's
+tail outgrows the DCDO table, and before a replication link ships a
+standby's bootstrap.  The live-path tests pin the journal's bound, the
+bootstrap's size and time-to-hot, and the waves those checkpoints must
+keep: one a failover interrupted, and one a demote is aborting.
+
 The seeded sweep crashes and partitions the supervised manager while a
 wave is in flight and a compactor checkpoints every few seconds, so
 checkpoints interleave with acks, shipping, and promotions.  Per seed:
@@ -17,11 +23,19 @@ widens it.
 
 import pytest
 
+from repro.bench.experiments.p8_compaction import REPLAY_SLACK
 from repro.cluster import Supervisor, build_lan
 from repro.cluster.chaos import ChaosCoordinator, ChaosSchedule, crash_host
-from repro.core import ManagerJournal, recover_manager
+from repro.core import (
+    DeliveryStatus,
+    ManagerJournal,
+    ReplicationLink,
+    recover_manager,
+)
 from repro.core.policies import ReliableUpdatePolicy
+from repro.core.recovery import REPLAY_ENTRY_S
 from repro.legion import LegionRuntime
+from repro.obs import Tracer
 
 from tests.conftest import (
     FAST_RETRY,
@@ -171,6 +185,152 @@ def test_standby_promotes_from_compacted_checkpoint():
     assert supervisor.promotions == 1
     assert runtime.network.count_value("supervisor.cold_promotions") == 0
     assert dcdo_table(supervisor.manager) == before
+
+
+# ----------------------------------------------------------------------
+# The live path: a checkpoint before each new wave, a compacted bootstrap
+# ----------------------------------------------------------------------
+
+
+def test_live_journal_checkpoints_once_per_wave_and_stays_bounded():
+    """No explicit checkpoint: each new wave folds the journal first,
+    so it holds the checkpoint plus at most one wave's tail (two
+    entries per instance).  Every registered version also keeps one
+    entry, hence a handful of waves."""
+    runtime, manager, journal, loids = build_fleet(instances=32)
+    table = len(loids)
+    for wave in range(1, 11):
+        run_wave(runtime, manager, next_version(manager))
+        assert journal.checkpoints == wave
+        assert len(journal) <= 3 * table + REPLAY_SLACK, (wave, len(journal))
+
+
+def test_standby_bootstraps_from_the_snapshot_not_the_history():
+    runtime, manager, journal, loids = build_fleet(instances=32)
+    for __ in range(10):
+        run_wave(runtime, manager, next_version(manager))
+    table = len(loids)
+    link = ReplicationLink(runtime, manager, "host02")
+    runtime.sim.run()
+    network = runtime.network
+    assert link.lag == 0
+    assert network.count_value("repl.checkpoints_shipped") == 1
+    assert network.count_value("repl.entries_shipped") == 0
+    assert len(link.replica.journal) <= table + REPLAY_SLACK
+    # Hot once the one ship's reply is back: the replay of the snapshot
+    # plus the transfer there and back.
+    ship = network.metrics.timer("repl.ship_latency_s")
+    assert ship.count == 1
+    transfer_s = network.transfer_time(
+        network.count_value("repl.bytes_shipped")
+    ) + network.transfer_time(0)
+    assert ship.max() <= (table + REPLAY_SLACK) * REPLAY_ENTRY_S + transfer_s
+
+
+def test_promotee_keeps_the_interrupted_wave_through_its_bootstrap():
+    """A failover interrupts a wave.  The promotee checkpoints before it
+    ships its own standby's bootstrap; that checkpoint keeps the open
+    wave, so the converge re-push re-arms it and acks no one twice."""
+    runtime, manager, journal, loids = build_fleet(
+        hosts=6,
+        instances=8,
+        update_policy=ReliableUpdatePolicy(retry_policy=FAST_RETRY),
+    )
+    supervisor = Supervisor(
+        runtime,
+        "Sorter",
+        standby_hosts=("host02", "host03"),
+        detector_host_name="host04",
+        retry_policy=FAST_RETRY,
+    ).start()
+    tracer = Tracer(runtime.network.bus)
+    v2 = derive_v2(manager)
+    checkpoints = []
+
+    def on_write(event, payload):
+        if event == "checkpoint":
+            checkpoints.append(payload)
+
+    # The standby's journal copy becomes the promotee's journal.
+    supervisor.link.replica.journal.subscribe(on_write)
+
+    def scenario():
+        yield runtime.sim.timeout(0.5)
+        manager.set_current_version_async(v2)
+        yield runtime.sim.timeout(0.1)  # 3 of 8 acked
+        tracker = manager.propagation(v2)
+        assert 0 < tracker.count(DeliveryStatus.ACKED) < len(loids)
+        crash_host(runtime, manager.host)
+
+    runtime.sim.run_process(scenario())
+    runtime.sim.run(until=runtime.sim.now + 60.0)
+    supervisor.stop()
+
+    promoted = supervisor.manager
+    assert supervisor.promotions == 1 and promoted is not manager
+    # The promotee's first checkpoint (its term leads it) is the one
+    # its standby's bootstrap shipped, and it still holds the wave.
+    bootstrap = next(
+        entries
+        for entries in checkpoints
+        if entries[0].kind == "term" and entries[0].data["number"] > 1
+    )
+    assert ("propagation-started", v2) in [
+        (entry.kind, entry.data.get("version")) for entry in bootstrap
+    ]
+    # One wave, re-armed by the promotee; each instance acked once over
+    # both managers.
+    waves = [event for event in tracer.events if event.details.get("version") == v2]
+    kinds = [event.topic for event in waves]
+    assert kinds.count("propagation-started") == 1
+    assert "propagation-rearmed" in kinds
+    acked = [str(e.details["loid"]) for e in waves if e.topic == "propagation-ack"]
+    assert sorted(acked) == sorted(map(str, loids))
+    for loid in loids:
+        obj = promoted.record(loid).obj
+        assert obj.version == v2
+        assert obj.applications_by_version.get(v2) == 1
+    assert_invariants(runtime, "Sorter", "after the failover")
+
+
+def test_demote_finds_its_wave_although_the_redesignation_checkpoints():
+    """The demote re-designates the prior version (whose wave starts,
+    and checkpoints, as soon as the demote yields) and then aborts the
+    demoted wave.  ``_finish_abort`` journals ``wave-aborting`` before
+    its first yield, so that checkpoint keeps the now-unsettled wave
+    and the abort rolls every instance back."""
+    runtime, manager, journal, loids = build_fleet(
+        update_policy=ReliableUpdatePolicy(retry_policy=FAST_RETRY),
+    )
+    v1, v2 = manager.current_version, derive_v2(manager)
+    runtime.sim.run(until=manager.set_current_version_async(v2))
+    tracker = manager.propagation(v2)
+    assert tracker.complete and tracker.all_acked  # settled
+    writes = []
+    journal.subscribe(
+        lambda event, payload: writes.append(
+            payload.kind if event == "append" else event
+        )
+    )
+    checkpoints = journal.checkpoints
+
+    def demote():
+        manager.set_current_version_async(v1)
+        yield from manager.abort_wave(v2, reason="controller-demote")
+
+    runtime.sim.run_process(demote())
+    runtime.sim.run()
+    assert writes[:4] == [
+        "current-version", "wave-aborting", "checkpoint", "propagation-started",
+    ]
+    assert journal.checkpoints == checkpoints + 1
+    assert manager.propagation(v2) is tracker and tracker.aborted
+    assert tracker.count(DeliveryStatus.ROLLED_BACK) == len(loids)
+    for loid in loids:
+        obj = manager.record(loid).obj
+        assert obj.version == v1 and manager.instance_version(loid) == v1
+        assert obj.applications_by_version.get(v2) == 1
+    assert_replay_matches(manager)
 
 
 def compaction_schedule(seed):

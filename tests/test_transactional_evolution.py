@@ -25,6 +25,7 @@ from repro.core import (
     diff_descriptors,
     recover_manager,
 )
+from repro.core.policies import ReliableUpdatePolicy
 from repro.legion import LegionRuntime
 from repro.legion.errors import ObjectUnreachable
 from repro.net import CircuitOpen, PrefixPartition, RetryPolicy
@@ -634,6 +635,43 @@ def test_abort_after_final_ack_rolls_back_completed_wave():
     kinds = [entry.kind for entry in journal.replay()]
     assert "wave-aborting" in kinds and "wave-aborted" in kinds
     assert kinds.count("wave-rollback") == len(loids)
+
+
+def test_abort_never_rolls_an_instance_forward_to_the_aborted_version():
+    """A wave that starts while its instances already run its version
+    records that version as their prior (here: a re-push after a
+    checkpoint dropped the settled wave).  When that wave is demoted,
+    the re-designation's wave moves them off it; the abort has nothing
+    to undo and must not evolve them back onto the aborted build."""
+    runtime, manager, journal, loids = build_sorter_fleet(
+        hosts=6,
+        instances=3,
+        ico_host="host05",
+        update_policy=ReliableUpdatePolicy(retry_policy=ONE_SHOT),
+    )
+    v1, v2 = manager.current_version, derive_v2(manager)
+    runtime.sim.run(until=manager.set_current_version_async(v2))
+    manager.write_checkpoint()
+    assert manager.propagation(v2) is None
+    runtime.sim.run_process(manager.propagate_version(v2))
+    tracker = manager.propagation(v2)
+    assert tracker.prior_versions == {loid: v2 for loid in loids}
+
+    def demote():
+        # The controller's demote: re-designate, then abort the wave.
+        manager.set_current_version_async(v1)
+        yield from manager.abort_wave(v2, reason="controller-demote")
+
+    runtime.sim.run_process(demote())
+    runtime.sim.run()
+    assert tracker.aborted
+    assert tracker.count(DeliveryStatus.ROLLED_BACK) == len(loids)
+    assert manager.current_version == v1
+    for loid in loids:
+        obj = manager.record(loid).obj
+        assert obj.applications_by_version.get(v2) == 1
+        assert obj.version == v1
+        assert manager.instance_version(loid) == v1
 
 
 def test_wave_abort_during_relay_phase_rolls_back_batches():
