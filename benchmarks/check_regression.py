@@ -65,9 +65,12 @@ zero dangling remediation intents.
 produced ``BENCH_scale.json``: the largest measured fleet must reach
 ``--scale-floor`` live instances (default 100,000; CI smoke runs pass
 a reduced floor matching their reduced ladder), the message-storm
-speedup over the reproduced pre-PR stack must hold at >= 5x, and the
+speedup over the reproduced pre-PR stack must hold at >= 5x, the
 announcement wave must stay flat (within the experiment's recorded
-tolerance) from the smallest to the largest fleet.
+tolerance) from the smallest to the largest fleet, one wave must leave
+no cyclic garbage, and neither the GC-tracked objects per instance at
+rest nor those surviving one wave may rise more than the recorded
+tolerance (5%) above their committed values.
 """
 
 import argparse
@@ -264,9 +267,24 @@ def check_p6(path, instance_floor):
         tolerance = extra["flatness_tolerance"]
         max_instances = extra["max_instances"]
         scales = extra["scales"]
+        objects = extra["objects"]
     except KeyError as exc:
         raise SystemExit(f"{path}: missing {exc} — not a P6 result?")
     failures = []
+    if objects["cyclic_garbage"] > 0:
+        failures.append(
+            f"one wave over {objects['instances']} instances left "
+            f"{round(objects['cyclic_garbage'] * objects['instances'])} "
+            f"objects of cyclic garbage (must be 0)"
+        )
+    for key in ("at_rest", "wave_survivors"):
+        committed = objects["committed"][key]
+        if objects[key] > committed * (1 + objects["tolerance"]):
+            failures.append(
+                f"{key.replace('_', ' ')}: {objects[key]:.2f} GC-tracked objects "
+                f"per instance, more than {objects['tolerance']:.0%} above the "
+                f"committed {committed}"
+            )
     if max_instances < instance_floor:
         failures.append(
             f"largest fleet held {max_instances} live instances, below "
@@ -294,6 +312,11 @@ def check_p6(path, instance_floor):
             f"wave {entry['wave_s'] * 1000:8.2f} ms, "
             f"{entry['events_per_s']:12,.0f} ev/s"
         )
+    print(
+        f"P6 objects at {objects['instances']} instances, per instance: "
+        f"{objects['at_rest']:.2f} at rest, {objects['wave_survivors']:.2f} "
+        f"surviving a wave, {objects['cyclic_garbage']:.2f} cyclic garbage"
+    )
     status = "OK" if not failures else "REGRESSED"
     print(
         f"P6 storm speedup {speedup:.2f}x (floor {speedup_floor:.0f}x), "

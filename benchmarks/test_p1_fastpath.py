@@ -1,4 +1,4 @@
-"""P1 — invocation fast path (leases + batching); writes BENCH_invocation.json."""
+"""P1 — invocation fast path (interface leases); writes BENCH_invocation.json."""
 
 import json
 from pathlib import Path

@@ -1,4 +1,4 @@
-"""P1 — invocation fast path: interface leases and request batching.
+"""P1 — invocation fast path: interface leases.
 
 The seed's defensive-call discipline pays for safety in round trips:
 ``supports()``/``check_first`` re-queried the interface before every
@@ -12,10 +12,8 @@ RPCs per defensive call).  The fast path claws those back in two steps:
   one RPC per defensive call — the §3.1/§3.5 semantics ride on the
   epoch check plus the disappearance-retry backstop).
 
-The second half measures transport batching: concurrent callers
-sharing one endpoint coalesce same-destination requests behind a small
-flush window, cutting wire messages (and per-message header bytes)
-without giving up much closed-loop throughput.
+The second half measures wire messages per call and closed-loop
+throughput for concurrent callers sharing one endpoint.
 """
 
 from repro.bench.harness import ExperimentResult
@@ -28,7 +26,6 @@ CALLS = 40
 LEASE_TTL_S = 5.0
 BATCH_CLIENTS = 8
 BATCH_CALLS = 50
-BATCH_WINDOW_S = 0.0002
 
 
 def _build_target(seed, type_name):
@@ -88,11 +85,9 @@ def _measure_round_trips(seed):
     }
 
 
-def _measure_throughput(seed, batching):
+def _measure_throughput(seed):
     runtime, loid = _build_target(seed, "P1Batch")
     client = runtime.make_client("centurion08")
-    if batching:
-        client.endpoint.configure_batching(BATCH_WINDOW_S)
     loops = [
         ClosedLoopClient(client, loid, "ping", args=(1,), calls=BATCH_CALLS)
         for __ in range(BATCH_CLIENTS)
@@ -110,8 +105,6 @@ def _measure_throughput(seed, batching):
         "mean_latency_ms": sum(
             loop.mean_latency() for loop in loops
         ) / len(loops) * 1e3,
-        "batches_sent": runtime.network.count_value("transport.batches_sent"),
-        "batched_messages": runtime.network.count_value("transport.batched_messages"),
     }
 
 
@@ -119,11 +112,10 @@ def run_p1(seed=0):
     """Run P1; returns an :class:`ExperimentResult`."""
     result = ExperimentResult(
         experiment_id="P1",
-        title="Invocation fast path: interface leases and request batching",
+        title="Invocation fast path: interface leases",
     )
     trips = _measure_round_trips(seed)
-    unbatched = _measure_throughput(seed, batching=False)
-    batched = _measure_throughput(seed, batching=True)
+    unbatched = _measure_throughput(seed)
 
     result.add(
         "seed discipline: RPCs per defensive call",
@@ -168,32 +160,12 @@ def run_p1(seed=0):
         "msg",
         ok=unbatched["wire_messages_per_call"] >= 1.9,
     )
-    result.add(
-        "wire messages per call, batched",
-        "< unbatched",
-        f"{batched['wire_messages_per_call']:.2f}",
-        "msg",
-        ok=batched["wire_messages_per_call"]
-        < unbatched["wire_messages_per_call"],
-    )
-    ratio = (
-        batched["throughput_calls_per_s"] / unbatched["throughput_calls_per_s"]
-    )
-    result.add(
-        "batched throughput vs unbatched",
-        "no regression (>= 1x)",
-        f"{ratio:.2f}",
-        "x",
-        ok=ratio >= 0.999,
-    )
     result.extra = {
         "round_trips": trips,
         "throughput": {
             "clients": BATCH_CLIENTS,
             "calls_per_client": BATCH_CALLS,
-            "flush_window_s": BATCH_WINDOW_S,
             "unbatched": unbatched,
-            "batched": batched,
         },
     }
     return result

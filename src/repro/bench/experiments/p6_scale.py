@@ -32,8 +32,13 @@ Measured here:
 3. *Wave flatness* — fleets of 1k/10k/100k instances at a fixed 64
    instances per host; one v1 -> v2 announcement wave each.  The gate
    is wave latency flat (±20%) from the smallest to the largest fleet.
+4. *Object counts* — GC-tracked objects per instance on a fresh fleet
+   at the smallest scale: added at rest, surviving one wave, and left
+   as cyclic garbage by it.  The gate is no cyclic garbage, and
+   neither other count more than 5% above its committed value.
 """
 
+import gc
 import time
 
 from repro.bench.harness import ExperimentResult, millis
@@ -66,6 +71,10 @@ UPGRADE_BYTES = 4_096
 
 SPEEDUP_FLOOR = 5.0
 FLATNESS_TOLERANCE = 0.20
+
+#: Committed object counts per instance, and the allowed rise above them.
+OBJECTS_COMMITTED = {"at_rest": 38.64, "wave_survivors": 8.25}
+OBJECTS_TOLERANCE = 0.05
 
 
 def tree_fanout(hosts):
@@ -319,6 +328,35 @@ def _run_wave(seed, scale):
     }
 
 
+def _object_counts(seed, scale):
+    """GC-tracked objects per instance: added by building a ``scale``
+    fleet, surviving one wave, and found unreachable after that wave ran
+    with the collector off."""
+    gc.collect()
+    baseline = len(gc.get_objects())
+    runtime, manager, v2 = _build_fleet(seed, scale)
+    gc.collect()
+    at_rest = len(gc.get_objects()) - baseline
+    manager.use_relays(deploy_relays(runtime), fanout_k=tree_fanout(len(runtime.hosts)))
+    gc.collect()
+    before_wave = len(gc.get_objects())
+    gc.disable()
+    try:
+        runtime.sim.run_process(manager.propagate_version(v2, window=WINDOW))
+    finally:
+        gc.enable()
+    cyclic = gc.collect()
+    survivors = len(gc.get_objects()) - before_wave
+    return {
+        "instances": scale,
+        "at_rest": at_rest / scale,
+        "wave_survivors": survivors / scale,
+        "cyclic_garbage": cyclic / scale,
+        "committed": dict(OBJECTS_COMMITTED),
+        "tolerance": OBJECTS_TOLERANCE,
+    }
+
+
 def run_p6(seed=0, scales=SCALES):
     """Run P6; returns an :class:`ExperimentResult`.
 
@@ -410,6 +448,21 @@ def run_p6(seed=0, scales=SCALES):
         f"{largest}",
         "objects",
     )
+
+    objects = _object_counts(seed, smallest)
+    for key, label in (
+        ("at_rest", "GC-tracked objects per instance at rest"),
+        ("wave_survivors", "objects surviving one wave, per instance"),
+        ("cyclic_garbage", "cyclic garbage per instance per wave"),
+    ):
+        ceiling = OBJECTS_COMMITTED.get(key, 0.0) * (1 + OBJECTS_TOLERANCE)
+        result.add(
+            f"{smallest} instances: {label}",
+            f"<= {ceiling:.2f}",
+            f"{objects[key]:.2f}",
+            "objects",
+            ok=objects[key] <= ceiling,
+        )
     result.extra = {
         "instances_per_host": INSTANCES_PER_HOST,
         "window": WINDOW,
@@ -423,5 +476,6 @@ def run_p6(seed=0, scales=SCALES):
         "max_instances": largest,
         "wave_flatness": flatness,
         "scales": {str(scale): data for scale, data in waves.items()},
+        "objects": objects,
     }
     return result

@@ -117,6 +117,8 @@ class HostRelay(LegionObject):
     :func:`restore_relays`).
     """
 
+    _interface = {"announceFleet": "_m_announce_fleet"}
+
     def __init__(self, runtime, loid, host):
         super().__init__(runtime, loid, host)
         self.batches_served = 0
@@ -127,7 +129,6 @@ class HostRelay(LegionObject):
         #: / :func:`restore_relays` so announcements route by roster
         #: index instead of shipping a subtree table per hop.
         self.announce_roster = None
-        self.register_method("announceFleet", self._m_announce_fleet)
 
     # ------------------------------------------------------------------
     # Local application

@@ -142,7 +142,9 @@ class DCDO(LegionObject):
         self._remove_policy = remove_policy or RemovePolicy.error()
         self._version = None
         self._update_checker = None
-        self._thread_exit = Signal(runtime.sim, name=f"{loid}.thread-exit")
+        # Fired whenever a dynamic call's thread leaves; built for the
+        # first caller that waits on it.
+        self._thread_exit = None
         self.evolutions_applied = 0
         #: version id -> how many times a diff targeting it was actually
         #: applied (the chaos invariant asserts every count is 1).
@@ -154,7 +156,6 @@ class DCDO(LegionObject):
         self.rollbacks = 0
         self._applying = {}
         self._txn = None
-        self._register_dcdo_interface()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -259,18 +260,19 @@ class DCDO(LegionObject):
             )
         finally:
             self.dfm.leave(entry)
-            self._thread_exit.fire()
+            if self._thread_exit is not None:
+                self._thread_exit.fire()
         return result, context
 
     def _dispatch_local(self, name, args, caller=None):
         """Intra-object call: config/status directly, user code via DFM."""
-        if name in self._methods:
+        if self.has_method(name):
             return super()._dispatch_local(name, args, caller=caller)
         return self._strip_context(self._dispatch_dynamic(name, args, external=False))
 
     def _dispatch_external(self, name, args):
         """Network call: config/status directly, user code via DFM."""
-        if name in self._methods:
+        if self.has_method(name):
             return super()._dispatch_external(name, args)
         return self._external_result(self._dispatch_dynamic(name, args, external=True))
 
@@ -291,7 +293,7 @@ class DCDO(LegionObject):
         if (
             checker is not None
             and payload.get("op") == "invoke"
-            and payload.get("method") not in self._methods
+            and not self.has_method(payload.get("method"))
             and checker.should_check(self)
         ):
             yield from checker.run_check(self)
@@ -462,10 +464,16 @@ class DCDO(LegionObject):
                 from repro.sim.events import AnyOf
 
                 grace = self.sim.timeout(remaining)
-                yield AnyOf(self.sim, [self._thread_exit.wait(), grace])
+                yield AnyOf(self.sim, [self._thread_exit_wait(), grace])
                 grace.cancel()
             else:
-                yield self._thread_exit.wait()
+                yield self._thread_exit_wait()
+
+    def _thread_exit_wait(self):
+        """An event for the next exit of a dynamic call's thread."""
+        if self._thread_exit is None:
+            self._thread_exit = Signal(self.sim, name=f"{self.loid}.thread-exit")
+        return self._thread_exit.wait()
 
     def enable_function(self, function, component_id, replace_current=False):
         """Generator: enable one implementation (one DFM update).
@@ -506,7 +514,7 @@ class DCDO(LegionObject):
             )
 
         while active() > 0:
-            yield self._thread_exit.wait()
+            yield self._thread_exit_wait()
 
     def apply_configuration(self, diff):
         """Generator: atomically evolve to the diff's target descriptor.
@@ -551,9 +559,7 @@ class DCDO(LegionObject):
             self._network_count("dcdo.duplicate_deliveries")
             yield in_flight
         if target is not None:
-            gate = self._applying[target] = self.sim.event(
-                name=f"{self.loid}.applying:{target}"
-            )
+            gate = self._applying[target] = self.sim.event()
         try:
             result = yield from self._apply_configuration_body(diff)
         finally:
@@ -692,23 +698,24 @@ class DCDO(LegionObject):
     # Exported configuration + status interface (§2.2)
     # ------------------------------------------------------------------
 
-    def _register_dcdo_interface(self):
+    _interface = {
         # Configuration functions.
-        self.register_method("incorporateComponent", self._m_incorporate)
-        self.register_method("incorporateComponentByPath", self._m_incorporate_by_path)
-        self.register_method("removeComponent", self._m_remove)
-        self.register_method("enableFunction", self._m_enable)
-        self.register_method("disableFunction", self._m_disable)
-        self.register_method("setExported", self._m_set_exported)
-        self.register_method("applyConfiguration", self._m_apply_configuration)
+        "incorporateComponent": "_m_incorporate",
+        "incorporateComponentByPath": "_m_incorporate_by_path",
+        "removeComponent": "_m_remove",
+        "enableFunction": "_m_enable",
+        "disableFunction": "_m_disable",
+        "setExported": "_m_set_exported",
+        "applyConfiguration": "_m_apply_configuration",
         # Status-reporting functions.
-        self.register_method("getInterface", self._m_get_interface)
-        self.register_method("getInterfaceDetailed", self._m_get_interface_detailed)
-        self.register_method("getVersion", self._m_get_version)
-        self.register_method("getStatus", self._m_get_status)
-        self.register_method("getComponents", self._m_get_components)
-        self.register_method("getFunctionStatus", self._m_get_function_status)
-        self.register_method("getImplementationType", self._m_get_impl_type)
+        "getInterface": "_m_get_interface",
+        "getInterfaceDetailed": "_m_get_interface_detailed",
+        "getVersion": "_m_get_version",
+        "getStatus": "_m_get_status",
+        "getComponents": "_m_get_components",
+        "getFunctionStatus": "_m_get_function_status",
+        "getImplementationType": "_m_get_impl_type",
+    }
 
     def _m_incorporate(self, ctx, ico_loid):
         component_id = yield from self.incorporate_component(ico_loid)

@@ -29,6 +29,12 @@ class ImplementationComponentObject(LegionObject):
       component pays real wire time.
     """
 
+    _interface = {
+        "getComponent": "_m_get_component",
+        "fetchVariant": "_m_fetch_variant",
+        "getDescriptor": "_m_get_descriptor",
+    }
+
     def __init__(self, runtime, loid, host, component=None):
         super().__init__(runtime, loid, host)
         if component is None:
@@ -40,9 +46,6 @@ class ImplementationComponentObject(LegionObject):
         #: blob caching the fleet-wide sum scales with host count, not
         #: instance count.
         self.bytes_served = 0
-        self.register_method("getComponent", self._m_get_component)
-        self.register_method("fetchVariant", self._m_fetch_variant)
-        self.register_method("getDescriptor", self._m_get_descriptor)
 
     @property
     def component(self):

@@ -330,7 +330,6 @@ class DCDOManager(ClassObject):
         #: Set once a peer proves a newer term exists; the manager has
         #: deactivated itself and must never act again.
         self.deposed = False
-        self._register_manager_methods()
         if journal is not None:
             self.attach_journal(journal)
 
@@ -1864,13 +1863,15 @@ class DCDOManager(ClassObject):
     # Exported manager interface
     # ------------------------------------------------------------------
 
-    def _register_manager_methods(self):
-        self.register_method("getCurrentVersion", self._m_get_current_version)
-        self.register_method("getVersions", self._m_get_versions)
-        self.register_method("updateInstance", self._m_update_instance)
-        self.register_method("syncInstance", self._m_sync_instance)
-        self.register_method("getDCDOTable", self._m_get_dcdo_table)
-        self.register_method("ping", self._m_ping)
+    _interface = {
+        **ClassObject._interface,
+        "getCurrentVersion": "_m_get_current_version",
+        "getVersions": "_m_get_versions",
+        "updateInstance": "_m_update_instance",
+        "syncInstance": "_m_sync_instance",
+        "getDCDOTable": "_m_get_dcdo_table",
+        "ping": "_m_ping",
+    }
 
     def _m_ping(self, ctx):
         """Liveness probe for the failure detector; returns the term."""

@@ -239,7 +239,7 @@ class ReplicationLink:
         if self._shipping or self._stopped:
             return
         self._shipping = True
-        self._runtime.sim.spawn(self._drain(), name=f"repl-ship:{self.address}")
+        self._runtime.sim.spawn(self._drain())
 
     def _drain(self):
         try:

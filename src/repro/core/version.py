@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True, order=True)
 class VersionId:
-    """An immutable dotted version identifier, e.g. ``1.2.3``."""
+    """An immutable dotted version identifier, e.g. ``1.2.3``.
+
+    The dotted string is built once, at construction: tables, journal
+    entries and replies render versions far more often than they make
+    them.
+    """
 
     parts: tuple
 
@@ -23,6 +28,7 @@ class VersionId:
         for part in self.parts:
             if not isinstance(part, int) or part < 1:
                 raise ValueError(f"version parts must be positive integers, got {self.parts!r}")
+        object.__setattr__(self, "_text", ".".join(str(part) for part in self.parts))
 
     @classmethod
     def parse(cls, text):
@@ -66,7 +72,7 @@ class VersionId:
         return self.parts[: len(ancestor.parts)] == ancestor.parts
 
     def __str__(self):
-        return ".".join(str(part) for part in self.parts)
+        return self._text
 
 
 class VersionTree:

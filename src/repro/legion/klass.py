@@ -65,7 +65,6 @@ class ClassObject(LegionObject):
         self._instances = {}
         self._management_locks = {}
         self.instances_created = 0
-        self._register_management_methods()
 
     def management_lock(self, loid):
         """Per-instance mutex serializing management operations.
@@ -415,14 +414,15 @@ class ClassObject(LegionObject):
     # Remote management interface
     # ------------------------------------------------------------------
 
-    def _register_management_methods(self):
-        self.register_method("createInstance", self._m_create_instance)
-        self.register_method("deactivateInstance", self._m_deactivate_instance)
-        self.register_method("activateInstance", self._m_activate_instance)
-        self.register_method("migrateInstance", self._m_migrate_instance)
-        self.register_method("deleteInstance", self._m_delete_instance)
-        self.register_method("getInstances", self._m_get_instances)
-        self.register_method("getCurrentVersionTag", self._m_get_version_tag)
+    _interface = {
+        "createInstance": "_m_create_instance",
+        "deactivateInstance": "_m_deactivate_instance",
+        "activateInstance": "_m_activate_instance",
+        "migrateInstance": "_m_migrate_instance",
+        "deleteInstance": "_m_delete_instance",
+        "getInstances": "_m_get_instances",
+        "getCurrentVersionTag": "_m_get_version_tag",
+    }
 
     def _m_create_instance(self, ctx, host_name=None):
         loid = yield from self.create_instance(host_name=host_name)

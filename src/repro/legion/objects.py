@@ -7,6 +7,11 @@ functions ``body(ctx, *args)`` receiving a :class:`CallContext` that
 lets them charge CPU time, call sibling functions, and invoke remote
 objects.
 
+The method table has two tiers: one class-level ``_interface`` maps
+each exported name to the method serving it, bound at dispatch, and a
+per-instance table, built on the first ``register_method`` or
+``unregister_method``, overrides it for that instance.
+
 Subclasses override :meth:`_dispatch_local` to change how intra-object
 calls are resolved — the base class dispatches directly (a compiled
 call), while DCDOs route through their DFM, which is precisely the one
@@ -108,6 +113,9 @@ class LegionObject:
     their own fields on top of the slotted base.
     """
 
+    #: Exported name -> name of the method serving it, for every instance.
+    _interface = {}
+
     __slots__ = (
         "_runtime",
         "_loid",
@@ -129,7 +137,9 @@ class LegionObject:
         self._runtime = runtime
         self._loid = loid
         self._host = host
-        self._methods = {}
+        # name -> body overriding the class interface (None: hidden);
+        # built on the first override.
+        self._methods = None
         self._endpoint = None
         self._process = None
         self._binding = None
@@ -192,7 +202,8 @@ class LegionObject:
     @property
     def method_names(self):
         """Sorted names of registered member functions."""
-        return sorted(self._methods)
+        names = set(self._interface) | set(self._methods or ())
+        return sorted(name for name in names if self.has_method(name))
 
     # ------------------------------------------------------------------
     # Method table
@@ -207,15 +218,27 @@ class LegionObject:
         """
         if not callable(body):
             raise TypeError(f"method body for {name!r} must be callable")
+        if self._methods is None:
+            self._methods = {}
         self._methods[name] = body
 
     def unregister_method(self, name):
-        """Remove member function ``name`` from the table."""
-        self._methods.pop(name, None)
+        """Remove member function ``name`` (on this instance only)."""
+        if self._methods is None:
+            self._methods = {}
+        self._methods[name] = None
 
     def has_method(self, name):
         """True if ``name`` is currently dispatchable."""
-        return name in self._methods
+        return self._method(name) is not None
+
+    def _method(self, name):
+        """The body serving ``name`` on this instance, or None."""
+        methods = self._methods
+        if methods is not None and name in methods:
+            return methods[name]
+        attribute = self._interface.get(name)
+        return None if attribute is None else getattr(self, attribute)
 
     # ------------------------------------------------------------------
     # Activation lifecycle
@@ -289,7 +312,7 @@ class LegionObject:
         ``caller`` is the name of the in-object function making a local
         call, or None for calls arriving from the network.
         """
-        body = self._methods.get(name)
+        body = self._method(name)
         if body is None:
             raise MethodNotFound(self._loid, name)
         return body

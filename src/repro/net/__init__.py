@@ -33,7 +33,6 @@ from repro.net.retry import (
     RttEstimator,
 )
 from repro.net.transport import (
-    BATCH_RECORD_BYTES,
     CircuitOpen,
     Endpoint,
     RemoteError,
@@ -43,7 +42,6 @@ from repro.net.transport import (
 )
 
 __all__ = [
-    "BATCH_RECORD_BYTES",
     "CircuitBreaker",
     "CircuitOpen",
     "CircuitState",

@@ -373,6 +373,8 @@ class Network:
 
     def latency_between(self, source, destination):
         """One-way latency for a (source, destination) address pair."""
+        if not self._site_prefixes:
+            return self._latency_s
         site_a = self.site_of(source)
         site_b = self.site_of(destination)
         if site_a == site_b:

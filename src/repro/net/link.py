@@ -2,9 +2,12 @@
 
 A :class:`Port` models one host's full-duplex connection to the
 switch: an egress transmitter serialized at the port's bandwidth, and
-an ingress queue that the endpoint's receive loop drains.
-Transmissions from different hosts never contend (switched Ethernet),
-but messages leaving one host go out one at a time in FIFO order.
+an ingress side that hands each delivered message to one callable, its
+:attr:`~Port.receiver`.  An endpoint installs its receive method there
+and dispatches by callback; a bare port (no endpoint) buffers in its
+:attr:`~Port.inbox` queue for a process to drain.  Transmissions from
+different hosts never contend (switched Ethernet), but messages leaving
+one host go out one at a time in FIFO order.
 
 Egress serialization is *computed*, not simulated: instead of parking
 a process on a semaphore for the duration of each transmission, the
@@ -36,6 +39,7 @@ class Port:
         "_bandwidth_bps",
         "_egress_free_at",
         "_inbox",
+        "receiver",
         "slowdown",
         "bytes_sent",
         "bytes_received",
@@ -50,7 +54,10 @@ class Port:
         self._address = address
         self._bandwidth_bps = float(bandwidth_bps)
         self._egress_free_at = 0.0
-        self._inbox = Queue(sim, name=f"{address}.inbox")
+        self._inbox = None
+        #: ``receiver(message)`` takes every delivered message; None
+        #: means the port is bare and buffers in :attr:`inbox`.
+        self.receiver = None
         # Egress degradation multiplier (>= 1.0); a limping NIC
         # serializes this many times slower than its rated bandwidth.
         self.slowdown = 1.0
@@ -71,7 +78,9 @@ class Port:
 
     @property
     def inbox(self):
-        """Queue of delivered messages, drained by the endpoint."""
+        """Queue buffering a bare port's deliveries (built on first use)."""
+        if self._inbox is None:
+            self._inbox = Queue(self._sim, name=f"{self._address}.inbox")
         return self._inbox
 
     def transmission_time(self, wire_bytes):
@@ -96,10 +105,13 @@ class Port:
         return departure
 
     def deliver(self, message):
-        """Place a fully-propagated message in this port's inbox."""
+        """Hand a fully-propagated message to the receiver (or inbox)."""
         self.bytes_received += message.wire_bytes
         self.messages_received += 1
-        self._inbox.put_nowait(message)
+        if self.receiver is None:
+            self.inbox.put_nowait(message)
+        else:
+            self.receiver(message)
 
     def __repr__(self):
         return f"<Port {self._address} rx={self.messages_received} tx={self.messages_sent}>"

@@ -1,41 +1,38 @@
 """Reliable request/reply transport over the datagram fabric.
 
-An :class:`Endpoint` binds an address on the fabric, runs a receive
-loop, and offers:
+An :class:`Endpoint` binds an address on the fabric and offers:
 
 - ``send(...)`` — one-way datagram;
 - ``request(...)`` — request/reply with per-attempt timeout and bounded
-  retries (both generators to be driven with ``yield from``);
-- the group-communication primitives ``cast`` / ``broadcast`` /
-  ``broadcall`` (om-legion's comm-primitive shape), the latter with a
-  bounded in-flight window;
-- optional same-destination coalescing: with a flush window configured
-  (:meth:`Endpoint.configure_batching`), outbound messages to one
-  destination within the window share a single wire message, amortizing
-  the per-message framing header and dispatch cost.  Batching is off by
-  default so the calibrated §4 timings are untouched.
+  retries (a generator to be driven with ``yield from``).
+
+An endpoint has no receive loop.  Its port hands each delivered message
+to :meth:`Endpoint._receive`, which schedules one dispatch entry for it;
+a message that lands while another is waiting for dispatch queues
+behind it and is scheduled once that one has been dispatched.  A
+request attempt waits on one event, which its reply, its timer or its
+hedge point resolves through a scheduled call, so no composite event
+or ``Timeout`` object is built per call.
 
 Request handlers are generators, so servicing a request can itself
 perform simulated work and nested calls.  Remote exceptions propagate
 back to the caller as :class:`RemoteError`.
 """
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from functools import partial
 
-from repro.net.message import HEADER_BYTES, Message
+from repro.net.message import Message
 from repro.net.retry import DEFAULT_REQUEST_RETRY
 from repro.sim.errors import SimulationError
-
-#: Per-record framing inside a batch (length prefix + kind tag); what a
-#: coalesced sub-message pays instead of a full :data:`HEADER_BYTES`.
-BATCH_RECORD_BYTES = 16
+from repro.sim.events import Event
 
 
 def run_windowed(sim, thunks, window):
     """Generator: run generator-thunks with at most ``window`` in flight.
 
-    The shared fan-out engine behind :meth:`Endpoint.broadcall` and the
-    manager's windowed evolution waves.  ``thunks`` is a sequence of
+    The shared fan-out engine behind the invoker's windowed calls and
+    the manager's windowed evolution waves.  ``thunks`` is a sequence of
     zero-argument callables returning generators; at most ``window`` of
     them execute concurrently, each freed slot immediately pulling the
     next.  Returns a list of ``(ok, value)`` pairs in input order —
@@ -57,10 +54,7 @@ def run_windowed(sim, thunks, window):
             else:
                 results[index] = (True, value)
 
-    workers = [
-        sim.spawn(worker(), name=f"windowed#{slot}")
-        for slot in range(min(window, len(thunks)))
-    ]
+    workers = [sim.spawn(worker()) for __ in range(min(window, len(thunks)))]
     if workers:
         from repro.sim.events import AllOf
 
@@ -120,6 +114,34 @@ class _ErrorReply:
         self.cause = cause
 
 
+#: What a request attempt's wait resolves to when no reply won.
+_TIMED_OUT = object()
+_HEDGE_DUE = object()
+
+
+class _Attempt(Event):
+    """The one event a request attempt waits on.
+
+    A reply, the attempt's timer and its hedge point each resolve it
+    from a scheduled call, and the event then resumes the requester:
+    two scheduled hops, the same two that a reply event and its
+    ``AnyOf`` took.  Whichever resolves it first wins; the hedge point
+    re-arms it for the rest of the attempt.
+    """
+
+    __slots__ = ()
+
+    def settle(self, outcome):
+        """Scheduled call: resolve with a reply or a timer's marker,
+        unless resolved already."""
+        if self._ok is None:
+            self.succeed(outcome)
+
+    def rearm(self):
+        """Make the event pending again (after the hedge point)."""
+        Event.__init__(self, self._sim)
+
+
 class Endpoint:
     """A transport endpoint bound to one fabric address.
 
@@ -168,15 +190,17 @@ class Endpoint:
         self._sim = network.sim
         self._address = address
         self._port = network.attach(address)
+        self._port.receiver = self._receive
         self._request_handler = request_handler
         self._oneway_handler = oneway_handler
         self._default_timeout_s = default_timeout_s
         self._max_attempts = max_attempts
         self._retry_policy = retry_policy or DEFAULT_REQUEST_RETRY
         self._dedupe_ttl_s = dedupe_ttl_s
-        self._batch_window_s = 0.0
-        self._batch_max = 16
-        self._batch_queues = {}
+        # Delivered messages not yet dispatched; the head has a dispatch
+        # entry scheduled.
+        self._backlog = deque()
+        # message id -> the attempt waiting for its reply.
         self._pending_replies = {}
         # message_id -> completion time (None while still being served);
         # insertion-ordered so TTL/size eviction walks the oldest first.
@@ -184,7 +208,6 @@ class Endpoint:
         self._closed = False
         self.requests_served = 0
         network.register_endpoint(self)
-        self._receive_loop = self._sim.spawn(self._run(), name=f"endpoint:{address}")
 
     @property
     def address(self):
@@ -214,50 +237,23 @@ class Endpoint:
         """Install (or replace) the inbound one-way handler."""
         self._oneway_handler = handler
 
-    def configure_batching(self, flush_window_s, max_batch=16):
-        """Enable (or disable) same-destination coalescing.
-
-        With ``flush_window_s > 0``, outbound messages to the same
-        destination emitted at the same simulation instant are packed
-        into one wire message: one framing header for the whole batch
-        plus :data:`BATCH_RECORD_BYTES` per coalesced record.  The
-        flush is adaptive — a solitary message goes out immediately (a
-        lone request pays no batching latency), while a burst drains
-        until its event cascade stops producing, bounded by
-        ``max_batch`` messages per batch.  ``flush_window_s`` is
-        therefore just the on/off switch (any positive value behaves
-        identically); pass ``0`` to turn batching back off.
-        """
-        if flush_window_s < 0:
-            raise ValueError(f"flush window must be >= 0, got {flush_window_s}")
-        if max_batch < 2:
-            raise ValueError(f"max_batch must be >= 2, got {max_batch}")
-        self._batch_window_s = flush_window_s
-        self._batch_max = max_batch
-
-    @property
-    def batching_enabled(self):
-        """True while a coalescing flush window is configured."""
-        return self._batch_window_s > 0
-
     def close(self):
-        """Detach from the fabric; all later traffic to us is lost."""
+        """Detach from the fabric; all later traffic to us is lost.
+
+        A message already handed over for dispatch is still dispatched;
+        the ones queued behind it are dropped.
+        """
         if self._closed:
             return
         self._closed = True
-        # Queued-but-unflushed batches die with us, like any in-flight
-        # datagram from a crashing host.
-        self._batch_queues.clear()
         self._network.unregister_endpoint(self)
         self._network.detach(self._address)
-        if self._receive_loop.is_alive:
-            self._receive_loop.interrupt("endpoint closed")
-        # Fail callers still waiting on replies: their peer is us, and
-        # we are gone, so the wait could otherwise dangle forever.
-        pending, self._pending_replies = self._pending_replies, {}
-        for event in pending.values():
-            if not event.triggered:
-                event.fail(TransportError(f"endpoint {self._address!r} closed"))
+        backlog = self._backlog
+        while len(backlog) > 1:
+            backlog.pop()
+        # Forget callers still waiting on replies: no reply can reach
+        # them now, and each attempt still ends at its own timer.
+        self._pending_replies = {}
 
     # ------------------------------------------------------------------
     # Sending
@@ -266,9 +262,8 @@ class Endpoint:
     def send(self, destination, payload, size_bytes=0, kind="oneway"):
         """Fire-and-forget datagram.
 
-        With batching enabled the message may be coalesced into a
-        shared wire message; either way delivery is asynchronous and
-        nothing is returned to wait on (datagram semantics).
+        Delivery is asynchronous and nothing is returned to wait on
+        (datagram semantics).
         """
         if self._closed:
             raise TransportError(f"endpoint {self._address!r} is closed")
@@ -279,124 +274,7 @@ class Endpoint:
             size_bytes=size_bytes,
             kind=kind,
         )
-        return self._transmit(message)
-
-    # ------------------------------------------------------------------
-    # Same-destination coalescing
-    # ------------------------------------------------------------------
-
-    def _transmit(self, message):
-        """Put ``message`` on the wire, through the batcher if enabled."""
-        if self._batch_window_s <= 0:
-            return self._network.send(message)
-        queue = self._batch_queues.setdefault(message.destination, [])
-        queue.append(message)
-        if len(queue) >= self._batch_max:
-            self._flush(message.destination)
-        elif len(queue) == 1:
-            self._sim.spawn(
-                self._flush_later(message.destination),
-                name=f"flush:{self._address}->{message.destination}",
-            )
-        return None
-
-    def _flush_later(self, destination):
-        """Process body: adaptive flush for one destination's queue.
-
-        Rather than lingering a fixed window (which taxed every lone
-        message with the full window of latency), the batcher drains
-        the *current simulation instant*: it re-yields zero-length
-        timeouts while the queue keeps growing, so all messages emitted
-        by the same event cascade — a windowed fan-out firing its
-        burst, a batch of replies — coalesce, and a solitary message
-        flushes immediately with no added delay.  The size trigger in
-        :meth:`_transmit` still bounds bursts at ``max_batch``.
-        """
-        seen = 0
-        while True:
-            queue = self._batch_queues.get(destination)
-            if not queue:
-                # Flushed underneath us by the size trigger.
-                return
-            if len(queue) == seen:
-                break
-            seen = len(queue)
-            yield self._sim.timeout(0)
-        self._flush(destination)
-
-    def _flush(self, destination):
-        queue = self._batch_queues.pop(destination, None)
-        if not queue or self._closed:
-            return
-        if len(queue) == 1:
-            self._network.send(queue[0])
-            return
-        # One header for the whole batch; each record pays only its
-        # payload plus a small per-record framing cost.
-        batch = Message(
-            source=self._address,
-            destination=destination,
-            payload=tuple(queue),
-            size_bytes=sum(m.size_bytes for m in queue)
-            + len(queue) * BATCH_RECORD_BYTES,
-            kind="batch",
-        )
-        self._network.count("transport.batches_sent")
-        self._network.count("transport.batched_messages", len(queue))
-        self._network.send(batch)
-
-    # ------------------------------------------------------------------
-    # Group primitives (cast / broadcast / broadcall)
-    # ------------------------------------------------------------------
-
-    def cast(self, destination, payload, size_bytes=0):
-        """One-way message to one peer, no reply expected."""
-        self._network.count("transport.casts")
-        return self.send(destination, payload, size_bytes=size_bytes)
-
-    def broadcast(self, destinations, payload, size_bytes=0):
-        """Cast ``payload`` to every destination; returns the count."""
-        count = 0
-        for destination in destinations:
-            self.cast(destination, payload, size_bytes=size_bytes)
-            count += 1
-        return count
-
-    def broadcall(
-        self,
-        destinations,
-        payload,
-        size_bytes=0,
-        timeout_s=None,
-        max_attempts=None,
-        window=None,
-        retry_policy=None,
-    ):
-        """Generator: request ``payload`` from every destination.
-
-        Requests run concurrently with at most ``window`` in flight
-        (default: all at once).  Blocks until every destination has
-        answered or exhausted its attempts; returns an ordered mapping
-        ``destination -> (ok, value-or-exception)`` so partial failure
-        is visible per peer rather than aborting the whole call.
-        """
-        destinations = list(destinations)
-        thunks = [
-            lambda d=destination: self.request(
-                d,
-                payload,
-                size_bytes=size_bytes,
-                timeout_s=timeout_s,
-                max_attempts=max_attempts,
-                retry_policy=retry_policy,
-            )
-            for destination in destinations
-        ]
-        self._network.count("transport.broadcalls")
-        outcomes = yield from run_windowed(
-            self._sim, thunks, window or max(1, len(destinations))
-        )
-        return dict(zip(destinations, outcomes))
+        return self._network.send(message)
 
     def request(
         self,
@@ -442,8 +320,8 @@ class Endpoint:
             hedge_delay_s = None
         policy = retry_policy or self._retry_policy
         network = self._network
-        started = self._sim.now
-        from repro.sim.events import AnyOf
+        sim = self._sim
+        started = sim.now
 
         for attempt in range(1, max_attempts + 1):
             if self._closed:
@@ -457,20 +335,19 @@ class Endpoint:
                 kind="request",
                 term=term,
             )
-            reply_event = self._sim.event(name=f"reply#{message.message_id}")
-            self._pending_replies[message.message_id] = reply_event
-            self._transmit(message)
-            hedge_event = None
+            wait = _Attempt(sim)
+            self._pending_replies[message.message_id] = wait
+            network.send(message)
+            backup = None
             if hedge_delay_s is None:
-                timeout = self._sim.timeout(timeout_s)
-                outcome = yield AnyOf(self._sim, [reply_event, timeout])
+                timer = sim._schedule_call(partial(wait.settle, _TIMED_OUT), timeout_s)
+                reply = yield wait
             else:
-                hedge_timer = self._sim.timeout(hedge_delay_s)
-                outcome = yield AnyOf(self._sim, [reply_event, hedge_timer])
-                if reply_event in outcome:
-                    hedge_timer.cancel()
-                    timeout = hedge_timer  # only for the shared cancel below
-                else:
+                timer = sim._schedule_call(
+                    partial(wait.settle, _HEDGE_DUE), hedge_delay_s
+                )
+                reply = yield wait
+                if reply is _HEDGE_DUE:
                     # Primary is late: race a backup copy against it for
                     # the remainder of the attempt budget.
                     backup = Message(
@@ -481,77 +358,73 @@ class Endpoint:
                         kind="request",
                         term=term,
                     )
-                    hedge_event = self._sim.event(name=f"reply#{backup.message_id}")
-                    self._pending_replies[backup.message_id] = hedge_event
-                    self._transmit(backup)
+                    wait.rearm()
+                    self._pending_replies[backup.message_id] = wait
+                    network.send(backup)
                     network.count("transport.hedges")
-                    timeout = self._sim.timeout(timeout_s - hedge_delay_s)
-                    outcome = yield AnyOf(
-                        self._sim, [reply_event, hedge_event, timeout]
+                    timer = sim._schedule_call(
+                        partial(wait.settle, _TIMED_OUT), timeout_s - hedge_delay_s
                     )
+                    reply = yield wait
                     self._pending_replies.pop(backup.message_id, None)
             self._pending_replies.pop(message.message_id, None)
-            winner = None
-            if reply_event in outcome:
-                winner = outcome[reply_event]
-            elif hedge_event is not None and hedge_event in outcome:
-                winner = outcome[hedge_event]
-                network.count("transport.hedge_wins")
-                network.health_observe(destination, "hedge_win")
-            if winner is not None:
-                # A reply won the race: cancel the guard timeout so it
-                # stops occupying the event queue and keeping run() alive.
-                timeout.cancel()
-                if isinstance(winner.payload, _ErrorReply):
-                    network.health_observe(destination, "success")
-                    raise RemoteError(destination, winner.payload.cause)
+            if reply is not _TIMED_OUT:
+                # A reply won the race: cancel the timer so it stops
+                # occupying the event queue and keeping run() alive.
+                sim._cancel_entry(timer)
+                if backup is not None and reply.correlation_id == backup.message_id:
+                    network.count("transport.hedge_wins")
+                    network.health_observe(destination, "hedge_win")
                 network.health_observe(destination, "success")
-                return winner.payload
+                if isinstance(reply.payload, _ErrorReply):
+                    raise RemoteError(destination, reply.payload.cause)
+                return reply.payload
             if attempt < max_attempts:
                 network.count("retry.request_attempts")
                 backoff = policy.backoff_s(attempt)
                 if backoff > 0:
                     network.count("retry.backoff_waits")
-                    yield self._sim.timeout(backoff)
+                    yield sim.timeout(backoff)
         network.health_observe(destination, "timeout")
-        raise RequestTimeout(destination, max_attempts, self._sim.now - started)
+        raise RequestTimeout(destination, max_attempts, sim.now - started)
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
 
-    def _run(self):
-        from repro.sim.errors import Interrupt
+    def _receive(self, message):
+        """Port callback: queue ``message`` and schedule its dispatch.
 
-        try:
-            while True:
-                message = yield self._port.inbox.get()
-                self._dispatch_inbound(message)
-        except Interrupt:
-            return
+        Only the backlog's head has a dispatch entry; the next one is
+        scheduled once the head has been dispatched, so messages are
+        dispatched in delivery order, one scheduler entry each.
+        """
+        backlog = self._backlog
+        backlog.append(message)
+        if len(backlog) == 1:
+            self._sim._schedule_call(self._dispatch_next)
+
+    def _dispatch_next(self):
+        """Scheduled call: dispatch the backlog's head."""
+        backlog = self._backlog
+        self._dispatch_inbound(backlog[0])
+        backlog.popleft()
+        if backlog:
+            self._sim._schedule_call(self._dispatch_next)
 
     def _dispatch_inbound(self, message):
-        if message.kind == "batch":
-            # Unpack a coalesced batch: each record is a complete
-            # message with its own id, so dedupe and reply correlation
-            # behave exactly as if the records had travelled alone.
-            self._network.count("transport.batches_received")
-            for sub in message.payload:
-                self._dispatch_inbound(sub)
-        elif message.kind == "reply":
+        kind = message.kind
+        if kind == "reply":
             self._handle_reply(message)
-        elif message.kind == "request":
-            self._sim.spawn(
-                self._serve_request(message),
-                name=f"serve#{message.message_id}",
-            )
+        elif kind == "request":
+            self._sim.spawn(self._serve_request(message))
         else:
             self._handle_oneway(message)
 
     def _handle_reply(self, message):
-        event = self._pending_replies.pop(message.correlation_id, None)
-        if event is not None and not event.triggered:
-            event.succeed(message)
+        wait = self._pending_replies.pop(message.correlation_id, None)
+        if wait is not None:
+            self._sim._schedule_call(partial(wait.settle, message))
         # Replies to abandoned (timed-out) requests are dropped, which
         # is exactly the at-most-once behaviour the binding layer
         # depends on for its stale-binding timings.
@@ -561,7 +434,7 @@ class Endpoint:
             return
         result = self._oneway_handler(message)
         if result is not None and hasattr(result, "__next__"):
-            self._sim.spawn(result, name=f"oneway#{message.message_id}")
+            self._sim.spawn(result)
 
     def _serve_request(self, message):
         if message.message_id in self._seen_requests:
@@ -595,7 +468,7 @@ class Endpoint:
             self._seen_requests[message.message_id] = self._sim.now
         if self._closed:
             return False
-        self._transmit(message.reply_to(payload, size_bytes=size_bytes))
+        self._network.send(message.reply_to(payload, size_bytes=size_bytes))
         return True
 
     def _evict_seen_requests(self):

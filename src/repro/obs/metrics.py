@@ -202,22 +202,23 @@ class MetricsRegistry:
 
     def counter(self, name):
         """Get-or-create a :class:`Counter`."""
-        return self._get_or_create(name, lambda: Counter(name), Counter)
+        return self._get_or_create(name, Counter)
 
     def gauge(self, name):
         """Get-or-create a :class:`Gauge`."""
-        return self._get_or_create(name, lambda: Gauge(name), Gauge)
+        return self._get_or_create(name, Gauge)
 
     def timer(self, name):
         """Get-or-create a :class:`Timer` bound to the registry's clock."""
-        return self._get_or_create(name, lambda: Timer(name, sim=self._sim), Timer)
+        return self._get_or_create(name, Timer, self._sim)
 
-    def _get_or_create(self, name, factory, expected_type):
+    def _get_or_create(self, name, kind, *args):
+        # Lookups hit far more often than they miss; a hit builds nothing.
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = factory()
+            metric = self._metrics[name] = kind(name, *args)
             self._sorted_items = None
-        elif not isinstance(metric, expected_type):
+        elif not isinstance(metric, kind):
             raise TypeError(
                 f"metric {name!r} already exists as {type(metric).__name__}"
             )

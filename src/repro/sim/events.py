@@ -58,7 +58,7 @@ class Event:
         Returns the event itself so callers can write
         ``return event.succeed(x)``.
         """
-        if self.triggered:
+        if self._value is not _UNSET:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = True
         self._value = value
@@ -73,7 +73,7 @@ class Event:
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() requires an exception, got {exception!r}")
-        if self.triggered:
+        if self._value is not _UNSET:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
@@ -99,12 +99,15 @@ class Event:
         for callback in callbacks:
             callback(self)
 
+    def _label(self):
+        """The name ``repr`` shows; rendered only when asked for."""
+        return self._name or self.__class__.__name__
+
     def __repr__(self):
         state = "pending"
         if self.triggered:
             state = "ok" if self._ok else "failed"
-        label = self._name or self.__class__.__name__
-        return f"<{label} {state} at t={self._sim.now:g}>"
+        return f"<{self._label()} {state} at t={self._sim.now:g}>"
 
 
 class Timeout(Event):
@@ -120,7 +123,9 @@ class Timeout(Event):
     def __init__(self, sim, delay, value=None, daemon=False):
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(sim, name=f"Timeout({delay:g})")
+        self._sim = sim
+        self._name = None
+        self._callbacks = []
         self._delay = delay
         self._ok = True
         self._value = value
@@ -131,6 +136,9 @@ class Timeout(Event):
         """The delay this timeout was created with."""
         return self._delay
 
+    def _label(self):
+        return f"Timeout({self._delay:g})"
+
     def cancel(self):
         """Lazily cancel the pending trigger; returns True if it was live.
 
@@ -138,13 +146,18 @@ class Timeout(Event):
         unbounded ``run()`` alive.  Cancelling after the timeout has
         fired (or twice) is a harmless no-op — the kernel just skips
         the dead queue entry, so losers of ``AnyOf`` races can always
-        be cancelled unconditionally.
+        be cancelled unconditionally.  The callbacks are dropped, so
+        the loser of a race keeps no reference back to its ``AnyOf``
+        and the pair leaves no cycle behind.
         """
         handle = self._handle
         if handle is None:
             return False
         self._handle = None
-        return self._sim._cancel_entry(handle)
+        if not self._sim._cancel_entry(handle):
+            return False
+        self._callbacks.clear()
+        return True
 
     def succeed(self, value=None):
         raise EventAlreadyTriggered("Timeout triggers itself")
@@ -159,7 +172,7 @@ class _ConditionEvent(Event):
     __slots__ = ("_events", "_pending")
 
     def __init__(self, sim, events):
-        super().__init__(sim, name=self.__class__.__name__)
+        super().__init__(sim)
         self._events = tuple(events)
         self._pending = len(self._events)
         if not self._events:

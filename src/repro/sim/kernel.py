@@ -80,21 +80,20 @@ class Simulator:
     # Scheduling (kernel internal, used by events/processes)
     # ------------------------------------------------------------------
 
-    def _push(self, delay, action, daemon=False):
-        if delay < 0:
-            raise StaleScheduleError(f"cannot schedule {delay} seconds in the past")
-        return self._scheduler.push(self._now + delay, action, daemon)
-
     def _schedule_event(self, event, delay=0.0, daemon=False):
         """Queue a triggered event's callbacks to run after ``delay``.
 
         Returns the scheduler entry so the caller can lazily cancel it.
         """
-        return self._push(delay, event._process, daemon=daemon)
+        if delay < 0:
+            raise StaleScheduleError(f"cannot schedule {delay} seconds in the past")
+        return self._scheduler.push(self._now + delay, event._process, daemon)
 
     def _schedule_call(self, func, delay=0.0):
-        """Queue a bare callable (used for process kick-off and resume)."""
-        return self._push(delay, func)
+        """Queue a bare callable; returns its cancellable entry."""
+        if delay < 0:
+            raise StaleScheduleError(f"cannot schedule {delay} seconds in the past")
+        return self._scheduler.push(self._now + delay, func, False)
 
     def _cancel_entry(self, entry):
         """Lazily cancel a scheduled entry (no-op once it has run)."""

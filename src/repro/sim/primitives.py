@@ -64,7 +64,7 @@ class Queue:
 
     def put(self, item):
         """Return an event that triggers once ``item`` is enqueued."""
-        event = self._sim.event(name=f"{self._name}.put")
+        event = self._sim.event()
         if not self.is_full:
             self._enqueue(item)
             event.succeed()
@@ -80,7 +80,7 @@ class Queue:
 
     def get(self):
         """Return an event that succeeds with the next item."""
-        event = self._sim.event(name=f"{self._name}.get")
+        event = self._sim.event()
         if self._items:
             event.succeed(self._dequeue())
         else:
@@ -145,7 +145,7 @@ class Semaphore:
 
     def acquire(self):
         """Return an event that succeeds once a permit is held."""
-        event = self._sim.event(name=f"{self._name}.acquire")
+        event = self._sim.event()
         if self._permits > 0:
             self._permits -= 1
             event.succeed()
@@ -207,7 +207,7 @@ class Signal:
 
     def wait(self):
         """Return an event that succeeds at the next :meth:`fire`."""
-        event = self._sim.event(name=f"{self._name}.wait")
+        event = self._sim.event()
         self._waiters.append(event)
         return event
 

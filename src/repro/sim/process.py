@@ -31,12 +31,15 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on", "_interrupts")
 
     def __init__(self, sim, generator, name=None):
-        super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
+        super().__init__(sim, name=name)
         self._generator = generator
         self._waiting_on = None
-        self._interrupts = []
+        self._interrupts = None
         # Kick off the generator at the current simulated time.
-        sim._schedule_call(self._resume_first)
+        sim._schedule_call(self._resume)
+
+    def _label(self):
+        return self._name or getattr(self._generator, "__name__", "process")
 
     @property
     def is_alive(self):
@@ -58,6 +61,8 @@ class Process(Event):
             raise RuntimeError(f"cannot interrupt finished process {self!r}")
         if self is self._sim.active_process:
             raise RuntimeError("a process cannot interrupt itself")
+        if self._interrupts is None:
+            self._interrupts = []
         self._interrupts.append(Interrupt(cause))
         self._sim._schedule_call(self._deliver_interrupt)
 
@@ -70,7 +75,7 @@ class Process(Event):
         self._waiting_on = None
         self._step(interrupt, throw=True)
 
-    def _resume_first(self):
+    def _resume(self):
         self._step(None)
 
     def _on_event(self, event):
@@ -107,10 +112,10 @@ class Process(Event):
     def _wait_for(self, target):
         if target is None:
             # Cooperative yield: resume after currently-queued events.
-            self._sim._schedule_call(lambda: self._step(None))
+            self._sim._schedule_call(self._resume)
             return
         if isinstance(target, Event):
-            if target.sim is not self._sim:
+            if target._sim is not self._sim:
                 self._step(
                     RuntimeError("cannot wait on an event from another simulator"),
                     throw=True,

@@ -56,7 +56,10 @@ class CalendarScheduler:
     """Bucketed event scheduler with O(1) common-case push/pop.
 
     Invariant: a time appears in the ``_times`` heap exactly when its
-    bucket exists in ``_buckets``, and exactly once.
+    bucket exists in ``_buckets``, and exactly once.  ``pop`` leaves an
+    emptied bucket in place, so the zero-delay entries the popped action
+    schedules append to it without touching the heap; the next
+    ``pop``/``peek_time`` drops it if it is still empty.
     """
 
     __slots__ = ("_buckets", "_times", "_seq", "processed", "nondaemon_pending", "_live")
@@ -123,11 +126,7 @@ class CalendarScheduler:
         time = self._prune()
         if time is None:
             return None
-        bucket = self._buckets[time]
-        entry = bucket.popleft()
-        if not bucket:
-            heapq.heappop(self._times)
-            del self._buckets[time]
+        entry = self._buckets[time].popleft()
         self.processed += 1
         if not entry.daemon:
             self.nondaemon_pending -= 1

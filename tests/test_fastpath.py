@@ -1,4 +1,4 @@
-"""The invocation fast path: epoch leases, batching, windowed fan-out."""
+"""The invocation fast path: epoch leases and windowed fan-out."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from tests.conftest import create_dcdo, make_sorter_components, make_sorter_mana
 from repro.core.dfm import DynamicFunctionMapper
 from repro.core.stub import DCDOStub
 from repro.legion.errors import MethodNotFound
-from repro.net import Endpoint, Network, run_windowed
+from repro.net import run_windowed
 from repro.obs.metrics import Timer
 from repro.sim import Simulator
 
@@ -111,7 +111,7 @@ def test_refresh_interface_is_one_rpc_with_epoch(runtime):
 
 def test_refresh_interface_falls_back_to_two_rpcs(runtime):
     __, loid, obj, client = make_target(runtime)
-    del obj._methods["getStatus"]  # an object predating getStatus
+    obj.unregister_method("getStatus")  # an object predating getStatus
     stub = DCDOStub(client, loid)
     before = client.invoker.stats.invocations
     functions = runtime.sim.run_process(stub.refresh_interface())
@@ -206,111 +206,6 @@ def test_binding_hit_miss_counters(runtime):
     assert client.invoker.stats.binding_hits == 2
     client.invoker.stats.reset()
     assert client.invoker.stats.binding_hits == 0
-
-
-# ----------------------------------------------------------------------
-# Transport batching and group primitives
-# ----------------------------------------------------------------------
-
-
-def make_pair(latency_s=0.001):
-    sim = Simulator()
-    network = Network(sim, latency_s=latency_s, bandwidth_bps=100_000_000)
-
-    def handler(message):
-        return (("echo", message.payload), 0)
-        yield  # pragma: no cover - marks this as a generator
-
-    a = Endpoint(network, "a")
-    b = Endpoint(network, "b", request_handler=handler)
-    return sim, network, a, b
-
-
-def test_batching_coalesces_same_destination_requests():
-    sim, network, a, b = make_pair()
-    a.configure_batching(0.001)
-
-    def caller(payload):
-        result = yield from a.request("b", payload, timeout_s=5.0)
-        return result
-
-    def scenario():
-        waiters = [sim.spawn(caller(i), name=f"caller{i}") for i in range(4)]
-        from repro.sim.events import AllOf
-
-        yield AllOf(sim, waiters)
-        return [w.value for w in waiters]
-
-    results = sim.run_process(scenario())
-    assert results == [("echo", 0), ("echo", 1), ("echo", 2), ("echo", 3)]
-    assert network.count_value("transport.batches_sent") == 1
-    assert network.count_value("transport.batched_messages") == 4
-
-
-def test_batching_flushes_at_max_batch():
-    sim, network, a, b = make_pair()
-    a.configure_batching(10.0, max_batch=2)  # huge window: only size flushes
-
-    def scenario():
-        waiters = [
-            sim.spawn(a.request("b", i, timeout_s=30.0), name=f"c{i}")
-            for i in range(4)
-        ]
-        from repro.sim.events import AllOf
-
-        yield AllOf(sim, waiters)
-        return sim.now
-
-    finished = sim.run_process(scenario())
-    assert finished < 1.0  # size-based flushes, not the 10 s window
-    assert network.count_value("transport.batches_sent") == 2
-
-
-def test_batching_off_by_default():
-    sim, network, a, b = make_pair()
-    assert not a.batching_enabled
-    sim.run_process(a.request("b", "x", timeout_s=5.0))
-    assert network.count_value("transport.batches_sent") == 0
-
-
-def test_cast_and_broadcast():
-    sim, network, a, b = make_pair()
-    received = []
-    b.set_oneway_handler(lambda message: received.append(message.payload))
-
-    def scenario():
-        a.cast("b", "one")
-        a.broadcast(["b", "b"], "two")
-        yield sim.timeout(0.1)
-
-    sim.run_process(scenario())
-    assert received == ["one", "two", "two"]
-    assert network.count_value("transport.casts") == 3
-
-
-def test_broadcall_collects_replies_and_errors():
-    sim, network, a, b = make_pair()
-
-    def handler(message):
-        if message.payload == "boom":
-            raise RuntimeError("no")
-        return (("ok", message.payload), 0)
-        yield  # pragma: no cover - marks this as a generator
-
-    b.set_request_handler(handler)
-
-    def scenario():
-        outcomes = yield from a.broadcall(
-            ["b", "nowhere"], "hello", timeout_s=0.05, max_attempts=1
-        )
-        return outcomes
-
-    outcomes = sim.run_process(scenario())
-    ok, value = outcomes["b"]
-    assert ok and value == ("ok", "hello")
-    ok, error = outcomes["nowhere"]
-    assert not ok  # unreachable destination times out
-    assert network.count_value("transport.broadcalls") == 1
 
 
 # ----------------------------------------------------------------------
