@@ -68,9 +68,10 @@ a reduced floor matching their reduced ladder), the message-storm
 speedup over the reproduced pre-PR stack must hold at >= 5x, the
 announcement wave must stay flat (within the experiment's recorded
 tolerance) from the smallest to the largest fleet, one wave must leave
-no cyclic garbage, and neither the GC-tracked objects per instance at
-rest nor those surviving one wave may rise more than the recorded
-tolerance (5%) above their committed values.
+no cyclic garbage, and none of the GC-tracked objects per instance at
+rest, those surviving one wave, and the wave's young objects (found in
+generation 0 at each gen-0 collection, collector on) may rise more than
+the recorded tolerance (5%) above their committed values.
 """
 
 import argparse
@@ -277,7 +278,7 @@ def check_p6(path, instance_floor):
             f"{round(objects['cyclic_garbage'] * objects['instances'])} "
             f"objects of cyclic garbage (must be 0)"
         )
-    for key in ("at_rest", "wave_survivors"):
+    for key in ("at_rest", "wave_survivors", "wave_young"):
         committed = objects["committed"][key]
         if objects[key] > committed * (1 + objects["tolerance"]):
             failures.append(
@@ -312,10 +313,13 @@ def check_p6(path, instance_floor):
             f"wave {entry['wave_s'] * 1000:8.2f} ms, "
             f"{entry['events_per_s']:12,.0f} ev/s"
         )
+    gen0, gen1, gen2 = objects["wave_collections"]
     print(
         f"P6 objects at {objects['instances']} instances, per instance: "
         f"{objects['at_rest']:.2f} at rest, {objects['wave_survivors']:.2f} "
-        f"surviving a wave, {objects['cyclic_garbage']:.2f} cyclic garbage"
+        f"surviving a wave, {objects['cyclic_garbage']:.2f} cyclic garbage, "
+        f"{objects['wave_young']:.2f} young in a wave "
+        f"({gen0}/{gen1}/{gen2} gen-0/1/2 collections)"
     )
     status = "OK" if not failures else "REGRESSED"
     print(

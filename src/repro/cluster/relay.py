@@ -159,35 +159,33 @@ class HostRelay(LegionObject):
         if warmed:
             self.runtime.network.count("relay.local_binds", warmed)
 
-    def _apply_jobs(self, jobs, term):
-        """Generator: apply ``(loid, diff)`` jobs, windowed; returns acks.
+    def _apply_jobs(self, loids, args, term):
+        """Generator: ``applyConfiguration(*args[i])`` on each ``loids[i]``,
+        windowed; returns the ``(ok, value)`` outcomes in the same order.
 
         ``term`` is the sending manager's fencing token; re-stamping it
         on every downstream ``applyConfiguration`` keeps relay waves as
         fenced as direct delivery — a deposed manager's wave is
         rejected per instance, and the rejection rides back in the acks.
         """
-        self._prewarm_local_bindings([loid for loid, __ in jobs])
-        calls = [
-            (loid, "applyConfiguration", (diff,)) for loid, diff in jobs
-        ]
+        self._prewarm_local_bindings(loids)
         outcomes = yield from self.invoker.invoke_each(
-            calls,
+            loids,
+            "applyConfiguration",
+            args,
             window=RELAY_APPLY_WINDOW,
             timeout_schedule=RELAY_APPLY_TIMEOUTS,
             term=term,
         )
-        acks = []
-        for (loid, __), (ok, value) in zip(jobs, outcomes):
+        for ok, __ in outcomes:
             if ok:
                 self.instances_evolved += 1
             else:
                 self.instances_failed += 1
-            acks.append((loid, ok, value))
         self.batches_served += 1
         self.runtime.network.count("relay.batches")
-        self.runtime.network.count("relay.batch_instances", len(jobs))
-        return acks
+        self.runtime.network.count("relay.batch_instances", len(loids))
+        return outcomes
 
     def _apply_announcement(self, announcement, term):
         """Generator: apply an announced configuration locally.
@@ -205,11 +203,16 @@ class HostRelay(LegionObject):
         from repro.legion.errors import StaleManagerTerm
 
         type_name = announcement["type_name"]
-        diffs = announcement["diffs"]
+        # One argument tuple per distinct from-version, shared by every
+        # instance applying that diff.
+        diff_args = {
+            version: (diff,) for version, diff in announcement["diffs"].items()
+        }
         target_version = announcement["target_version"]
         runs = announcement["runs"]
         starts = [start for start, __ in runs]
         jobs = []
+        job_args = []
         applied = []
         failures = []
         for obj in self.runtime.objects_on_host(self.host.name):
@@ -229,11 +232,12 @@ class HostRelay(LegionObject):
                 else:
                     applied.append(loid)
                 continue
-            diff = diffs.get(version)
-            if diff is not None:
-                jobs.append((loid, diff))
-        acks = yield from self._apply_jobs(jobs, term)
-        for loid, ok, value in acks:
+            args = diff_args.get(version)
+            if args is not None:
+                jobs.append(loid)
+                job_args.append(args)
+        outcomes = yield from self._apply_jobs(jobs, job_args, term)
+        for loid, (ok, value) in zip(jobs, outcomes):
             if ok:
                 applied.append(loid)
             else:

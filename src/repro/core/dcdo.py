@@ -79,11 +79,11 @@ class EvolutionTransaction:
     """The undo log for one in-flight ``applyConfiguration``.
 
     *Prepare* records every component it incorporated; *commit* records
-    the pre-flip entry states, the pre-adoption restrictions, and every
-    component it removed (metadata and variant kept in hand, so re-
-    adding costs only DFM updates — the blob is still in the host
-    cache).  A rollback replays this log in reverse, leaving the
-    instance byte-for-byte on its old version.
+    the flags of every entry it flips or removes, the pre-adoption
+    restrictions, and every component it removed (metadata and variant
+    kept in hand, so re-adding costs only DFM updates — the blob is
+    still in the host cache).  A rollback replays this log in reverse,
+    leaving the instance byte-for-byte on its old version.
     """
 
     diff: object
@@ -92,9 +92,11 @@ class EvolutionTransaction:
     incorporated: list = field(default_factory=list)
     #: ``(component, variant)`` pairs removed during commit.
     removed: list = field(default_factory=list)
-    #: Entry-state snapshot taken at commit start, or None.
+    #: Prior flags of the entries commit changed (see
+    #: :meth:`DynamicFunctionMapper.record_entry_states`), or None
+    #: before commit.
     entry_states: object = None
-    #: Restrictions snapshot taken at commit start, or None.
+    #: Restrictions snapshot taken at prepare start.
     restrictions: object = None
 
 
@@ -287,7 +289,11 @@ class DCDO(LegionObject):
         return result, context.reply_bytes
 
     def _handle_request(self, message):
-        """Lazy-update hook, then normal request service."""
+        """Lazy-update hook, then normal request service.
+
+        Returns the service generator itself unless a lazy update check
+        is due first.
+        """
         payload = message.payload
         checker = self._update_checker
         if (
@@ -296,13 +302,20 @@ class DCDO(LegionObject):
             and not self.has_method(payload.get("method"))
             and checker.should_check(self)
         ):
-            yield from checker.run_check(self)
+            return self._checked_request(checker, message)
+        return super()._handle_request(message)
+
+    def _checked_request(self, checker, message):
+        """Generator: run the lazy update check, then serve ``message``."""
+        yield from checker.run_check(self)
         result = yield from super()._handle_request(message)
+        return result
+
+    def _reply_value(self, result):
         # Piggyback the configuration epoch on every reply (tentpole
         # layer 1): clients' interface leases validate for free on
         # traffic they were sending anyway.
-        value, reply_bytes = result
-        return ReplyEnvelope(value, self.dfm.epoch), reply_bytes
+        return ReplyEnvelope(result, self.dfm.epoch)
 
     # ------------------------------------------------------------------
     # Configuration functions (§2.2), internal generator forms
@@ -586,9 +599,7 @@ class DCDO(LegionObject):
         fully on the new one.
         """
         txn = self._txn = EvolutionTransaction(
-            diff=diff,
-            entry_states=self.dfm.entry_states_snapshot(),
-            restrictions=self.dfm.restrictions_snapshot(),
+            diff=diff, restrictions=self.dfm.restrictions_snapshot()
         )
         self._network_count("dcdo.prepares")
         try:
@@ -629,13 +640,17 @@ class DCDO(LegionObject):
         """Generator: flip entry states, adopt restrictions, drop the
         removed components, and bump the version."""
         diff = txn.diff
-        changes = self.dfm.apply_entry_states(diff.target)
+        undo = txn.entry_states = {}
+        changes = self.dfm.apply_entry_states(diff.target, undo)
         self.dfm.adopt_restrictions(diff.target)
         yield self.host.cpu_work(max(changes, 1) * self.calibration.dfm_update_s)
         for component_id in diff.components_to_remove:
             if component_id not in self.dfm.component_ids:
                 continue  # duplicate delivery: already removed
             incorporated = self.dfm.component(component_id)
+            # Rollback re-adds the component with its entries disabled,
+            # so their flags go in the log before they are gone.
+            self.dfm.record_entry_states(component_id, undo)
             yield from self.remove_component(component_id, validate=False)
             txn.removed.append((incorporated.component, incorporated.variant))
         validation.check_state_consistent(self.dfm)
@@ -679,7 +694,8 @@ class DCDO(LegionObject):
                     yield self.host.cpu_work(
                         len(component.functions) * self.calibration.dfm_update_s
                     )
-            self.dfm.restore_entry_states(txn.entry_states)
+            if txn.entry_states is not None:
+                self.dfm.restore_entry_states(txn.entry_states)
             self.dfm.restore_restrictions(txn.restrictions)
             yield self.host.cpu_work(self.calibration.dfm_update_s)
             validation.check_state_consistent(self.dfm)
@@ -753,8 +769,7 @@ class DCDO(LegionObject):
         return True
 
     def _m_apply_configuration(self, ctx, diff):
-        result = yield from self.apply_configuration(diff)
-        return result
+        return self.apply_configuration(diff)
 
     def _m_get_interface(self, ctx):
         """The object's current public interface (§3.1: what clients

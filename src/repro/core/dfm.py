@@ -23,6 +23,16 @@ from repro.core.errors import (
 from repro.core.functions import Marking
 
 
+def _pack_flags(entry):
+    """An entry's (enabled, exported) flags as a small int (0-3)."""
+    return (2 if entry.exported else 0) | (1 if entry.enabled else 0)
+
+
+def _unpack_flags(flags):
+    """The (enabled, exported) pair packed by :func:`_pack_flags`."""
+    return bool(flags & 1), bool(flags & 2)
+
+
 @dataclass
 class DFMEntry:
     """One function implementation mapped into a DCDO."""
@@ -80,11 +90,21 @@ class DynamicFunctionMapper:
     def _bump(self):
         self._epoch += 1
 
-    def _reindex(self):
-        """Rebuild the enabled-entry index from the entry table."""
-        self._enabled_index = {
-            entry.function: entry for entry in self._entries.values() if entry.enabled
-        }
+    def _reindex(self, function):
+        """Point the enabled-entry index at ``function``'s enabled entry.
+
+        A commit briefly enables two implementations of one function
+        (the flip enables the new one before the old component is
+        removed); the later one in table order then serves the calls.
+        """
+        chosen = None
+        for entry in self._by_function.get(function, {}).values():
+            if entry.enabled:
+                chosen = entry
+        if chosen is None:
+            self._enabled_index.pop(function, None)
+        else:
+            self._enabled_index[function] = chosen
 
     # ------------------------------------------------------------------
     # State-protocol accessors (shared validation, see core.validation)
@@ -274,7 +294,7 @@ class DynamicFunctionMapper:
         for dependency in component.declared_dependencies:
             if dependency not in self._dependencies:
                 self._dependencies.append(dependency)
-        self._reindex()
+        # New entries start disabled: the enabled-entry index is unchanged.
         self._bump()
 
     def remove_component(self, component_id, validate=True):
@@ -304,12 +324,8 @@ class DynamicFunctionMapper:
                 bucket.pop(component_id, None)
                 if not bucket:
                     del self._by_function[name]
-        self._entries = {
-            key: entry
-            for key, entry in self._entries.items()
-            if entry.component_id != component_id
-        }
-        self._reindex()
+            del self._entries[(name, component_id)]
+            self._reindex(name)
         self._bump()
 
     def enable(self, function, component_id, replace_current=False):
@@ -350,7 +366,7 @@ class DynamicFunctionMapper:
                     self._entries[key].enabled = was_enabled
                 raise
             finally:
-                self._reindex()
+                self._reindex(function)
             self._bump()
             return
         validation.check_can_enable(self, function, component_id)
@@ -436,12 +452,14 @@ class DynamicFunctionMapper:
         self._dependencies = descriptor.dependencies
         self._bump()
 
-    def apply_entry_states(self, descriptor):
+    def apply_entry_states(self, descriptor, undo=None):
         """Set enabled/exported per the descriptor; returns change count.
 
         Only touches (function, component) pairs present in both; the
         component add/remove steps are the DCDO's job because they
-        carry real (download/link) costs.
+        carry real (download/link) costs.  With an ``undo`` log (see
+        :meth:`record_entry_states`), each entry's flags are logged
+        before they first change.
         """
         changes = 0
         for key, entry in self._entries.items():
@@ -449,11 +467,13 @@ class DynamicFunctionMapper:
             if target is None:
                 continue
             if entry.enabled != target.enabled or entry.exported != target.exported:
+                if undo is not None and key not in undo:
+                    undo[key] = _pack_flags(entry)
                 entry.enabled = target.enabled
                 entry.exported = target.exported
+                self._reindex(entry.function)
                 changes += 1
         if changes:
-            self._reindex()
             self._bump()
         return changes
 
@@ -461,36 +481,38 @@ class DynamicFunctionMapper:
     # Undo-log support (transactional evolution)
     # ------------------------------------------------------------------
 
-    def entry_states_snapshot(self):
-        """Capture every entry's (enabled, exported) flags.
+    def record_entry_states(self, component_id, undo):
+        """Log the flags of ``component_id``'s entries in ``undo``.
 
-        Taken by a DCDO at commit time so a failed commit can restore
-        the pre-flip dispatch state exactly (see
-        :meth:`restore_entry_states`).
+        ``undo`` maps an entry's ``(function, component_id)`` key to its
+        packed flags, as they were before the transaction changed them.
+        A DCDO logs a component's entries before removing it, because
+        re-adding the component on rollback brings its entries back
+        disabled; :meth:`apply_entry_states` logs the entries it flips.
+        Entries already logged keep their first flags.
         """
-        return {
-            key: (entry.enabled, entry.exported)
-            for key, entry in self._entries.items()
-        }
+        for key, entry in self._entries.items():
+            if entry.component_id == component_id and key not in undo:
+                undo[key] = _pack_flags(entry)
 
-    def restore_entry_states(self, snapshot):
-        """Reinstate flags captured by :meth:`entry_states_snapshot`.
+    def restore_entry_states(self, undo):
+        """Reinstate the flags logged in ``undo``.
 
-        Entries added since the snapshot keep their current flags;
-        entries removed since are skipped (the caller re-adds their
-        components first when full restoration is needed).
+        Entries that no longer exist are skipped (the caller re-adds
+        their components first when full restoration is needed).
         """
         changed = False
-        for key, (enabled, exported) in snapshot.items():
+        for key, flags in undo.items():
             entry = self._entries.get(key)
             if entry is None:
                 continue
+            enabled, exported = _unpack_flags(flags)
             if entry.enabled != enabled or entry.exported != exported:
                 entry.enabled = enabled
                 entry.exported = exported
+                self._reindex(entry.function)
                 changed = True
         if changed:
-            self._reindex()
             self._bump()
 
     def restrictions_snapshot(self):

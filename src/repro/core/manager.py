@@ -715,8 +715,7 @@ class DCDOManager(ClassObject):
         legitimately lacks; the prior version was validated when it was
         marked instantiable).
         """
-        lock = self.management_lock(loid)
-        yield lock.acquire()
+        yield self.management_lock(loid).acquire()
         try:
             record = self.record(loid)
             if not record.active:
@@ -770,7 +769,7 @@ class DCDOManager(ClassObject):
                 record.version_tag = str(target_version)
             self.evolutions_performed += 1
         finally:
-            lock.release()
+            self.release_management_lock(loid)
         return target_version
 
     def try_evolve_instance(self, loid, target_version=None):
@@ -856,11 +855,12 @@ class DCDOManager(ClassObject):
             yield from self._relay_deliveries(tracker, policy, window)
             if not self.is_active:
                 return tracker
-        pending = tracker.pending_loids()
-        thunks = [
-            lambda l=loid: self._deliver(tracker, l, policy) for loid in pending
-        ]
-        outcomes = yield from run_windowed(self._runtime.sim, thunks, window)
+        outcomes = yield from run_windowed(
+            self._runtime.sim,
+            tracker.pending_loids(),
+            window,
+            lambda loid: self._deliver(tracker, loid, policy),
+        )
         for ok, value in outcomes:
             if not ok:
                 # _deliver absorbs expected failures into the tracker;
@@ -945,13 +945,16 @@ class DCDOManager(ClassObject):
         concurrent waves cannot deadlock — which keeps the version
         reads used for diffing consistent with the commits, and is
         what lets an announcement name its targets by instance-number
-        runs: no relay may touch an instance outside them.
+        runs: no relay may touch an instance outside them.  Each lock
+        is looked up as it is acquired, never earlier: an idle lock is
+        dropped on release (see :meth:`release_management_lock`).
         """
         sim = self._runtime.sim
         directory = self._relay_directory
         version = tracker.version
         target_record = self.version_record(version)
-        batchable = []
+        # loid -> host name, in pending order.
+        batchable = {}
         for loid in tracker.pending_loids():
             try:
                 record = self.record(loid)
@@ -970,19 +973,16 @@ class DCDOManager(ClassObject):
                 # through the limping host.
                 self._runtime.network.count("relay.quarantine_skips")
                 continue
-            batchable.append((loid, record.host.name))
+            batchable[loid] = record.host.name
         if not batchable:
             return
-        locks = [
-            self.management_lock(loid)
-            for loid, __ in sorted(batchable, key=lambda item: str(item[0]))
-        ]
-        for lock in locks:
-            yield lock.acquire()
+        lock_order = sorted(batchable, key=str)
+        for loid in lock_order:
+            yield self.management_lock(loid).acquire()
         try:
             remaining = {}
             diffs = {}
-            for loid, host_name in batchable:
+            for loid, host_name in batchable.items():
                 from_version = self._state.instance_versions.get(loid)
                 if from_version == version:
                     # Already there (re-armed wave): ack without an RPC,
@@ -1016,8 +1016,8 @@ class DCDOManager(ClassObject):
                     tracker, remaining, diffs, policy, window
                 )
         finally:
-            for lock in locks:
-                lock.release()
+            for loid in lock_order:
+                self.release_management_lock(loid)
 
     def _announce_wave(self, tracker, remaining, diffs, policy, window):
         """Generator: announce ``remaining`` until committed or out of budget.

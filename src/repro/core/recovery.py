@@ -343,8 +343,9 @@ class ManagerJournal:
             observer(event, payload)
 
     def append(self, kind, **data):
-        """Append one write-ahead entry."""
-        entry = JournalEntry(kind, dict(data))
+        """Append one write-ahead entry; it keeps ``data``, the fields
+        dict this call was given."""
+        entry = JournalEntry(kind, data)
         self._entries.append(entry)
         self.appends += 1
         self._tail_bytes += estimate_entry_bytes(entry)

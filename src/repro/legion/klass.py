@@ -77,6 +77,13 @@ class ClassObject(LegionObject):
         manager's — conflicts across incarnations are resolved by term
         fencing at the instance, and :meth:`recover_instance` adopts an
         incarnation a racing rebuild already brought up.
+
+        A lock exists only while someone holds it or waits on it:
+        :meth:`release_management_lock` drops it once idle.  So an
+        acquirer must look the lock up in the same step in which it
+        acquires it (``yield self.management_lock(loid).acquire()``);
+        a lock looked up earlier may have been dropped meanwhile, and
+        acquiring it would not exclude the holder of its successor.
         """
         from repro.sim import Semaphore
 
@@ -86,6 +93,13 @@ class ClassObject(LegionObject):
                 self.sim, permits=1, name=f"mgmt:{loid}"
             )
         return lock
+
+    def release_management_lock(self, loid):
+        """Release ``loid``'s management lock; drop the lock once idle."""
+        lock = self._management_locks[loid]
+        lock.release()
+        if lock.available == lock.capacity:
+            del self._management_locks[loid]
 
     @property
     def type_name(self):
@@ -278,8 +292,7 @@ class ClassObject(LegionObject):
 
         Returns the new binding.
         """
-        lock = self.management_lock(loid)
-        yield lock.acquire()
+        yield self.management_lock(loid).acquire()
         try:
             self._require_authority()
             record = self.record(loid)
@@ -331,7 +344,7 @@ class ClassObject(LegionObject):
             record.version_tag = version_tag
             self._runtime.attach_object(obj)
         finally:
-            lock.release()
+            self.release_management_lock(loid)
         if self._invoker is not None:
             # Our own next management RPC must not chase the dead
             # incarnation's address through the whole timeout schedule.
@@ -370,14 +383,13 @@ class ClassObject(LegionObject):
         process on the target, restore, re-bind.  Existing client
         bindings become stale.
         """
-        lock = self.management_lock(loid)
-        yield lock.acquire()
+        yield self.management_lock(loid).acquire()
         try:
             source_host = self.record(loid).host.name
             yield from self.deactivate_instance(loid)
             binding = yield from self.activate_instance(loid, host_name=target_host_name)
         finally:
-            lock.release()
+            self.release_management_lock(loid)
         if self._invoker is not None:
             # The class object minted this binding itself: seed its own
             # invoker cache so its next management RPC to the moved

@@ -7,19 +7,30 @@ unique, location-independent identifier.  LOIDs carry a *domain*, a
 identifiers while staying printable and hashable.
 
 LOIDs minted through :func:`mint_loid` / :func:`class_loid` are
-*interned*: one canonical object per (domain, type_name, instance)
-triple, so the dict lookups that dominate the ``core``/``net`` hot
-paths hit CPython's identity fast path instead of comparing strings,
-and ``a is b`` is a valid equality check for runtime-minted LOIDs.
-Directly constructed LOIDs keep plain value semantics (they compare
-and hash by fields); :func:`intern_loid` folds one into the canon.
+*canonical*: one object per live (domain, type_name, instance) triple,
+so the dict lookups that dominate the ``core``/``net`` hot paths hit
+CPython's identity fast path instead of comparing strings, and ``a is
+b`` is a valid equality check for runtime-minted LOIDs.  Directly
+constructed LOIDs keep plain value semantics (they compare and hash by
+fields).
+
+Nothing here keeps a LOID alive, so a runtime's LOIDs are freed with
+it.  :func:`mint_loid` never mints a triple twice, so its LOID is
+canonical without a table; :func:`class_loid` finds the live class
+LOID of its type in a table that holds it weakly.  Instance numbering
+is process-wide, not per runtime: the tests mint LOIDs without one.
+A process that builds several runtimes therefore numbers the later
+runtimes' instances after the earlier ones'.
 """
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
+#: (domain, type_name) -> the counter numbering its instances.
 _instance_counters = {}
-_intern = {}
+#: (domain, type_name) -> its live class LOID, held weakly.
+_class_loids = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True, order=True)
@@ -74,30 +85,23 @@ class LOID:
         return self.instance == 0
 
 
-def intern_loid(loid):
-    """Return the canonical instance equal to ``loid``."""
-    return _intern.setdefault((loid.domain, loid.type_name, loid.instance), loid)
-
-
 def mint_loid(domain, type_name):
     """Create a fresh instance LOID for (domain, type_name).
 
     Instance numbers start at 1; 0 is reserved for the class object
-    itself (see :func:`class_loid`).  The result is registered in the
-    intern table, so it *is* the canonical object for its triple.
+    itself (see :func:`class_loid`).  No number is minted twice in a
+    process, so the result *is* the canonical object for its triple.
     """
     key = (domain, type_name)
     if key not in _instance_counters:
         _instance_counters[key] = itertools.count(1)
-    loid = LOID(domain, type_name, next(_instance_counters[key]))
-    _intern[(domain, type_name, loid.instance)] = loid
-    return loid
+    return LOID(domain, type_name, next(_instance_counters[key]))
 
 
 def class_loid(domain, type_name):
-    """The (interned) LOID of the class object for (domain, type_name)."""
-    key = (domain, type_name, 0)
-    loid = _intern.get(key)
+    """The canonical LOID of the class object for (domain, type_name)."""
+    key = (domain, type_name)
+    loid = _class_loids.get(key)
     if loid is None:
-        loid = _intern.setdefault(key, LOID(domain, type_name, 0))
+        loid = _class_loids[key] = LOID(domain, type_name, 0)
     return loid

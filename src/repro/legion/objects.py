@@ -401,7 +401,11 @@ class LegionObject:
         self.requests_completed += 1
         if reply_bytes is None:
             reply_bytes = self.calibration.method_message_bytes
-        return (result, reply_bytes)
+        return (self._reply_value(result), reply_bytes)
+
+    def _reply_value(self, result):
+        """What the reply to a served call carries; subclass hook."""
+        return result
 
     def __repr__(self):
         state = "active" if self.is_active else "inactive"

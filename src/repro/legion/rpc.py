@@ -212,8 +212,9 @@ class MethodInvoker:
         else:
             schedule = self._calibration.rebind_timeout_schedule_s
         if self._rng is None:
-            return list(schedule)
-        return [self._rng.jitter("rpc-timeouts", t, 0.15) for t in schedule]
+            return tuple(schedule)
+        jitter = self._rng.jitter
+        return tuple([jitter("rpc-timeouts", t, 0.15) for t in schedule])
 
     def invoke(
         self,
@@ -267,37 +268,41 @@ class MethodInvoker:
         ``hedge=True`` marks the operation idempotent and eligible for
         a backup request against a slow peer; it only takes effect once
         :meth:`enable_hedging` has armed the invoker.
+
+        The generator returned is the invocation body itself, or, with
+        a ``breaker``, the body wrapped in the breaker's bookkeeping.
         """
-        if term is None and self.term_source is not None:
-            term = self.term_source()
         if breaker is not None:
-            probing = breaker.state is not CircuitState.CLOSED
-            if not breaker.allow():
-                self._endpoint.network.count("breaker.short_circuits")
-                raise CircuitOpen(str(loid), breaker.retry_at)
-            if probing:
-                # This attempt is the half-open probe: the target was
-                # known-dead, so any cached binding predates the outage.
-                # Rebind before probing — a target that recovered at a
-                # new address (host restart, new incarnation) then
-                # answers after one resolve round trip instead of after
-                # a full stale-binding timeout walk.
-                self._cache.invalidate(loid)
-                self._endpoint.network.count("breaker.probe_rebinds")
-            try:
-                result = yield from self._invoke_inner(
-                    loid, method, args, payload_bytes, timeout_schedule,
-                    retry_policy, term, hedge,
-                )
-            except (RequestTimeout, ObjectUnreachable, UnknownObject):
-                breaker.record_failure()
-                raise
-            breaker.record_success()
-            return result
-        result = yield from self._invoke_inner(
+            return self._invoke_guarded(
+                breaker, loid, method, args, payload_bytes, timeout_schedule,
+                retry_policy, term, hedge,
+            )
+        return self._invoke_inner(
             loid, method, args, payload_bytes, timeout_schedule, retry_policy,
             term, hedge,
         )
+
+    def _invoke_guarded(self, breaker, loid, *args):
+        """Generator: the invocation body behind ``breaker`` (see invoke)."""
+        probing = breaker.state is not CircuitState.CLOSED
+        if not breaker.allow():
+            self._endpoint.network.count("breaker.short_circuits")
+            raise CircuitOpen(str(loid), breaker.retry_at)
+        if probing:
+            # This attempt is the half-open probe: the target was
+            # known-dead, so any cached binding predates the outage.
+            # Rebind before probing — a target that recovered at a
+            # new address (host restart, new incarnation) then
+            # answers after one resolve round trip instead of after
+            # a full stale-binding timeout walk.
+            self._cache.invalidate(loid)
+            self._endpoint.network.count("breaker.probe_rebinds")
+        try:
+            result = yield from self._invoke_inner(loid, *args)
+        except (RequestTimeout, ObjectUnreachable, UnknownObject):
+            breaker.record_failure()
+            raise
+        breaker.record_success()
         return result
 
     def _invoke_inner(
@@ -312,6 +317,8 @@ class MethodInvoker:
         hedge=False,
     ):
         """Generator: the breaker-free invocation body (see invoke)."""
+        if term is None and self.term_source is not None:
+            term = self.term_source()
         retry_policy = retry_policy or self.retry_policy
         payload_bytes = (
             self._calibration.method_message_bytes if payload_bytes is None else payload_bytes
@@ -376,7 +383,9 @@ class MethodInvoker:
                 hedge_delay_s = schedule[0] / 2.0
         last_error = None
         sim = self._endpoint.sim
-        for index, timeout_s in enumerate(schedule):
+        # Indexed, so that no list or iterator is held across the yields.
+        for index in range(len(schedule)):
+            timeout_s = schedule[index]
             if index > 0:
                 self.stats.retries += 1
                 if retry_policy is not None:
@@ -428,29 +437,30 @@ class MethodInvoker:
     ):
         """Generator: invoke ``method`` on many objects, windowed.
 
-        The invoker-level counterpart of the endpoint's ``broadcall``:
-        at most ``window`` invocations are in flight at once, each freed
+        At most ``window`` invocations are in flight at once, each freed
         slot immediately starting the next.  Returns an ordered mapping
         ``loid -> (ok, value-or-exception)``.
         """
         loids = list(loids)
-        thunks = [
-            lambda l=loid: self.invoke(
-                l,
+
+        def start(loid):
+            return self.invoke(
+                loid,
                 method,
                 args,
                 payload_bytes=payload_bytes,
                 timeout_schedule=timeout_schedule,
                 retry_policy=retry_policy,
             )
-            for loid in loids
-        ]
-        outcomes = yield from run_windowed(self._endpoint.sim, thunks, window)
+
+        outcomes = yield from run_windowed(self._endpoint.sim, loids, window, start)
         return dict(zip(loids, outcomes))
 
     def invoke_each(
         self,
-        calls,
+        loids,
+        method,
+        args,
         window=8,
         payload_bytes=None,
         timeout_schedule=None,
@@ -458,30 +468,31 @@ class MethodInvoker:
         breaker=None,
         term=None,
     ):
-        """Generator: heterogeneous windowed invocations.
+        """Generator: one method, windowed, with per-target arguments.
 
-        Unlike :meth:`invoke_many` (one method fanned to many objects),
-        ``calls`` is a sequence of ``(loid, method, args)`` triples —
-        each target gets its *own* arguments.  This is the shape a host
+        Unlike :meth:`invoke_many` (the same call fanned to many
+        objects), ``args`` is a sequence parallel to ``loids``: target
+        ``loids[i]`` gets ``method(*args[i])``.  This is the shape a host
         relay needs to apply per-instance configuration diffs to its
         colocated DCDOs.  Returns ``(ok, value-or-exception)`` pairs in
         input order, at most ``window`` in flight at once.
         """
-        calls = list(calls)
-        thunks = [
-            lambda c=call: self.invoke(
-                c[0],
-                c[1],
-                c[2],
+
+        def start(index):
+            return self.invoke(
+                loids[index],
+                method,
+                args[index],
                 payload_bytes=payload_bytes,
                 timeout_schedule=timeout_schedule,
                 retry_policy=retry_policy,
                 breaker=breaker,
                 term=term,
             )
-            for call in calls
-        ]
-        outcomes = yield from run_windowed(self._endpoint.sim, thunks, window)
+
+        outcomes = yield from run_windowed(
+            self._endpoint.sim, range(len(loids)), window, start
+        )
         return outcomes
 
     @staticmethod

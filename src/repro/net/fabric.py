@@ -139,7 +139,8 @@ class Network:
         return self._health
 
     def publish(self, topic, subject=None, **details):
-        """Publish one event on the fabric's shared bus."""
+        """Publish one event on the fabric's shared bus (see
+        :meth:`EventBus.publish <repro.obs.bus.EventBus.publish>`)."""
         return self.bus.publish(topic, subject, **details)
 
     @property

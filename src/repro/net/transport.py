@@ -28,38 +28,47 @@ from repro.sim.errors import SimulationError
 from repro.sim.events import Event
 
 
-def run_windowed(sim, thunks, window):
-    """Generator: run generator-thunks with at most ``window`` in flight.
+def run_windowed(sim, items, window, start=None):
+    """Generator: run one generator per item with at most ``window`` in flight.
 
     The shared fan-out engine behind the invoker's windowed calls and
-    the manager's windowed evolution waves.  ``thunks`` is a sequence of
-    zero-argument callables returning generators; at most ``window`` of
-    them execute concurrently, each freed slot immediately pulling the
-    next.  Returns a list of ``(ok, value)`` pairs in input order —
-    ``(True, result)`` or ``(False, exception)`` — so one slow or
-    failing item never hides the others' outcomes.
+    the manager's windowed evolution waves.  ``items`` is a sequence;
+    each item's generator is ``start(item)``, or ``item()`` when
+    ``start`` is None (a sequence of zero-argument thunks).  At most
+    ``window`` of them execute concurrently, each freed slot
+    immediately pulling the next item.  Returns a list of ``(ok,
+    value)`` pairs in input order — ``(True, result)`` or ``(False,
+    exception)`` — so one slow or failing item never hides the others'
+    outcomes.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    thunks = list(thunks)
-    results = [None] * len(thunks)
-    work = iter(list(enumerate(thunks)))
+    # Values and errors are held bare while the window runs; the pairs
+    # are built once every item is done.
+    values = [None] * len(items)
+    errors = {}
+    # Workers pull indexes lazily from one shared iterator.
+    work = iter(range(len(items)))
 
     def worker():
-        for index, thunk in work:
+        for index in work:
+            item = items[index]
             try:
-                value = yield from thunk()
+                values[index] = yield from (item() if start is None else start(item))
             except Exception as error:  # noqa: BLE001 - reported per item
-                results[index] = (False, error)
-            else:
-                results[index] = (True, value)
+                errors[index] = error
 
-    workers = [sim.spawn(worker()) for __ in range(min(window, len(thunks)))]
+    workers = [sim.spawn(worker()) for __ in range(min(window, len(items)))]
     if workers:
         from repro.sim.events import AllOf
 
         yield AllOf(sim, workers)
-    return results
+    if not errors:
+        return [(True, value) for value in values]
+    return [
+        (False, errors[index]) if index in errors else (True, value)
+        for index, value in enumerate(values)
+    ]
 
 
 class TransportError(SimulationError):
@@ -136,6 +145,14 @@ class _Attempt(Event):
         unless resolved already."""
         if self._ok is None:
             self.succeed(outcome)
+
+    def expire(self):
+        """Scheduled call: the attempt's timer ran out."""
+        self.settle(_TIMED_OUT)
+
+    def hedge(self):
+        """Scheduled call: the attempt reached its hedge point."""
+        self.settle(_HEDGE_DUE)
 
     def rearm(self):
         """Make the event pending again (after the hedge point)."""
@@ -340,12 +357,10 @@ class Endpoint:
             network.send(message)
             backup = None
             if hedge_delay_s is None:
-                timer = sim._schedule_call(partial(wait.settle, _TIMED_OUT), timeout_s)
+                timer = sim._schedule_call(wait.expire, timeout_s)
                 reply = yield wait
             else:
-                timer = sim._schedule_call(
-                    partial(wait.settle, _HEDGE_DUE), hedge_delay_s
-                )
+                timer = sim._schedule_call(wait.hedge, hedge_delay_s)
                 reply = yield wait
                 if reply is _HEDGE_DUE:
                     # Primary is late: race a backup copy against it for
@@ -363,7 +378,7 @@ class Endpoint:
                     network.send(backup)
                     network.count("transport.hedges")
                     timer = sim._schedule_call(
-                        partial(wait.settle, _TIMED_OUT), timeout_s - hedge_delay_s
+                        wait.expire, timeout_s - hedge_delay_s
                     )
                     reply = yield wait
                     self._pending_replies.pop(backup.message_id, None)

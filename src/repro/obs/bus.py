@@ -13,8 +13,10 @@ Delivery is synchronous and in-process: ``publish`` invokes every
 matching callback before returning, on the publisher's stack.
 Subscribers that need to *act* (anything that yields simulated time)
 must therefore only record the event and act from their own process —
-the bus is a sensing fabric, not an execution engine.  A bounded ring
-of recent events is kept for reports and debugging.
+the bus is a sensing fabric, not an execution engine.  The bus keeps no
+events itself: an :class:`Event` is built only when a subscription
+matches, and an unobserved publish costs one tally.  Record a timeline
+with a :class:`~repro.obs.trace.Tracer`.
 
 Topics are strings: dotted for sensed signals (``"health.quarantined"``,
 ``"slo.breach"``, ``"host.crashed"``), journal kinds and other
@@ -23,9 +25,6 @@ configuration-plane names for transitions (``"propagation-ack"``,
 ``"*"`` receives everything, and a subscription to a ``"prefix."``
 string receives every topic under that prefix.
 """
-
-from collections import deque
-
 
 class Event:
     """One published occurrence: the system's only event record."""
@@ -49,13 +48,12 @@ class Event:
 
 
 class EventBus:
-    """Topic-keyed synchronous pub/sub with a bounded history."""
+    """Topic-keyed synchronous pub/sub with per-topic tallies."""
 
-    def __init__(self, sim, history=256):
+    def __init__(self, sim):
         self._sim = sim
         self._subscribers = {}  # pattern -> list of callbacks
         self.published = 0
-        self.recent = deque(maxlen=history)
         self._counts = {}
 
     def subscribe(self, pattern, callback):
@@ -76,17 +74,22 @@ class EventBus:
                 del self._subscribers[pattern]
 
     def publish(self, topic, subject=None, **details):
-        """Deliver one event to every matching subscriber; returns it."""
-        event = Event(self._sim.now, topic, subject, details)
+        """Deliver one event to every matching subscriber.
+
+        Returns the :class:`Event`, or None when no subscription
+        matched (then none was built).
+        """
         self.published += 1
         counts = self._counts
         counts[topic] = counts.get(topic, 0) + 1
-        self.recent.append(event)
         # Publishing is always on, so the common no-subscriber case
         # must not pay for copying the subscription table.
+        event = None
         if self._subscribers:
             for pattern, callbacks in list(self._subscribers.items()):
                 if self._matches(pattern, topic):
+                    if event is None:
+                        event = Event(self._sim.now, topic, subject, details)
                     for callback in list(callbacks):
                         callback(event)
         return event

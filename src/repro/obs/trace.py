@@ -5,8 +5,8 @@ A :class:`Tracer` subscribed to a runtime's
 version cuts, evolutions, component incorporations, migrations, manager
 transitions — with its simulated timestamp, giving operators (and
 tests) a timeline of *what changed when* in a system whose objects
-mutate while running.  Without one, the bus keeps only its bounded
-ring of recent events and its per-topic tallies.
+mutate while running.  Without one, the bus keeps only its per-topic
+tallies.
 """
 
 

@@ -4,11 +4,25 @@ An :class:`Event` is a one-shot occurrence that processes can wait on
 by yielding it.  Events carry a value on success or an exception on
 failure.  :class:`Timeout` is an event that the kernel triggers after a
 fixed delay; :class:`AllOf` and :class:`AnyOf` compose events.
+
+An event is its own scheduler action: triggering it schedules the
+event itself, and the kernel calls it to run its callbacks, so no
+bound method is made per trigger.  Most events have exactly one
+waiter, so an event holds a lone callback inline and builds a list
+only for a second one.  Callbacks run in registration order; one
+registered after the event was processed runs at the same instant,
+through a zero-delay call.
 """
+
+from functools import partial
 
 from repro.sim.errors import EventAlreadyTriggered
 
 _UNSET = object()
+#: ``_callbacks`` of an event whose callbacks have run.
+_PROCESSED = object()
+#: ``_callbacks`` of a cancelled timeout: it drops every callback.
+_CANCELLED = object()
 
 
 class Event:
@@ -19,6 +33,9 @@ class Event:
     scheduled), and *processed* (callbacks have run).  A process waits
     on an event by yielding it; the kernel resumes the process with the
     event's value, or throws the event's exception into it.
+
+    ``_callbacks`` is None (no waiter), the one callback, a list of
+    them in registration order, or a marker once they have run.
     """
 
     __slots__ = ("_sim", "_name", "_callbacks", "_value", "_ok")
@@ -26,7 +43,7 @@ class Event:
     def __init__(self, sim, name=None):
         self._sim = sim
         self._name = name
-        self._callbacks = []
+        self._callbacks = None
         self._value = _UNSET
         self._ok = None
 
@@ -83,21 +100,32 @@ class Event:
     def add_callback(self, callback):
         """Register ``callback(event)`` to run when the event is processed.
 
-        If the event has already been processed the callback is invoked
-        via a zero-delay schedule so that callback ordering remains
-        deterministic.
+        Callbacks run in registration order.  If the event has already
+        been processed the callback is invoked via a zero-delay schedule
+        so that callback ordering remains deterministic.
         """
-        if self._callbacks is None:
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = callback
+        elif type(callbacks) is list:
+            callbacks.append(callback)
+        elif callbacks is _PROCESSED:
             # Already processed: deliver asynchronously but immediately.
-            self._sim._schedule_call(lambda: callback(self))
-        else:
-            self._callbacks.append(callback)
+            self._sim._schedule_call(partial(callback, self))
+        elif callbacks is not _CANCELLED:
+            self._callbacks = [callbacks, callback]
 
-    def _process(self):
-        """Run and clear the callback list (kernel use only)."""
-        callbacks, self._callbacks = self._callbacks, None
-        for callback in callbacks:
-            callback(self)
+    def __call__(self):
+        """Run the callbacks once (the kernel's action for this event)."""
+        callbacks = self._callbacks
+        self._callbacks = _PROCESSED
+        if callbacks is None:
+            return
+        if type(callbacks) is list:
+            for callback in callbacks:
+                callback(self)
+        else:
+            callbacks(self)
 
     def _label(self):
         """The name ``repr`` shows; rendered only when asked for."""
@@ -125,7 +153,7 @@ class Timeout(Event):
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
         self._sim = sim
         self._name = None
-        self._callbacks = []
+        self._callbacks = None
         self._delay = delay
         self._ok = True
         self._value = value
@@ -146,9 +174,10 @@ class Timeout(Event):
         unbounded ``run()`` alive.  Cancelling after the timeout has
         fired (or twice) is a harmless no-op — the kernel just skips
         the dead queue entry, so losers of ``AnyOf`` races can always
-        be cancelled unconditionally.  The callbacks are dropped, so
-        the loser of a race keeps no reference back to its ``AnyOf``
-        and the pair leaves no cycle behind.
+        be cancelled unconditionally.  The callbacks are dropped, and
+        so is any registered later, so the loser of a race keeps no
+        reference back to its ``AnyOf`` and the pair leaves no cycle
+        behind.
         """
         handle = self._handle
         if handle is None:
@@ -156,7 +185,7 @@ class Timeout(Event):
         self._handle = None
         if not self._sim._cancel_entry(handle):
             return False
-        self._callbacks.clear()
+        self._callbacks = _CANCELLED
         return True
 
     def succeed(self, value=None):

@@ -83,11 +83,13 @@ class Simulator:
     def _schedule_event(self, event, delay=0.0, daemon=False):
         """Queue a triggered event's callbacks to run after ``delay``.
 
+        The event itself is the scheduler action (see
+        :meth:`Event.__call__ <repro.sim.events.Event.__call__>`).
         Returns the scheduler entry so the caller can lazily cancel it.
         """
         if delay < 0:
             raise StaleScheduleError(f"cannot schedule {delay} seconds in the past")
-        return self._scheduler.push(self._now + delay, event._process, daemon)
+        return self._scheduler.push(self._now + delay, event, daemon)
 
     def _schedule_call(self, func, delay=0.0):
         """Queue a bare callable; returns its cancellable entry."""

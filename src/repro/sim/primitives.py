@@ -119,7 +119,8 @@ class Semaphore:
     ``acquire()`` returns an event that succeeds when a permit is
     available; ``release()`` returns a permit.  Used with capacity 1 it
     is a mutex, which is how per-link serialization (bandwidth) and
-    per-host CPU occupancy are modeled.
+    per-host CPU occupancy are modeled.  The queue of waiters is built
+    for the first acquirer that has to wait.
     """
 
     __slots__ = ("_sim", "_permits", "_capacity", "_name", "_waiters")
@@ -131,7 +132,7 @@ class Semaphore:
         self._permits = permits
         self._capacity = permits
         self._name = name or "semaphore"
-        self._waiters = deque()
+        self._waiters = None
 
     @property
     def available(self):
@@ -149,6 +150,8 @@ class Semaphore:
         if self._permits > 0:
             self._permits -= 1
             event.succeed()
+        elif self._waiters is None:
+            self._waiters = deque((event,))
         else:
             self._waiters.append(event)
         return event

@@ -6,10 +6,16 @@ event triggers, at which point the kernel resumes the generator with
 the event's value (or throws its exception).  A process is itself an
 :class:`~repro.sim.events.Event` that triggers when the generator
 finishes, so processes can be joined by yielding them.
+
+A process is also its own callback and its own scheduler action: it
+waits by registering itself on the event it yielded, and it is
+scheduled itself to start, to resume after a bare ``yield``, and to
+run its joiners once finished.  So neither waiting nor resuming makes
+a bound method.
 """
 
 from repro.sim.errors import Interrupt, StopProcess
-from repro.sim.events import Event
+from repro.sim.events import _UNSET, Event
 
 
 class Process(Event):
@@ -36,7 +42,7 @@ class Process(Event):
         self._waiting_on = None
         self._interrupts = None
         # Kick off the generator at the current simulated time.
-        sim._schedule_call(self._resume)
+        sim._schedule_call(self)
 
     def _label(self):
         return self._name or getattr(self._generator, "__name__", "process")
@@ -71,22 +77,31 @@ class Process(Event):
             return
         interrupt = self._interrupts.pop(0)
         # Detach from whatever we were waiting on; the event may still
-        # trigger later, in which case _on_event finds us detached.
+        # trigger later, in which case __call__ finds us detached.
         self._waiting_on = None
         self._step(interrupt, throw=True)
 
-    def _resume(self):
-        self._step(None)
+    def __call__(self, event=None):
+        """Scheduler action or callback: whichever this process needs.
 
-    def _on_event(self, event):
+        Called with no event, an unfinished process starts or resumes
+        after a bare ``yield``, and a finished one runs its joiners.
+        Called with the event it waits on, it resumes with its outcome.
+        """
+        if event is None:
+            if self._value is _UNSET:
+                self._step(None)
+            else:
+                Event.__call__(self)
+            return
         if self._waiting_on is not event:
             # We were interrupted away from this event; ignore it.
             return
         self._waiting_on = None
-        if event.ok:
-            self._step(event.value)
+        if event._ok:
+            self._step(event._value)
         else:
-            self._step(event.value, throw=True)
+            self._step(event._value, throw=True)
 
     def _step(self, value, throw=False):
         """Advance the generator one yield and act on what it produces."""
@@ -112,7 +127,7 @@ class Process(Event):
     def _wait_for(self, target):
         if target is None:
             # Cooperative yield: resume after currently-queued events.
-            self._sim._schedule_call(self._resume)
+            self._sim._schedule_call(self)
             return
         if isinstance(target, Event):
             if target._sim is not self._sim:
@@ -122,7 +137,7 @@ class Process(Event):
                 )
                 return
             self._waiting_on = target
-            target.add_callback(self._on_event)
+            target.add_callback(self)
             return
         self._step(
             TypeError(f"process yielded {target!r}; expected an Event or None"),

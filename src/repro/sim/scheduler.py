@@ -12,7 +12,10 @@ Two implementations share one interface (``push`` / ``pop`` /
   dominant event classes (zero-delay process resumes, event callbacks,
   same-instant fan-out batches) O(1).  Only the *first* event at a new
   instant pays one heap operation, and that heap compares plain floats
-  at C speed instead of calling a Python ``__lt__``.
+  at C speed instead of calling a Python ``__lt__``.  An instant with
+  one entry holds it inline; a second entry moves both into a deque,
+  taken from a small free list of drained buckets when one is there.
+  So a lone timer makes no deque, and a busy instant rarely a new one.
 - :class:`HeapScheduler` — the pre-calendar binary heap of
   ``(time, seq)``-ordered entries with a Python ``__lt__``.  Kept so the
   P6 benchmark can A/B identical workloads against the old kernel.
@@ -52,21 +55,37 @@ class _Entry:
         return self.seq < other.seq
 
 
+#: Most drained buckets a calendar queue keeps for reuse.
+FREE_BUCKETS = 256
+
+#: The bucket of an instant whose lone entry has been popped.
+_SPENT = _Entry(None, 0, None, True)
+
+
 class CalendarScheduler:
     """Bucketed event scheduler with O(1) common-case push/pop.
+
+    A bucket is one ``_Entry`` (an instant's lone entry, possibly
+    cancelled, or ``_SPENT`` once popped) or a deque of entries in
+    schedule order.
 
     Invariant: a time appears in the ``_times`` heap exactly when its
     bucket exists in ``_buckets``, and exactly once.  ``pop`` leaves an
     emptied bucket in place, so the zero-delay entries the popped action
-    schedules append to it without touching the heap; the next
-    ``pop``/``peek_time`` drops it if it is still empty.
+    schedules join it without touching the heap; the next
+    ``pop``/``peek_time`` drops it if it is still empty, and a drained
+    deque goes onto the free list (at most :data:`FREE_BUCKETS` long)
+    that busy instants draw on.
     """
 
-    __slots__ = ("_buckets", "_times", "_seq", "processed", "nondaemon_pending", "_live")
+    __slots__ = (
+        "_buckets", "_times", "_free", "_seq", "processed", "nondaemon_pending", "_live"
+    )
 
     def __init__(self):
         self._buckets = {}
         self._times = []
+        self._free = []
         self._seq = 0
         self.processed = 0
         self.nondaemon_pending = 0
@@ -81,12 +100,21 @@ class CalendarScheduler:
         """Schedule ``action`` at ``time``; returns a cancellable handle."""
         self._seq += 1
         entry = _Entry(time, self._seq, action, daemon)
-        bucket = self._buckets.get(time)
+        buckets = self._buckets
+        bucket = buckets.get(time)
         if bucket is None:
-            self._buckets[time] = deque((entry,))
+            buckets[time] = entry
             heapq.heappush(self._times, time)
-        else:
+        elif type(bucket) is not _Entry:
             bucket.append(entry)
+        elif bucket.action is None:
+            # The instant's lone entry was popped or cancelled.
+            buckets[time] = entry
+        else:
+            free = self._free
+            queue = buckets[time] = free.pop() if free else deque()
+            queue.append(bucket)
+            queue.append(entry)
         if not daemon:
             self.nondaemon_pending += 1
         self._live += 1
@@ -109,10 +137,16 @@ class CalendarScheduler:
         while times:
             time = times[0]
             bucket = buckets[time]
-            while bucket and bucket[0].action is None:
-                bucket.popleft()
-            if bucket:
-                return time
+            if type(bucket) is _Entry:
+                if bucket.action is not None:
+                    return time
+            else:
+                while bucket and bucket[0].action is None:
+                    bucket.popleft()
+                if bucket:
+                    return time
+                if len(self._free) < FREE_BUCKETS:
+                    self._free.append(bucket)
             heapq.heappop(times)
             del buckets[time]
         return None
@@ -126,7 +160,12 @@ class CalendarScheduler:
         time = self._prune()
         if time is None:
             return None
-        entry = self._buckets[time].popleft()
+        bucket = self._buckets[time]
+        if type(bucket) is _Entry:
+            entry = bucket
+            self._buckets[time] = _SPENT
+        else:
+            entry = bucket.popleft()
         self.processed += 1
         if not entry.daemon:
             self.nondaemon_pending -= 1

@@ -154,15 +154,17 @@ def test_shrink_keeps_only_the_faults_the_failure_needs():
 
 REPLAY_SCRIPT = """
 import hashlib
-from repro.obs.bus import EventBus
+from repro.obs.bus import Event, EventBus
 
 digest = hashlib.sha256()
 publish = EventBus.publish
 
 def recording_publish(self, topic, subject=None, **details):
-    event = publish(self, topic, subject, **details)
+    # The bus builds an Event only for a subscriber: render every one.
+    result = publish(self, topic, subject, **details)
+    event = Event(self._sim.now, topic, subject, details)
     digest.update(str(event).encode() + b"\\n")
-    return event
+    return result
 
 EventBus.publish = recording_publish
 from tests.test_chaos_gray import gray_schedule, run_gray

@@ -132,3 +132,29 @@ def test_empty_path_invalid():
     space = ContextSpace()
     with pytest.raises(ValueError):
         space.bind("///", mint_loid("d", "T"))
+
+
+def test_loids_are_freed_with_their_runtime():
+    import gc
+
+    from repro.cluster import build_lan, deploy_relays
+    from repro.legion import LegionRuntime
+    from tests.conftest import create_dcdo, make_sorter_manager
+
+    def live_loids():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is LOID)
+
+    def build_and_drop():
+        runtime = LegionRuntime(build_lan(4, seed=7))
+        manager = make_sorter_manager(runtime)
+        loids = [create_dcdo(runtime, manager)[0] for __ in range(8)]
+        deploy_relays(runtime)
+        # A second class LOID of a type is the live canonical one.
+        assert class_loid(runtime.domain, "Sorter") is manager.loid
+        return len(set(loids))
+
+    baseline = live_loids()
+    for __ in range(2):
+        assert build_and_drop() == 8
+        assert live_loids() == baseline

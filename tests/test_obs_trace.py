@@ -59,14 +59,21 @@ def test_event_rendering():
 # ----------------------------------------------------------------------
 
 
-def test_untraced_runtime_keeps_only_the_bounded_ring(runtime):
+def test_untraced_runtime_builds_no_events_and_tallies_every_publish(
+    runtime, monkeypatch
+):
+    import repro.obs.bus as bus_module
+
+    def no_event(*args, **kwargs):
+        raise AssertionError("an untraced bus built an Event")
+
+    monkeypatch.setattr(bus_module, "Event", no_event)
     bus = runtime.network.bus
     manager = make_sorter_manager(runtime)
-    while bus.published <= bus.recent.maxlen:
+    for __ in range(3):
         create_dcdo(runtime, manager)  # must not blow up without a tracer
-    assert len(bus.recent) == bus.recent.maxlen
-    assert bus.recent[-1].topic == "instance-created"
-    assert bus.counts()["instance-created"] == len(manager.instance_loids())
+    assert bus.counts()["instance-created"] == len(manager.instance_loids()) == 3
+    assert bus.published == sum(bus.counts().values()) > 3
 
 
 def test_full_lifecycle_is_traced(runtime):

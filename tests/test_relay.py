@@ -131,6 +131,64 @@ def test_relay_wave_acks_already_current_instances_without_rpc():
     assert runtime.network.count_value("relay.batches") == before
 
 
+def test_relay_wave_and_evolve_never_share_an_instance_lock(monkeypatch):
+    """An idle management lock is dropped on release, so the wave must
+    look each lock up as it acquires it.  Here the wave waits on its
+    first target's lock while another target's lock is released
+    (dropped) and re-created by an evolution of that target; the wave
+    must then queue behind the evolution, not take the dropped lock."""
+    import repro.sim
+    from repro.sim import Semaphore
+
+    holders = {}
+
+    class TrackedLock(Semaphore):
+        """Counts the holders of every lock of one name."""
+
+        __slots__ = ()
+
+        def acquire(self):
+            if self.available:
+                holders[self._name] = holders.get(self._name, 0) + 1
+                assert holders[self._name] == 1, f"two holders of {self._name}"
+            return super().acquire()
+
+        def release(self):
+            if not self._waiters:
+                holders[self._name] -= 1
+            super().release()
+
+    monkeypatch.setattr(repro.sim, "Semaphore", TrackedLock)
+    runtime, manager, loids = build_relay_fleet(hosts=2, instances_per_host=2)
+    manager.use_relays(deploy_relays(runtime))
+    v2 = derive_v2(manager)
+    sim = runtime.sim
+    first, *__, later = sorted(loids, key=str)
+    evolved = []
+
+    def hold(loid, until):
+        yield manager.management_lock(loid).acquire()
+        yield sim.timeout(until - sim.now)
+        manager.release_management_lock(loid)
+
+    def evolve_later(at):
+        yield sim.timeout(at - sim.now)
+        evolved.append((yield from manager.evolve_instance(later, v2)))
+
+    start = sim.now
+    sim.spawn(hold(first, start + 1.0))
+    sim.spawn(hold(later, start + 0.5))
+    sim.spawn(evolve_later(start + 0.999))
+    tracker = sim.run_process(manager.propagate_version(v2))
+    sim.run()
+    assert evolved == [v2]
+    assert tracker.all_acked and tracker.complete
+    assert all(manager.record(loid).obj.version == v2 for loid in loids)
+    assert len(holders) == len(loids) and not any(holders.values())
+    # Every lock was idle once the wave settled, so none is left.
+    assert manager._management_locks == {}
+
+
 def test_dead_relay_falls_back_to_direct_delivery():
     runtime, manager, loids = build_relay_fleet(hosts=2, instances_per_host=2)
     directory = deploy_relays(runtime)
