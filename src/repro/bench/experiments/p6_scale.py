@@ -78,7 +78,7 @@ SPEEDUP_FLOOR = 5.0
 FLATNESS_TOLERANCE = 0.20
 
 #: Committed object counts per instance, and the allowed rise above them.
-OBJECTS_COMMITTED = {"at_rest": 38.30, "wave_survivors": 6.14, "wave_young": 27.52}
+OBJECTS_COMMITTED = {"at_rest": 37.28, "wave_survivors": 6.14, "wave_young": 26.62}
 OBJECTS_TOLERANCE = 0.05
 
 

@@ -156,7 +156,12 @@ class DCDO(LegionObject):
         self.duplicate_deliveries = 0
         #: compensating rollbacks run after failed prepares/commits.
         self.rollbacks = 0
-        self._applying = {}
+        # The application in flight (its target version and the gate
+        # duplicates wait on), and target -> gate for any concurrent one
+        # beyond it, built for the first such target.
+        self._applying_target = None
+        self._applying_gate = None
+        self._applying_more = None
         self._txn = None
 
     # ------------------------------------------------------------------
@@ -562,7 +567,7 @@ class DCDO(LegionObject):
                 self.duplicate_deliveries += 1
                 self._network_count("dcdo.duplicate_deliveries")
                 return str(self._version)
-            in_flight = self._applying.get(target)
+            in_flight = self._gate_of(target)
             if in_flight is None:
                 break
             # Another delivery of this same version is mid-application:
@@ -572,15 +577,33 @@ class DCDO(LegionObject):
             self._network_count("dcdo.duplicate_deliveries")
             yield in_flight
         if target is not None:
-            gate = self._applying[target] = self.sim.event()
+            gate = self.sim.event()
+            if self._applying_target is None:
+                self._applying_target = target
+                self._applying_gate = gate
+            else:
+                if self._applying_more is None:
+                    self._applying_more = {}
+                self._applying_more[target] = gate
         try:
             result = yield from self._apply_configuration_body(diff)
         finally:
             if target is not None:
-                self._applying.pop(target, None)
+                if self._applying_gate is gate:
+                    self._applying_target = self._applying_gate = None
+                else:
+                    del self._applying_more[target]
                 if not gate.triggered:
                     gate.succeed(None)
         return result
+
+    def _gate_of(self, target):
+        """The gate of an application of ``target`` in flight, or None."""
+        if self._applying_target == target:
+            return self._applying_gate
+        if self._applying_more:
+            return self._applying_more.get(target)
+        return None
 
     def _network_count(self, name):
         self.runtime.network.count(name)

@@ -12,15 +12,16 @@ a message that lands while another is waiting for dispatch queues
 behind it and is scheduled once that one has been dispatched.  A
 request attempt waits on one event, which its reply, its timer or its
 hedge point resolves through a scheduled call, so no composite event
-or ``Timeout`` object is built per call.
+or ``Timeout`` object is built per call.  The endpoint itself is the
+action of both zero-delay hops (a dispatch, and a reply's settle), so
+neither allocates.
 
 Request handlers are generators, so servicing a request can itself
 perform simulated work and nested calls.  Remote exceptions propagate
 back to the caller as :class:`RemoteError`.
 """
 
-from collections import OrderedDict, deque
-from functools import partial
+from collections import deque
 
 from repro.net.message import Message
 from repro.net.retry import DEFAULT_REQUEST_RETRY
@@ -191,6 +192,10 @@ class Endpoint:
     #: Hard cap on remembered request ids; beyond it the oldest
     #: completed entries are evicted even if their TTL has not expired.
     SEEN_REQUEST_LIMIT = 4096
+    #: Evictions after which the served-request table is rebuilt.  A
+    #: dict keeps deleted slots at its head until it resizes, and
+    #: finding the oldest entry walks them.
+    SEEN_REBUILD_EVICTIONS = 256
 
     def __init__(
         self,
@@ -215,13 +220,19 @@ class Endpoint:
         self._retry_policy = retry_policy or DEFAULT_REQUEST_RETRY
         self._dedupe_ttl_s = dedupe_ttl_s
         # Delivered messages not yet dispatched; the head has a dispatch
-        # entry scheduled.
+        # hop scheduled.
         self._backlog = deque()
+        # The reply waiting for its settle hop, and the attempt it
+        # settles; at most one is ever queued (see ``__call__``).
+        self._settle_wait = None
+        self._settle_reply = None
         # message id -> the attempt waiting for its reply.
         self._pending_replies = {}
         # message_id -> completion time (None while still being served);
         # insertion-ordered so TTL/size eviction walks the oldest first.
-        self._seen_requests = OrderedDict()
+        # Ints to floats: the collector does not track it.
+        self._seen_requests = {}
+        self._seen_evictions = 0
         self._closed = False
         self.requests_served = 0
         network.register_endpoint(self)
@@ -410,22 +421,36 @@ class Endpoint:
     def _receive(self, message):
         """Port callback: queue ``message`` and schedule its dispatch.
 
-        Only the backlog's head has a dispatch entry; the next one is
+        Only the backlog's head has a dispatch hop; the next one is
         scheduled once the head has been dispatched, so messages are
         dispatched in delivery order, one scheduler entry each.
         """
         backlog = self._backlog
         backlog.append(message)
         if len(backlog) == 1:
-            self._sim._schedule_call(self._dispatch_next)
+            self._sim._lane.append(self)
 
-    def _dispatch_next(self):
-        """Scheduled call: dispatch the backlog's head."""
+    def __call__(self):
+        """Scheduled hop: settle the oldest reply, or dispatch the
+        backlog's head.
+
+        An endpoint is its own zero-delay action for both hops, so
+        neither allocates.  A settle hop is scheduled while a dispatch
+        runs, when none of this endpoint's dispatches is queued, so it
+        runs before the next dispatch is scheduled or run: at most one
+        settle is ever queued, and while one is, the hop running is it.
+        """
+        wait = self._settle_wait
+        if wait is not None:
+            reply = self._settle_reply
+            self._settle_wait = self._settle_reply = None
+            wait.settle(reply)
+            return
         backlog = self._backlog
         self._dispatch_inbound(backlog[0])
         backlog.popleft()
         if backlog:
-            self._sim._schedule_call(self._dispatch_next)
+            self._sim._lane.append(self)
 
     def _dispatch_inbound(self, message):
         kind = message.kind
@@ -439,7 +464,9 @@ class Endpoint:
     def _handle_reply(self, message):
         wait = self._pending_replies.pop(message.correlation_id, None)
         if wait is not None:
-            self._sim._schedule_call(partial(wait.settle, message))
+            self._settle_wait = wait
+            self._settle_reply = message
+            self._sim._lane.append(self)
         # Replies to abandoned (timed-out) requests are dropped, which
         # is exactly the at-most-once behaviour the binding layer
         # depends on for its stale-binding timings.
@@ -493,16 +520,20 @@ class Endpoint:
         non-``None`` completion time) are evictable; an in-flight entry
         halts the walk since everything after it is newer.
         """
+        seen = self._seen_requests
         now = self._sim.now
-        while self._seen_requests:
-            done = next(iter(self._seen_requests.values()))
+        while seen:
+            oldest = next(iter(seen))
+            done = seen[oldest]
             if done is None:
                 break
-            expired = now - done > self._dedupe_ttl_s
-            over_cap = len(self._seen_requests) >= self.SEEN_REQUEST_LIMIT
-            if not (expired or over_cap):
+            if now - done <= self._dedupe_ttl_s and len(seen) < self.SEEN_REQUEST_LIMIT:
                 break
-            self._seen_requests.popitem(last=False)
+            del seen[oldest]
+            self._seen_evictions += 1
+        if self._seen_evictions >= self.SEEN_REBUILD_EVICTIONS:
+            self._seen_requests = dict(seen)
+            self._seen_evictions = 0
 
     def __repr__(self):
         state = "closed" if self._closed else "open"

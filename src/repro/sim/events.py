@@ -5,13 +5,20 @@ by yielding it.  Events carry a value on success or an exception on
 failure.  :class:`Timeout` is an event that the kernel triggers after a
 fixed delay; :class:`AllOf` and :class:`AnyOf` compose events.
 
-An event is its own scheduler action: triggering it schedules the
-event itself, and the kernel calls it to run its callbacks, so no
-bound method is made per trigger.  Most events have exactly one
-waiter, so an event holds a lone callback inline and builds a list
-only for a second one.  Callbacks run in registration order; one
-registered after the event was processed runs at the same instant,
-through a zero-delay call.
+An event is its own scheduler action: triggering it puts the event
+itself in the kernel's lane for the current instant, and the kernel
+calls it to run its callbacks, so no bound method is made per trigger.
+A trigger takes an entry only when someone waits: an event triggered
+with no waiter (a finished process nobody joins, a gate nobody waits
+on) schedules nothing, and its first waiter schedules it, at the
+waiter's own position.  Where nothing was queued at that instant
+between the trigger and the registration, that is the position the
+trigger had.
+
+Most events have exactly one waiter, so an event holds a lone callback
+inline and builds a list only for a second one.  Callbacks run in
+registration order; one registered after the event was processed runs
+at the same instant, through a zero-delay call.
 """
 
 from functools import partial
@@ -19,6 +26,8 @@ from functools import partial
 from repro.sim.errors import EventAlreadyTriggered
 
 _UNSET = object()
+#: ``_callbacks`` of an event triggered with no waiter: not scheduled.
+_IDLE = object()
 #: ``_callbacks`` of an event whose callbacks have run.
 _PROCESSED = object()
 #: ``_callbacks`` of a cancelled timeout: it drops every callback.
@@ -35,7 +44,8 @@ class Event:
     event's value, or throws the event's exception into it.
 
     ``_callbacks`` is None (no waiter), the one callback, a list of
-    them in registration order, or a marker once they have run.
+    them in registration order, or a marker: triggered with no waiter
+    (``_IDLE``), processed, or cancelled.
     """
 
     __slots__ = ("_sim", "_name", "_callbacks", "_value", "_ok")
@@ -79,7 +89,10 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self._sim._schedule_event(self)
+        if self._callbacks is None:
+            self._callbacks = _IDLE
+        else:
+            self._sim._lane.append(self)
         return self
 
     def fail(self, exception):
@@ -94,24 +107,31 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self._sim._schedule_event(self)
+        if self._callbacks is None:
+            self._callbacks = _IDLE
+        else:
+            self._sim._lane.append(self)
         return self
 
     def add_callback(self, callback):
         """Register ``callback(event)`` to run when the event is processed.
 
-        Callbacks run in registration order.  If the event has already
-        been processed the callback is invoked via a zero-delay schedule
-        so that callback ordering remains deterministic.
+        Callbacks run in registration order.  The first callback of an
+        event triggered with no waiter schedules the event; one
+        registered after the event was processed runs through a
+        zero-delay call, so callback ordering remains deterministic.
         """
         callbacks = self._callbacks
         if callbacks is None:
             self._callbacks = callback
         elif type(callbacks) is list:
             callbacks.append(callback)
+        elif callbacks is _IDLE:
+            self._callbacks = callback
+            self._sim._lane.append(self)
         elif callbacks is _PROCESSED:
             # Already processed: deliver asynchronously but immediately.
-            self._sim._schedule_call(partial(callback, self))
+            self._sim._lane.append(partial(callback, self))
         elif callbacks is not _CANCELLED:
             self._callbacks = [callbacks, callback]
 
@@ -157,7 +177,7 @@ class Timeout(Event):
         self._delay = delay
         self._ok = True
         self._value = value
-        self._handle = sim._schedule_event(self, delay=delay, daemon=daemon)
+        self._handle = sim._scheduler.push(sim._now + delay, self, daemon)
 
     @property
     def delay(self):

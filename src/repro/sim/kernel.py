@@ -1,15 +1,23 @@
 """The simulation event loop.
 
-:class:`Simulator` owns the clock and delegates the pending-event set
-to a pluggable scheduler (see :mod:`repro.sim.scheduler`).  Events are
-processed in (time, sequence) order, so two events scheduled for the
-same instant run in the order they were scheduled — this makes every
-simulation run fully deterministic regardless of which scheduler backs
-the queue.
+:class:`Simulator` owns the clock and the run API; the pending-event
+set and its drain loop belong to a scheduler (see
+:mod:`repro.sim.scheduler`).  Entries run in (time, sequence) order, so
+two entries scheduled for the same instant run in the order they were
+scheduled — every simulation run is fully deterministic whichever
+scheduler backs the queue.
+
+The hot path is a push into ``_lane``, the scheduler's queue for the
+current instant: process starts and resumes, event triggers and the
+transport's zero-delay hops append their action there without an entry
+object.  ``_schedule_call`` is the general case (any delay, a
+cancellable handle).  Each run mode (``run()``, ``run(until=t)``,
+``run(until=event)``) is one call into the scheduler's drain loop,
+which pops its queues inline; ``step()`` runs a single entry.
 """
 
 from repro.sim.errors import SimulationError, StaleScheduleError
-from repro.sim.events import Event, Timeout
+from repro.sim.events import _UNSET, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.scheduler import CalendarScheduler
 
@@ -29,11 +37,17 @@ class Simulator:
         pre-calendar kernel (used by the P6 A/B benchmark).
     """
 
-    __slots__ = ("_now", "_scheduler", "_active_process")
+    __slots__ = ("_now", "_scheduler", "_lane", "_active_process")
 
     def __init__(self, start_time=0.0, scheduler=None):
         self._now = float(start_time)
-        self._scheduler = scheduler if scheduler is not None else CalendarScheduler()
+        if scheduler is None:
+            scheduler = CalendarScheduler()
+        scheduler.attach(self)
+        self._scheduler = scheduler
+        # ``_lane.append(action)`` schedules ``action`` at the current
+        # instant: not cancellable, never a daemon.
+        self._lane = scheduler.lane
         self._active_process = None
 
     @property
@@ -48,7 +62,10 @@ class Simulator:
 
     @property
     def processed_events(self):
-        """Count of processed entries (for diagnostics and tests)."""
+        """Count of processed entries (for diagnostics and tests).
+
+        A run adds its entries when it returns.
+        """
         return self._scheduler.processed
 
     @property
@@ -80,19 +97,9 @@ class Simulator:
     # Scheduling (kernel internal, used by events/processes)
     # ------------------------------------------------------------------
 
-    def _schedule_event(self, event, delay=0.0, daemon=False):
-        """Queue a triggered event's callbacks to run after ``delay``.
-
-        The event itself is the scheduler action (see
-        :meth:`Event.__call__ <repro.sim.events.Event.__call__>`).
-        Returns the scheduler entry so the caller can lazily cancel it.
-        """
-        if delay < 0:
-            raise StaleScheduleError(f"cannot schedule {delay} seconds in the past")
-        return self._scheduler.push(self._now + delay, event, daemon)
-
     def _schedule_call(self, func, delay=0.0):
-        """Queue a bare callable; returns its cancellable entry."""
+        """Queue ``func`` to run after ``delay``; returns its entry, which
+        the caller can lazily cancel."""
         if delay < 0:
             raise StaleScheduleError(f"cannot schedule {delay} seconds in the past")
         return self._scheduler.push(self._now + delay, func, False)
@@ -107,16 +114,7 @@ class Simulator:
 
     def step(self):
         """Process the single next entry; returns False when empty."""
-        entry = self._scheduler.pop()
-        if entry is None:
-            return False
-        if entry.time < self._now:
-            raise SimulationError("event queue corrupted: time went backwards")
-        self._now = entry.time
-        # Mark consumed so a late cancel() of this entry is a no-op.
-        action, entry.action = entry.action, None
-        action()
-        return True
+        return self._scheduler.step()
 
     def run(self, until=None):
         """Run the simulation.
@@ -129,40 +127,26 @@ class Simulator:
             If a number, run until the clock reaches that time (events
             at exactly ``until`` are *not* processed; the clock is left
             at ``until``).  If an :class:`Event`, run until that event
-            has triggered, and return its value (raising its exception
-            if it failed).
+            has triggered and its instant has drained (so observers see
+            a settled state), and return its value (raising its
+            exception if it failed).
         """
         if until is None:
-            scheduler = self._scheduler
-            while scheduler.nondaemon_pending > 0 and self.step():
-                pass
+            self._scheduler.run()
             return None
         if isinstance(until, Event):
-            return self._run_until_event(until)
-        return self._run_until_time(float(until))
-
-    def _run_until_time(self, deadline):
+            self._scheduler.run(until=until)
+            if until._value is _UNSET:
+                raise SimulationError(f"simulation ran out of events before {until!r} triggered")
+            if until._ok:
+                return until._value
+            raise until._value
+        deadline = float(until)
         if deadline < self._now:
             raise ValueError(f"cannot run until {deadline}; clock is at {self._now}")
-        scheduler = self._scheduler
-        while True:
-            when = scheduler.peek_time()
-            if when is None or when >= deadline:
-                break
-            self.step()
+        self._scheduler.run(deadline=deadline)
         self._now = deadline
         return None
-
-    def _run_until_event(self, event):
-        while not event.triggered:
-            if not self.step():
-                raise SimulationError(f"simulation ran out of events before {event!r} triggered")
-        # Drain same-instant callbacks so observers see a settled state.
-        while self._scheduler.peek_time() == self._now:
-            self.step()
-        if event.ok:
-            return event.value
-        raise event.value
 
     def run_process(self, generator, name=None):
         """Spawn ``generator`` and run until it finishes; return its value."""

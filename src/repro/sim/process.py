@@ -8,14 +8,16 @@ the event's value (or throws its exception).  A process is itself an
 finishes, so processes can be joined by yielding them.
 
 A process is also its own callback and its own scheduler action: it
-waits by registering itself on the event it yielded, and it is
-scheduled itself to start, to resume after a bare ``yield``, and to
-run its joiners once finished.  So neither waiting nor resuming makes
-a bound method.
+waits by registering itself on the event it yielded, and it goes into
+the kernel's lane itself to start, to resume after a bare ``yield``,
+and to run its joiners once finished.  So neither waiting nor resuming
+makes a bound method or a queue entry object.  A process that finishes
+with nobody joining it schedules nothing; its first joiner schedules
+it (see :mod:`repro.sim.events`).
 """
 
 from repro.sim.errors import Interrupt, StopProcess
-from repro.sim.events import _UNSET, Event
+from repro.sim.events import _IDLE, _UNSET, Event
 
 
 class Process(Event):
@@ -37,12 +39,16 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on", "_interrupts")
 
     def __init__(self, sim, generator, name=None):
-        super().__init__(sim, name=name)
+        self._sim = sim
+        self._name = name
+        self._callbacks = None
+        self._value = _UNSET
+        self._ok = None
         self._generator = generator
         self._waiting_on = None
         self._interrupts = None
         # Kick off the generator at the current simulated time.
-        sim._schedule_call(self)
+        sim._lane.append(self)
 
     def _label(self):
         return self._name or getattr(self._generator, "__name__", "process")
@@ -70,7 +76,7 @@ class Process(Event):
         if self._interrupts is None:
             self._interrupts = []
         self._interrupts.append(Interrupt(cause))
-        self._sim._schedule_call(self._deliver_interrupt)
+        self._sim._lane.append(self._deliver_interrupt)
 
     def _deliver_interrupt(self):
         if not self._interrupts or not self.is_alive:
@@ -104,8 +110,15 @@ class Process(Event):
             self._step(event._value, throw=True)
 
     def _step(self, value, throw=False):
-        """Advance the generator one yield and act on what it produces."""
-        self._sim._active_process = self
+        """Advance the generator one yield and wait on what it produces.
+
+        The common waits are registered inline: a bare ``yield`` puts
+        the process in the lane, and a first waiter on an event takes
+        the event's callback slot (scheduling the event if it was
+        triggered with no waiter).
+        """
+        sim = self._sim
+        sim._active_process = self
         try:
             if throw:
                 target = self._generator.throw(value)
@@ -121,25 +134,27 @@ class Process(Event):
             self.fail(exc)
             return
         finally:
-            self._sim._active_process = None
-        self._wait_for(target)
-
-    def _wait_for(self, target):
+            sim._active_process = None
         if target is None:
             # Cooperative yield: resume after currently-queued events.
-            self._sim._schedule_call(self)
-            return
-        if isinstance(target, Event):
-            if target._sim is not self._sim:
-                self._step(
-                    RuntimeError("cannot wait on an event from another simulator"),
-                    throw=True,
-                )
-                return
+            sim._lane.append(self)
+        elif not isinstance(target, Event):
+            self._step(
+                TypeError(f"process yielded {target!r}; expected an Event or None"),
+                throw=True,
+            )
+        elif target._sim is not sim:
+            self._step(
+                RuntimeError("cannot wait on an event from another simulator"),
+                throw=True,
+            )
+        else:
             self._waiting_on = target
-            target.add_callback(self)
-            return
-        self._step(
-            TypeError(f"process yielded {target!r}; expected an Event or None"),
-            throw=True,
-        )
+            callbacks = target._callbacks
+            if callbacks is None:
+                target._callbacks = self
+            elif callbacks is _IDLE:
+                target._callbacks = self
+                sim._lane.append(target)
+            else:
+                target.add_callback(self)

@@ -575,16 +575,27 @@ def test_seen_requests_expire_after_ttl():
 
 
 def test_seen_requests_bounded_by_cap():
-    sim, net = make_net()
-    client = Endpoint(net, "client")
-    server = Endpoint(net, "server", request_handler=_echo)
-    server.SEEN_REQUEST_LIMIT = 2
+    # Also with the table rebuilt after every eviction.
+    for rebuild_after in (Endpoint.SEEN_REBUILD_EVICTIONS, 1):
+        sim, net = make_net()
+        client = Endpoint(net, "client")
+        served = []
 
-    def proc():
-        for i in range(5):
-            yield from client.request("server", i)
+        def handler(message):
+            served.append(message.message_id)
+            return message.payload
+            yield  # pragma: no cover - uniform generator shape
 
-    sim.run_process(proc())
-    sim.run()
-    assert len(server._seen_requests) <= 2
-    assert server.requests_served == 5
+        server = Endpoint(net, "server", request_handler=handler)
+        server.SEEN_REQUEST_LIMIT = 2
+        server.SEEN_REBUILD_EVICTIONS = rebuild_after
+
+        def proc():
+            for i in range(5):
+                yield from client.request("server", i)
+
+        sim.run_process(proc())
+        sim.run()
+        # The oldest ids went first.
+        assert list(server._seen_requests) == served[-2:]
+        assert server.requests_served == 5

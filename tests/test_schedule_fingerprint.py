@@ -191,8 +191,11 @@ def crash_mid_wave():
 SCENARIOS = (dfm_calls, announce_wave, hedged_calls, crash_mid_wave)
 
 
-def fingerprint():
-    """Run every scenario; returns (digest, deliveries, per-scenario notes)."""
+def delivery_digest(runs):
+    """Call each of ``runs`` with every fabric delivery recorded.
+
+    Returns (SHA-256 hex digest, delivery count, the runs' results).
+    """
     import hashlib
 
     from repro.net.link import Port
@@ -213,10 +216,17 @@ def fingerprint():
 
     Port.deliver = recording_deliver
     try:
-        notes = {scenario.__name__: scenario() for scenario in SCENARIOS}
+        results = [run() for run in runs]
     finally:
         Port.deliver = deliver
-    return digest.hexdigest(), deliveries[0], notes
+    return digest.hexdigest(), deliveries[0], results
+
+
+def fingerprint():
+    """Run every scenario; returns (digest, deliveries, per-scenario notes)."""
+    digest, deliveries, results = delivery_digest(SCENARIOS)
+    notes = {scenario.__name__: result for scenario, result in zip(SCENARIOS, results)}
+    return digest, deliveries, notes
 
 
 SCRIPT = """
@@ -228,7 +238,8 @@ print(json.dumps({"digest": digest, "deliveries": deliveries, "notes": notes}))
 """
 
 
-def _run_fresh(hash_seed):
+def run_fresh(script, hash_seed):
+    """Run ``script`` in a fresh interpreter; its last line, as JSON."""
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(
         os.environ,
@@ -236,7 +247,7 @@ def _run_fresh(hash_seed):
         PYTHONHASHSEED=hash_seed,
     )
     run = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         cwd=root,
         env=env,
         capture_output=True,
@@ -249,7 +260,7 @@ def _run_fresh(hash_seed):
 def test_every_fabric_delivery_matches_the_recorded_schedule():
     # Two hash seeds: the schedule depends on no string hash order.
     for hash_seed in ("0", "1"):
-        result = _run_fresh(hash_seed)
+        result = run_fresh(SCRIPT, hash_seed)
         notes = result["notes"]
         # Each scenario did what it is named for.
         assert notes["announce_wave"]["announce_waves"] >= 1

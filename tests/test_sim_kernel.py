@@ -423,3 +423,24 @@ def test_heap_scheduler_simulator_end_to_end():
     sim.spawn(proc("tied", 2.0))
     sim.run()
     assert order == [(1.0, "early"), (2.0, "late"), (2.0, "tied")]
+
+
+def test_an_action_that_raises_leaves_the_rest_of_its_instant_queued():
+    sim = Simulator()
+    order = []
+
+    def record(event):
+        order.append(event.value)
+
+    def boom(event):
+        raise RuntimeError("boom")
+
+    for tag in ("a", "b", "c"):
+        sim.timeout(1.0, value=tag).add_callback(boom if tag == "b" else record)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert (order, sim.now, sim.pending) == (["a"], 1.0, 1)
+    # The instant's unrun entry still precedes what is scheduled now.
+    sim._schedule_call(lambda: order.append("now"))
+    sim.run()
+    assert order == ["a", "c", "now"]

@@ -281,6 +281,50 @@ def test_duplicate_after_failed_apply_becomes_the_applier():
     assert obj.applications_by_version.get(v2) == 1
 
 
+def test_duplicates_racing_slow_applies_wait_on_their_gates():
+    """A duplicate of a slow application waits on its gate and returns
+    once it lands, applying nothing itself; so does a duplicate of a
+    second target applied concurrently (the gate table beyond the
+    first in-flight target)."""
+    runtime, manager, __, loids = build_sorter_fleet(instances=1)
+    obj = manager.record(loids[0]).obj
+    v1, v2 = manager.current_version, derive_v2(manager)
+    v3 = manager.derive_version(v2)
+    manager.mark_instantiable(v3)
+    # The ICO is cut off for the first 20 s: v2's fetch retries until
+    # the partition heals, so its application is slow.
+    runtime.network.faults.add_partition(
+        PrefixPartition(["host03/"], ["host01/"], start=0.0, end=20.0)
+    )
+    outcomes = {}
+    in_flight = []
+
+    def attempt(tag, delay, from_version, to_version):
+        yield runtime.sim.timeout(delay)
+        in_flight.append((obj._applying_target, set(obj._applying_more or ())))
+        result = yield from obj.apply_configuration(make_diff(manager, from_version, to_version))
+        outcomes[tag] = (result, runtime.sim.now)
+
+    runtime.sim.spawn(attempt("v2", 0.0, v1, v2))
+    runtime.sim.spawn(attempt("v2 again", 1.0, v1, v2))
+    # A second target while v2 is in flight (v3 adds nothing to fetch).
+    runtime.sim.spawn(attempt("v3", 2.0, v2, v3))
+    runtime.sim.spawn(attempt("v3 again", 2.0, v2, v3))
+    runtime.sim.run()
+
+    # v3 went into the table beside v2's slot, and its duplicate found it.
+    assert in_flight == [(None, set()), (v2, set()), (v2, set()), (v2, {v3})]
+    assert outcomes["v2"][0] == outcomes["v2 again"][0] == str(v2)
+    # The duplicate returned when the first application landed.
+    assert outcomes["v2 again"][1] == outcomes["v2"][1] > 20.0
+    assert outcomes["v3"][0] == outcomes["v3 again"][0] == str(v3)
+    assert outcomes["v3 again"][1] == outcomes["v3"][1]
+    # Each duplicate counts twice: waiting, then finding its target applied.
+    assert obj.duplicate_deliveries == 4
+    assert obj.applications_by_version == {v2: 1, v3: 1}
+    assert obj._applying_target is None and not obj._applying_more
+
+
 # ----------------------------------------------------------------------
 # _await_functions_idle wakes on the LAST thread exit
 # ----------------------------------------------------------------------
