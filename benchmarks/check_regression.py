@@ -65,13 +65,15 @@ zero dangling remediation intents.
 produced ``BENCH_scale.json``: the largest measured fleet must reach
 ``--scale-floor`` live instances (default 100,000; CI smoke runs pass
 a reduced floor matching their reduced ladder), the message-storm
-speedup over the reproduced pre-PR stack must hold at >= 5x, the
-announcement wave must stay flat (within the experiment's recorded
-tolerance) from the smallest to the largest fleet, one wave must leave
-no cyclic garbage, and none of the GC-tracked objects per instance at
-rest, those surviving one wave, and the wave's young objects (found in
-generation 0 at each gen-0 collection, collector on) may rise more than
-the recorded tolerance (5%) above their committed values.
+speedup over the reproduced pre-PR stack (the median of three paired
+runs) must hold at >= 5x, the announcement wave must stay flat (within
+the experiment's recorded tolerance) from the smallest to the largest
+fleet, one wave must leave no cyclic garbage, and none of the
+GC-tracked objects per instance at rest, those surviving one wave, and
+the wave's young objects (found in generation 0 at each gen-0
+collection, collector on), nor the traced bytes per instance at rest
+and surviving one wave, may rise more than the recorded tolerance (5%)
+above their committed values.
 """
 
 import argparse
@@ -286,6 +288,15 @@ def check_p6(path, instance_floor):
                 f"per instance, more than {objects['tolerance']:.0%} above the "
                 f"committed {committed}"
             )
+    traced = objects["bytes"]
+    for key in ("at_rest", "wave_survivors"):
+        committed = traced["committed"][key]
+        if traced[key] > committed * (1 + objects["tolerance"]):
+            failures.append(
+                f"{key.replace('_', ' ')}: {traced[key]:,.0f} traced bytes per "
+                f"instance, more than {objects['tolerance']:.0%} above the "
+                f"committed {committed:,.0f}"
+            )
     if max_instances < instance_floor:
         failures.append(
             f"largest fleet held {max_instances} live instances, below "
@@ -319,7 +330,9 @@ def check_p6(path, instance_floor):
         f"{objects['at_rest']:.2f} at rest, {objects['wave_survivors']:.2f} "
         f"surviving a wave, {objects['cyclic_garbage']:.2f} cyclic garbage, "
         f"{objects['wave_young']:.2f} young in a wave "
-        f"({gen0}/{gen1}/{gen2} gen-0/1/2 collections)"
+        f"({gen0}/{gen1}/{gen2} gen-0/1/2 collections); traced bytes per "
+        f"instance: {traced['at_rest']:,.0f} at rest, "
+        f"{traced['wave_survivors']:,.0f} surviving a wave"
     )
     status = "OK" if not failures else "REGRESSED"
     print(

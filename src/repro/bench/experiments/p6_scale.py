@@ -23,9 +23,11 @@ becomes the bottleneck?  Three mechanisms carry the answer:
 Measured here:
 
 1. *Throughput A/B* — an identical 200k-message storm over 10k ports
-   driven once on the pre-PR stack (heap scheduler + per-message
-   delivery process, reproduced below) and once on the current stack.
-   The gate is >= 5x wall-clock throughput.
+   driven on the pre-PR stack (heap scheduler + per-message delivery
+   process, reproduced below) and on the current stack, three times
+   each, alternating which stack goes first.  The gate is the median of
+   the three paired wall-clock ratios >= 5x: one run's ratio spreads
+   as wide as the margin over the floor on a shared machine.
 2. *Kernel micro A/B* — pure scheduler push/pop churn against a deep
    backlog, heap vs calendar (informational: isolates the scheduler's
    share of the win).
@@ -39,12 +41,16 @@ Measured here:
    0 whenever a gen-0 collection starts.  Since a wave's collections
    free almost nothing, that is what the collector promotes and scans
    again, so it sizes the collector's toll on a wave without timing
-   it.  The gate is no cyclic garbage, and no other count more than 5%
-   above its committed value.
+   it.  On the first fleet, tracemalloc also sizes the *bytes* per
+   instance at rest and surviving the wave: what an instance holds, not
+   only how many objects.  The gate is no cyclic garbage, and no other
+   count more than 5% above its committed value.
 """
 
 import gc
+import statistics
 import time
+import tracemalloc
 
 from repro.bench.harness import ExperimentResult, millis
 from repro.cluster import deploy_relays
@@ -62,6 +68,9 @@ STORM_PORTS = 10_000
 STORM_ROUNDS = 20
 STORM_INTERVAL_S = 0.010
 STORM_PAYLOAD_BYTES = 256
+#: Storm A/B pairs, alternating which stack runs first; the gate takes
+#: the median of the pairs' wall-clock ratios.
+STORM_PAIRS = 3
 
 # Kernel micro A/B: churn against a standing backlog.
 MICRO_BACKLOG = 10_000
@@ -78,7 +87,9 @@ SPEEDUP_FLOOR = 5.0
 FLATNESS_TOLERANCE = 0.20
 
 #: Committed object counts per instance, and the allowed rise above them.
-OBJECTS_COMMITTED = {"at_rest": 37.28, "wave_survivors": 6.14, "wave_young": 26.62}
+OBJECTS_COMMITTED = {"at_rest": 26.27, "wave_survivors": 5.14, "wave_young": 24.08}
+#: Committed traced bytes per instance (tracemalloc), same tolerance.
+BYTES_COMMITTED = {"at_rest": 4242.14, "wave_survivors": 1260.11}
 OBJECTS_TOLERANCE = 0.05
 
 
@@ -214,6 +225,23 @@ def _run_storm(stack):
         "messages": messages,
         "messages_per_s": messages / wall_s,
     }
+
+
+def _storm_pairs():
+    """Run the storm on both stacks ``STORM_PAIRS`` times, alternating
+    which goes first; returns the runs per stack and the pairs' ratios
+    (pre-PR wall over current wall)."""
+    runs = {"legacy": [], "current": []}
+    ratios = []
+    for pair in range(STORM_PAIRS):
+        order = ("legacy", "current") if pair % 2 == 0 else ("current", "legacy")
+        walls = {}
+        for stack in order:
+            run = _run_storm(stack)
+            runs[stack].append(run)
+            walls[stack] = run["wall_s"]
+        ratios.append(walls["legacy"] / walls["current"])
+    return runs, ratios
 
 
 # ----------------------------------------------------------------------
@@ -360,26 +388,41 @@ def _young_objects(runtime, manager, v2):
     return young, collections
 
 
+def _traced_bytes():
+    return tracemalloc.get_traced_memory()[0]
+
+
 def _object_counts(seed, scale):
     """GC-tracked objects per instance: added by building a ``scale``
     fleet, surviving one wave, and found unreachable after that wave ran
-    with the collector off; then the young objects of the same wave on
-    a second fleet, with the collector on."""
+    with the collector off; traced bytes per instance at rest and
+    surviving that wave; then the young objects of the same wave on a
+    second fleet, with the collector on."""
     gc.collect()
-    baseline = len(gc.get_objects())
-    runtime, manager, v2 = _build_fleet(seed, scale)
-    gc.collect()
-    at_rest = len(gc.get_objects()) - baseline
-    manager.use_relays(deploy_relays(runtime), fanout_k=tree_fanout(len(runtime.hosts)))
-    gc.collect()
-    before_wave = len(gc.get_objects())
-    gc.disable()
+    tracemalloc.start()
     try:
-        runtime.sim.run_process(manager.propagate_version(v2, window=WINDOW))
+        baseline = len(gc.get_objects())
+        baseline_bytes = _traced_bytes()
+        runtime, manager, v2 = _build_fleet(seed, scale)
+        gc.collect()
+        at_rest = len(gc.get_objects()) - baseline
+        at_rest_bytes = _traced_bytes() - baseline_bytes
+        manager.use_relays(
+            deploy_relays(runtime), fanout_k=tree_fanout(len(runtime.hosts))
+        )
+        gc.collect()
+        before_wave = len(gc.get_objects())
+        before_wave_bytes = _traced_bytes()
+        gc.disable()
+        try:
+            runtime.sim.run_process(manager.propagate_version(v2, window=WINDOW))
+        finally:
+            gc.enable()
+        cyclic = gc.collect()
+        survivors = len(gc.get_objects()) - before_wave
+        survivor_bytes = _traced_bytes() - before_wave_bytes
     finally:
-        gc.enable()
-    cyclic = gc.collect()
-    survivors = len(gc.get_objects()) - before_wave
+        tracemalloc.stop()
     del runtime, manager, v2
     runtime, manager, v2 = _build_fleet(seed, scale)
     manager.use_relays(deploy_relays(runtime), fanout_k=tree_fanout(len(runtime.hosts)))
@@ -393,6 +436,11 @@ def _object_counts(seed, scale):
         "wave_collections": collections,
         "committed": dict(OBJECTS_COMMITTED),
         "tolerance": OBJECTS_TOLERANCE,
+        "bytes": {
+            "at_rest": at_rest_bytes / scale,
+            "wave_survivors": survivor_bytes / scale,
+            "committed": dict(BYTES_COMMITTED),
+        },
     }
 
 
@@ -411,26 +459,30 @@ def run_p6(seed=0, scales=SCALES):
         title="Kernel + runtime scale: 100k live DCDOs on one host",
     )
 
-    legacy = _run_storm("legacy")
-    current = _run_storm("current")
-    speedup = legacy["wall_s"] / current["wall_s"]
+    storm_runs, storm_ratios = _storm_pairs()
+    speedup = statistics.median(storm_ratios)
+    messages = STORM_PORTS * STORM_ROUNDS
+    legacy_rate, current_rate = (
+        statistics.median(run["messages_per_s"] for run in storm_runs[stack])
+        for stack in ("legacy", "current")
+    )
     result.add(
-        f"storm: pre-PR stack, {legacy['messages']} msgs",
+        f"storm: pre-PR stack, {messages} msgs (median of {STORM_PAIRS})",
         "baseline",
-        f"{legacy['messages_per_s']:,.0f}",
+        f"{legacy_rate:,.0f}",
         "msg/s",
     )
     result.add(
-        f"storm: current stack, {current['messages']} msgs",
+        f"storm: current stack, {messages} msgs (median of {STORM_PAIRS})",
         f">= {SPEEDUP_FLOOR:.0f}x baseline",
-        f"{current['messages_per_s']:,.0f}",
+        f"{current_rate:,.0f}",
         "msg/s",
         ok=speedup >= SPEEDUP_FLOOR,
     )
     result.add(
-        "storm speedup, identical workload",
+        f"storm speedup, identical workload (median of {STORM_PAIRS} paired ratios)",
         f">= {SPEEDUP_FLOOR:.0f}x",
-        f"{speedup:.2f}",
+        f"{speedup:.2f} ({', '.join(f'{ratio:.2f}' for ratio in storm_ratios)})",
         "x",
         ok=speedup >= SPEEDUP_FLOOR,
     )
@@ -503,6 +555,19 @@ def run_p6(seed=0, scales=SCALES):
             "objects",
             ok=objects[key] <= ceiling,
         )
+    traced = objects["bytes"]
+    for key, label in (
+        ("at_rest", "traced bytes per instance at rest"),
+        ("wave_survivors", "traced bytes surviving one wave, per instance"),
+    ):
+        ceiling = BYTES_COMMITTED[key] * (1 + OBJECTS_TOLERANCE)
+        result.add(
+            f"{smallest} instances: {label}",
+            f"<= {ceiling:,.0f}",
+            f"{traced[key]:,.0f}",
+            "B",
+            ok=traced[key] <= ceiling,
+        )
     result.extra = {
         "instances_per_host": INSTANCES_PER_HOST,
         "window": WINDOW,
@@ -511,7 +576,12 @@ def run_p6(seed=0, scales=SCALES):
         },
         "speedup_floor": SPEEDUP_FLOOR,
         "flatness_tolerance": FLATNESS_TOLERANCE,
-        "storm": {"legacy": legacy, "current": current, "speedup": speedup},
+        "storm": {
+            "legacy": storm_runs["legacy"],
+            "current": storm_runs["current"],
+            "ratios": storm_ratios,
+            "speedup": speedup,
+        },
         "kernel_micro": {"heap": heap, "calendar": calendar, "ratio": micro_ratio},
         "max_instances": largest,
         "wave_flatness": flatness,

@@ -29,6 +29,8 @@ class HostDown(SimulationError):
 class HostProcess:
     """One OS process on a host, backing one active Legion object."""
 
+    __slots__ = ("pid", "host", "owner_loid", "alive")
+
     def __init__(self, host, owner_loid):
         self.pid = next(_process_counter)
         self.host = host

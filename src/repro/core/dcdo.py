@@ -137,6 +137,23 @@ class DCDO(LegionObject):
         Behaviour when removing components with active threads.
     """
 
+    __slots__ = (
+        "dfm",
+        "_manager_loid",
+        "_remove_policy",
+        "_version",
+        "_update_checker",
+        "_thread_exit",
+        "evolutions_applied",
+        "applications_by_version",
+        "duplicate_deliveries",
+        "rollbacks",
+        "_applying_target",
+        "_applying_gate",
+        "_applying_more",
+        "_txn",
+    )
+
     def __init__(self, runtime, loid, host, manager_loid=None, remove_policy=None):
         super().__init__(runtime, loid, host)
         self.dfm = DynamicFunctionMapper()
@@ -366,7 +383,7 @@ class DCDO(LegionObject):
         calibration = self.calibration
         if validate:
             validation.check_can_incorporate(self.dfm, component)
-        elif component.component_id in self.dfm.component_ids:
+        elif self.dfm.has_component(component.component_id):
             from repro.core.errors import ComponentAlreadyIncorporated
 
             raise ComponentAlreadyIncorporated(
@@ -651,7 +668,7 @@ class DCDO(LegionObject):
         if diff.enforce_restrictions:
             validation.check_transition_preserves_rules(self.dfm, diff.target)
         for ref in diff.components_to_add:
-            if ref.component_id in self.dfm.component_ids:
+            if self.dfm.has_component(ref.component_id):
                 continue  # duplicate delivery: already incorporated
             if ref.component is not None:
                 yield from self._incorporate(ref.component, ref.ico_loid, validate=False)
@@ -668,7 +685,7 @@ class DCDO(LegionObject):
         self.dfm.adopt_restrictions(diff.target)
         yield self.host.cpu_work(max(changes, 1) * self.calibration.dfm_update_s)
         for component_id in diff.components_to_remove:
-            if component_id not in self.dfm.component_ids:
+            if not self.dfm.has_component(component_id):
                 continue  # duplicate delivery: already removed
             incorporated = self.dfm.component(component_id)
             # Rollback re-adds the component with its entries disabled,
@@ -709,10 +726,10 @@ class DCDO(LegionObject):
         txn.phase = EvolutionPhase.ROLLING_BACK
         try:
             for component_id in reversed(txn.incorporated):
-                if component_id in self.dfm.component_ids:
+                if self.dfm.has_component(component_id):
                     yield from self.remove_component(component_id, validate=False)
             for component, variant in reversed(txn.removed):
-                if component.component_id not in self.dfm.component_ids:
+                if not self.dfm.has_component(component.component_id):
                     self.dfm.add_component(component, variant, validate=False)
                     yield self.host.cpu_work(
                         len(component.functions) * self.calibration.dfm_update_s

@@ -9,9 +9,28 @@ functions must go."
 This is the live, per-DCDO structure: unlike a DFM descriptor it holds
 the actual function bodies (the mapped-in code) and the per-function
 active thread counters used for thread activity monitoring (§3.2).
+
+Every DCDO owns one, so a fleet holds as many DFMs as instances, and
+the DFM keeps one table and one index:
+
+- **The table** maps each incorporated component to its
+  :class:`IncorporatedComponent`, whose ``entries`` map each function
+  the component implements to its :class:`DFMEntry`.  *Table order* is
+  component incorporation order, and within a component the order of
+  the component's functions: a component that is removed and added
+  again goes to the end.  Every walk of the DFM (``entries_for``,
+  ``to_descriptor``, ``apply_entry_states``) follows it.
+- **The enabled-entry index** maps a function to its enabled entry, so
+  :meth:`DynamicFunctionMapper.lookup` is one dict probe.  When a
+  commit briefly enables two implementations of one function, the
+  later one in table order serves the calls.
+
+Markings, pins and dependencies sit beside them.  Nothing else is
+kept per function; the per-function accessors walk the table's
+components, of which a DCDO holds a handful.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import validation
 from repro.core.descriptor import DescriptorEntry, DFMDescriptor
@@ -33,7 +52,7 @@ def _unpack_flags(flags):
     return bool(flags & 1), bool(flags & 2)
 
 
-@dataclass
+@dataclass(slots=True)
 class DFMEntry:
     """One function implementation mapped into a DCDO."""
 
@@ -46,36 +65,59 @@ class DFMEntry:
     calls: int = 0
 
 
-@dataclass
 class IncorporatedComponent:
-    """A component currently mapped into a DCDO's address space."""
+    """A component currently mapped into a DCDO's address space.
 
-    component: object
-    variant: object
-    #: Private per-object data for the component's internal structures
-    #: (§2: "these data structures must be accessed from outside the
-    #: component by calling the component's exported dynamic
-    #: functions").
-    private_state: dict = field(default_factory=dict)
+    ``entries`` is the component's row of the DFM's table: function
+    name -> :class:`DFMEntry`, in the order of the component's
+    functions.
+    """
+
+    __slots__ = ("component", "variant", "entries", "_private_state")
+
+    def __init__(self, component, variant, entries):
+        self.component = component
+        self.variant = variant
+        self.entries = entries
+        self._private_state = None
+
+    @property
+    def private_state(self):
+        """Private per-object data for the component's internal
+        structures (§2: "these data structures must be accessed from
+        outside the component by calling the component's exported
+        dynamic functions"), built on first use."""
+        state = self._private_state
+        if state is None:
+            state = self._private_state = {}
+        return state
 
 
 class DynamicFunctionMapper:
     """The per-object dispatch table for dynamic functions."""
 
+    __slots__ = (
+        "_components",
+        "_enabled_index",
+        "_markings",
+        "_pins",
+        "_dependencies",
+        "_epoch",
+        "total_calls",
+    )
+
     def __init__(self):
-        self._entries = {}
+        # The table: component id -> IncorporatedComponent, whose
+        # ``entries`` map function -> DFMEntry (see the module
+        # docstring for table order).
         self._components = {}
-        self._markings = {}
-        self._pins = {}
-        self._dependencies = []
         # function -> its (single) enabled entry; the hot-path index
         # that makes lookup O(1) regardless of table size.
         self._enabled_index = {}
-        # Secondary indexes: function -> {component_id: entry} and
-        # component_id -> {function: entry}, so the status/dispatch
-        # accessors are O(implementations-of-f), not O(table).
-        self._by_function = {}
-        self._by_component = {}
+        self._markings = {}
+        self._pins = {}
+        # A tuple: a DFM with none shares the empty one.
+        self._dependencies = ()
         # Monotonically increasing configuration epoch, bumped on every
         # mutation; piggybacked on replies so clients' interface leases
         # can validate cheaply (and invalidate promptly).
@@ -98,8 +140,9 @@ class DynamicFunctionMapper:
         removed); the later one in table order then serves the calls.
         """
         chosen = None
-        for entry in self._by_function.get(function, {}).values():
-            if entry.enabled:
+        for incorporated in self._components.values():
+            entry = incorporated.entries.get(function)
+            if entry is not None and entry.enabled:
                 chosen = entry
         if chosen is None:
             self._enabled_index.pop(function, None)
@@ -115,6 +158,10 @@ class DynamicFunctionMapper:
         """Set of incorporated component ids."""
         return set(self._components)
 
+    def has_component(self, component_id):
+        """True if ``component_id`` is incorporated."""
+        return component_id in self._components
+
     @property
     def dependencies(self):
         """Declared dependencies (list copy)."""
@@ -122,28 +169,40 @@ class DynamicFunctionMapper:
 
     def entry(self, function, component_id):
         """The entry for (function, component) or None."""
-        return self._entries.get((function, component_id))
+        incorporated = self._components.get(component_id)
+        if incorporated is None:
+            return None
+        return incorporated.entries.get(function)
 
     def entries_for(self, function):
-        """All entries implementing ``function`` (via the index)."""
-        return list(self._by_function.get(function, {}).values())
+        """All entries implementing ``function``, in table order."""
+        found = []
+        for incorporated in self._components.values():
+            entry = incorporated.entries.get(function)
+            if entry is not None:
+                found.append(entry)
+        return found
 
     def entries_in(self, component_id):
-        """All entries implemented by ``component_id`` (via the index)."""
-        return list(self._by_component.get(component_id, {}).values())
+        """All entries implemented by ``component_id``, in table order."""
+        incorporated = self._components.get(component_id)
+        if incorporated is None:
+            return []
+        return list(incorporated.entries.values())
 
     def is_enabled(self, function, component_id):
         """True if that particular implementation is enabled."""
-        entry = self._entries.get((function, component_id))
+        entry = self.entry(function, component_id)
         return entry is not None and entry.enabled
 
     def enabled_components_of(self, function):
         """Component ids with an enabled implementation of ``function``."""
-        return {
-            component_id
-            for component_id, entry in self._by_function.get(function, {}).items()
-            if entry.enabled
-        }
+        enabled = set()
+        for component_id, incorporated in self._components.items():
+            entry = incorporated.entries.get(function)
+            if entry is not None and entry.enabled:
+                enabled.add(component_id)
+        return enabled
 
     def marking(self, function):
         """The function's marking (FULLY_DYNAMIC by default)."""
@@ -170,7 +229,10 @@ class DynamicFunctionMapper:
 
     def function_names(self):
         """Sorted names of all mapped functions."""
-        return sorted(self._by_function)
+        names = set()
+        for incorporated in self._components.values():
+            names.update(incorporated.entries)
+        return sorted(names)
 
     def exported_interface(self):
         """Sorted names of enabled, exported functions.
@@ -188,7 +250,10 @@ class DynamicFunctionMapper:
 
     def entry_count(self):
         """Total number of (function, component) entries."""
-        return len(self._entries)
+        count = 0
+        for incorporated in self._components.values():
+            count += len(incorporated.entries)
+        return count
 
     def active_threads_in(self, component_id):
         """Sum of active thread counts across a component's functions."""
@@ -269,20 +334,15 @@ class DynamicFunctionMapper:
             raise ComponentAlreadyIncorporated(
                 f"component {component.component_id!r} is already incorporated"
             )
-        self._components[component.component_id] = IncorporatedComponent(
-            component=component, variant=variant
-        )
+        component_id = component.component_id
+        entries = {}
         for name, function_def in component.functions.items():
-            entry = DFMEntry(
-                function=name,
-                component_id=component.component_id,
-                function_def=function_def,
-                enabled=False,
-                exported=function_def.exported,
+            entries[name] = DFMEntry(
+                name, component_id, function_def, False, function_def.exported
             )
-            self._entries[(name, component.component_id)] = entry
-            self._by_function.setdefault(name, {})[component.component_id] = entry
-            self._by_component.setdefault(component.component_id, {})[name] = entry
+        self._components[component_id] = IncorporatedComponent(
+            component, variant, entries
+        )
         for name, demanded in component.required_markings.items():
             self._markings[name] = (
                 demanded
@@ -293,7 +353,7 @@ class DynamicFunctionMapper:
                 self._pins[name] = component.component_id
         for dependency in component.declared_dependencies:
             if dependency not in self._dependencies:
-                self._dependencies.append(dependency)
+                self._dependencies += (dependency,)
         # New entries start disabled: the enabled-entry index is unchanged.
         self._bump()
 
@@ -316,15 +376,8 @@ class DynamicFunctionMapper:
                 for dependency in self._dependencies
                 if dependency.dependent_component != component_id
             ]
-        self._dependencies = surviving
-        del self._components[component_id]
-        for name in self._by_component.pop(component_id, {}):
-            bucket = self._by_function.get(name)
-            if bucket is not None:
-                bucket.pop(component_id, None)
-                if not bucket:
-                    del self._by_function[name]
-            del self._entries[(name, component_id)]
+        self._dependencies = tuple(surviving)
+        for name in self._components.pop(component_id).entries:
             self._reindex(name)
         self._bump()
 
@@ -349,12 +402,14 @@ class DynamicFunctionMapper:
                 raise PermanenceViolation(
                     f"{function!r} is permanently pinned to component {pinned!r}"
                 )
-            saved = {}
+            saved = []
             for other in others:
-                saved[(function, other)] = self._entries[(function, other)].enabled
-                self._entries[(function, other)].enabled = False
-            saved[(function, component_id)] = self._entries[(function, component_id)].enabled
-            self._entries[(function, component_id)].enabled = True
+                entry = self.entry(function, other)
+                saved.append((entry, entry.enabled))
+                entry.enabled = False
+            entry = self.entry(function, component_id)
+            saved.append((entry, entry.enabled))
+            entry.enabled = True
             from repro.core.dependency import check_dependencies
 
             try:
@@ -362,15 +417,15 @@ class DynamicFunctionMapper:
                     self._dependencies, self.is_enabled, self.enabled_components_of
                 )
             except Exception:
-                for key, was_enabled in saved.items():
-                    self._entries[key].enabled = was_enabled
+                for entry, was_enabled in saved:
+                    entry.enabled = was_enabled
                 raise
             finally:
                 self._reindex(function)
             self._bump()
             return
         validation.check_can_enable(self, function, component_id)
-        entry = self._entries[(function, component_id)]
+        entry = self.entry(function, component_id)
         entry.enabled = True
         self._enabled_index[function] = entry
         self._bump()
@@ -390,13 +445,13 @@ class DynamicFunctionMapper:
         validation.check_can_disable(
             self, function, component_id, enforce_dependencies=enforce_dependencies
         )
-        self._entries[(function, component_id)].enabled = False
+        self.entry(function, component_id).enabled = False
         self._enabled_index.pop(function, None)
         self._bump()
 
     def set_exported(self, function, component_id, exported):
         """Move a function between public and private interfaces."""
-        entry = self._entries.get((function, component_id))
+        entry = self.entry(function, component_id)
         if entry is None:
             raise ComponentNotIncorporated(
                 f"no implementation of {function!r} in component {component_id!r}"
@@ -428,15 +483,17 @@ class DynamicFunctionMapper:
         from repro.core.dependency import check_dependencies
 
         check_dependencies(
-            self._dependencies + [dependency], self.is_enabled, self.enabled_components_of
+            self._dependencies + (dependency,), self.is_enabled, self.enabled_components_of
         )
-        self._dependencies.append(dependency)
+        self._dependencies += (dependency,)
         self._bump()
 
     def remove_dependency(self, dependency):
         """Retract a declared dependency."""
         if dependency in self._dependencies:
-            self._dependencies.remove(dependency)
+            dependencies = list(self._dependencies)
+            dependencies.remove(dependency)
+            self._dependencies = tuple(dependencies)
             self._bump()
 
     def adopt_restrictions(self, descriptor):
@@ -449,7 +506,7 @@ class DynamicFunctionMapper:
             for function, __ in descriptor.markings_items()
             if descriptor.pin(function) is not None
         }
-        self._dependencies = descriptor.dependencies
+        self._dependencies = tuple(descriptor.dependencies)
         self._bump()
 
     def apply_entry_states(self, descriptor, undo=None):
@@ -462,17 +519,20 @@ class DynamicFunctionMapper:
         before they first change.
         """
         changes = 0
-        for key, entry in self._entries.items():
-            target = descriptor.entry(*key)
-            if target is None:
-                continue
-            if entry.enabled != target.enabled or entry.exported != target.exported:
-                if undo is not None and key not in undo:
-                    undo[key] = _pack_flags(entry)
-                entry.enabled = target.enabled
-                entry.exported = target.exported
-                self._reindex(entry.function)
-                changes += 1
+        for component_id, incorporated in self._components.items():
+            for function, entry in incorporated.entries.items():
+                target = descriptor.entry(function, component_id)
+                if target is None:
+                    continue
+                if entry.enabled != target.enabled or entry.exported != target.exported:
+                    if undo is not None:
+                        key = (function, component_id)
+                        if key not in undo:
+                            undo[key] = _pack_flags(entry)
+                    entry.enabled = target.enabled
+                    entry.exported = target.exported
+                    self._reindex(function)
+                    changes += 1
         if changes:
             self._bump()
         return changes
@@ -491,8 +551,12 @@ class DynamicFunctionMapper:
         disabled; :meth:`apply_entry_states` logs the entries it flips.
         Entries already logged keep their first flags.
         """
-        for key, entry in self._entries.items():
-            if entry.component_id == component_id and key not in undo:
+        incorporated = self._components.get(component_id)
+        if incorporated is None:
+            return
+        for function, entry in incorporated.entries.items():
+            key = (function, component_id)
+            if key not in undo:
                 undo[key] = _pack_flags(entry)
 
     def restore_entry_states(self, undo):
@@ -502,8 +566,8 @@ class DynamicFunctionMapper:
         their components first when full restoration is needed).
         """
         changed = False
-        for key, flags in undo.items():
-            entry = self._entries.get(key)
+        for (function, component_id), flags in undo.items():
+            entry = self.entry(function, component_id)
             if entry is None:
                 continue
             enabled, exported = _unpack_flags(flags)
@@ -517,14 +581,14 @@ class DynamicFunctionMapper:
 
     def restrictions_snapshot(self):
         """Capture markings, pins, and dependencies for rollback."""
-        return (dict(self._markings), dict(self._pins), list(self._dependencies))
+        return (dict(self._markings), dict(self._pins), self._dependencies)
 
     def restore_restrictions(self, snapshot):
         """Reinstate a :meth:`restrictions_snapshot` capture."""
         markings, pins, dependencies = snapshot
         self._markings = dict(markings)
         self._pins = dict(pins)
-        self._dependencies = list(dependencies)
+        self._dependencies = tuple(dependencies)
         self._bump()
 
     def to_descriptor(self):
@@ -532,13 +596,13 @@ class DynamicFunctionMapper:
         descriptor = DFMDescriptor()
         for component_id, incorporated in self._components.items():
             descriptor._component_refs[component_id] = None  # refs live in the manager
-        for key, entry in self._entries.items():
-            descriptor._entries[key] = DescriptorEntry(
-                function=entry.function,
-                component_id=entry.component_id,
-                enabled=entry.enabled,
-                exported=entry.exported,
-            )
+            for function, entry in incorporated.entries.items():
+                descriptor._entries[(function, component_id)] = DescriptorEntry(
+                    function=function,
+                    component_id=component_id,
+                    enabled=entry.enabled,
+                    exported=entry.exported,
+                )
         descriptor._markings = dict(self._markings)
         descriptor._pins = dict(self._pins)
         descriptor._dependencies = list(self._dependencies)

@@ -88,7 +88,7 @@ class DeliveryStatus(enum.Enum):
     ROLLED_BACK = "rolled-back"
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
     """Ack-tracking state for one instance in one propagation.
 
@@ -269,7 +269,7 @@ class PropagationTracker:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class JournalEntry:
     """One write-ahead record: a kind tag plus its payload."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.legion.errors import UnknownObject
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binding:
     """A LOID -> physical address association.
 
@@ -32,13 +32,23 @@ class Binding:
 class StaleBindingStats:
     """Records how long clients took to discover stale bindings."""
 
+    __slots__ = ("_times",)
+
     def __init__(self):
-        self.discovery_times = []
+        # Built by the first discovery.
+        self._times = None
+
+    @property
+    def discovery_times(self):
+        """The recorded discovery times, oldest first."""
+        if self._times is None:
+            self._times = []
+        return self._times
 
     @property
     def count(self):
         """Number of stale-binding discoveries recorded."""
-        return len(self.discovery_times)
+        return len(self._times) if self._times else 0
 
     def record(self, elapsed):
         """Record one discovery that took ``elapsed`` seconds."""
@@ -46,9 +56,9 @@ class StaleBindingStats:
 
     def mean(self):
         """Mean discovery time, or None if none recorded."""
-        if not self.discovery_times:
+        if not self._times:
             return None
-        return sum(self.discovery_times) / len(self.discovery_times)
+        return sum(self._times) / len(self._times)
 
 
 class BindingAgent:
@@ -110,6 +120,8 @@ class BindingAgent:
 
 class BindingCache:
     """A client-side cache of bindings, with staleness accounting."""
+
+    __slots__ = ("_bindings", "hits", "misses", "stale_stats")
 
     def __init__(self):
         self._bindings = {}

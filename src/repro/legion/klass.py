@@ -19,7 +19,7 @@ from repro.legion.loid import class_loid, mint_loid
 from repro.legion.objects import LegionObject
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceRecord:
     """What a class object knows about one of its instances."""
 

@@ -47,6 +47,8 @@ class LOID:
         Instance number, unique within (domain, type_name).
     """
 
+    __slots__ = ("domain", "type_name", "instance", "_str", "_hash", "__weakref__")
+
     domain: str
     type_name: str
     instance: int
@@ -61,6 +63,10 @@ class LOID:
         object.__setattr__(
             self, "_hash", hash((self.domain, self.type_name, self.instance))
         )
+
+    def __reduce__(self):
+        # Slotted and frozen: copies and pickles rebuild through __init__.
+        return (LOID, (self.domain, self.type_name, self.instance))
 
     def __str__(self):
         return self._str

@@ -108,8 +108,9 @@ class LegionObject:
         Logical size of the object's state, charged by capture/restore.
 
     The base class carries ``__slots__`` so the per-instance footprint
-    of a large fleet stays flat; subclasses that add ad-hoc attributes
-    (DCDOs, managers) simply declare none and get a ``__dict__`` for
+    of a large fleet stays flat, and builds its state dict on first
+    use.  DCDOs declare slots of their own; subclasses with few
+    instances (managers, relays) declare none and get a ``__dict__`` for
     their own fields on top of the slotted base.
     """
 
@@ -125,7 +126,7 @@ class LegionObject:
         "_process",
         "_binding",
         "_invoker",
-        "state",
+        "_state_dict",
         "state_bytes",
         "active_requests",
         "requests_completed",
@@ -144,7 +145,7 @@ class LegionObject:
         self._process = None
         self._binding = None
         self._invoker = None
-        self.state = {}
+        self._state_dict = None
         self.state_bytes = state_bytes
         self.active_requests = 0
         self.requests_completed = 0
@@ -181,6 +182,18 @@ class LegionObject:
     def calibration(self):
         """The cost model in effect."""
         return self._runtime.calibration
+
+    @property
+    def state(self):
+        """The object's mutable state dict (built on first use)."""
+        state = self._state_dict
+        if state is None:
+            state = self._state_dict = {}
+        return state
+
+    @state.setter
+    def state(self, value):
+        self._state_dict = value
 
     @property
     def is_active(self):
@@ -290,7 +303,7 @@ class LegionObject:
 
     def capture_state(self):
         """Return (state, size_bytes) for persisting to an OPR."""
-        return dict(self.state), self.state_bytes
+        return dict(self._state_dict or ()), self.state_bytes
 
     def restore_state(self, state):
         """Install state read back from an OPR."""

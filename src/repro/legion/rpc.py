@@ -42,7 +42,7 @@ class ReplyEnvelope:
         return f"<ReplyEnvelope epoch={self.epoch}>"
 
 
-@dataclass
+@dataclass(slots=True)
 class InvokeStats:
     """Per-invoker counters used by tests and benchmarks."""
 
@@ -84,7 +84,27 @@ class MethodInvoker:
         attempts against one address are spaced with the policy's
         backoff instead of being fired back-to-back.  None (the
         default) preserves the calibrated stale-binding timings.
+
+    Every active object owns an invoker, so its per-peer tables (the
+    observed epochs, the RTT estimators and their settings) are built
+    when they first hold something.
     """
+
+    __slots__ = (
+        "_endpoint",
+        "_cache",
+        "_calibration",
+        "_rng",
+        "retry_policy",
+        "stats",
+        "_observed_epochs",
+        "_adaptive_timeouts",
+        "_estimator_kwargs",
+        "_estimators",
+        "_hedging",
+        "_hedge_delay_s",
+        "term_source",
+    )
 
     def __init__(self, endpoint, binding_cache, calibration, rng=None, retry_policy=None):
         self._endpoint = endpoint
@@ -93,12 +113,14 @@ class MethodInvoker:
         self._rng = rng
         self.retry_policy = retry_policy
         self.stats = InvokeStats()
-        self._observed_epochs = {}
+        # loid -> the latest epoch it piggybacked.
+        self._observed_epochs = None
         # Gray-failure adaptation, both off by default so the
         # calibrated §4 timings are untouched unless a runtime opts in.
         self._adaptive_timeouts = False
-        self._estimator_kwargs = {}
-        self._estimators = {}
+        self._estimator_kwargs = None
+        # peer host -> its RTT estimator.
+        self._estimators = None
         self._hedging = False
         self._hedge_delay_s = None
         #: Optional zero-arg callable returning the current
@@ -115,6 +137,8 @@ class MethodInvoker:
         restarts its epoch counter, and regressing here is what lets
         lease caches notice the new incarnation and invalidate.
         """
+        if self._observed_epochs is None:
+            return None
         return self._observed_epochs.get(loid)
 
     # ------------------------------------------------------------------
@@ -159,10 +183,13 @@ class MethodInvoker:
         from repro.net import RttEstimator
 
         host = address.split("/", 1)[0]
-        estimator = self._estimators.get(host)
+        estimators = self._estimators
+        if estimators is None:
+            estimators = self._estimators = {}
+        estimator = estimators.get(host)
         if estimator is None:
-            estimator = self._estimators[host] = RttEstimator(
-                **self._estimator_kwargs
+            estimator = estimators[host] = RttEstimator(
+                **(self._estimator_kwargs or {})
             )
         return estimator
 
@@ -420,7 +447,10 @@ class MethodInvoker:
     def _unwrap_envelope(self, loid, reply):
         """Peel a piggybacked epoch off a reply, recording it per LOID."""
         if isinstance(reply, ReplyEnvelope):
-            self._observed_epochs[loid] = reply.epoch
+            epochs = self._observed_epochs
+            if epochs is None:
+                epochs = self._observed_epochs = {}
+            epochs[loid] = reply.epoch
             self.stats.epoch_observations += 1
             return reply.value
         return reply

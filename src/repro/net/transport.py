@@ -187,7 +187,35 @@ class Endpoint:
         How long a served request id is remembered for duplicate
         suppression after its reply went out.  Entries are evicted
         lazily so the table stays bounded under heavy traffic.
+
+    Every active object owns an endpoint, so its backlog builds no
+    container until two messages wait: the head, the one message with a
+    dispatch hop scheduled, is a slot (``_head``), and a deque is built
+    only for a message that lands while the head is still waiting.  The
+    common path (one message at a time) allocates nothing per message.
     """
+
+    __slots__ = (
+        "_network",
+        "_sim",
+        "_address",
+        "_port",
+        "_request_handler",
+        "_oneway_handler",
+        "_default_timeout_s",
+        "_max_attempts",
+        "_retry_policy",
+        "_dedupe_ttl_s",
+        "_head",
+        "_backlog",
+        "_settle_wait",
+        "_settle_reply",
+        "_pending_replies",
+        "_seen_requests",
+        "_seen_evictions",
+        "_closed",
+        "requests_served",
+    )
 
     #: Hard cap on remembered request ids; beyond it the oldest
     #: completed entries are evicted even if their TTL has not expired.
@@ -219,9 +247,10 @@ class Endpoint:
         self._max_attempts = max_attempts
         self._retry_policy = retry_policy or DEFAULT_REQUEST_RETRY
         self._dedupe_ttl_s = dedupe_ttl_s
-        # Delivered messages not yet dispatched; the head has a dispatch
-        # hop scheduled.
-        self._backlog = deque()
+        # The delivered message with a dispatch hop scheduled, and the
+        # ones delivered behind it (a deque built for the first of them).
+        self._head = None
+        self._backlog = None
         # The reply waiting for its settle hop, and the attempt it
         # settles; at most one is ever queued (see ``__call__``).
         self._settle_wait = None
@@ -276,9 +305,7 @@ class Endpoint:
         self._closed = True
         self._network.unregister_endpoint(self)
         self._network.detach(self._address)
-        backlog = self._backlog
-        while len(backlog) > 1:
-            backlog.pop()
+        self._backlog = None
         # Forget callers still waiting on replies: no reply can reach
         # them now, and each attempt still ends at its own timer.
         self._pending_replies = {}
@@ -425,10 +452,14 @@ class Endpoint:
         scheduled once the head has been dispatched, so messages are
         dispatched in delivery order, one scheduler entry each.
         """
-        backlog = self._backlog
-        backlog.append(message)
-        if len(backlog) == 1:
+        if self._head is None:
+            self._head = message
             self._sim._lane.append(self)
+            return
+        backlog = self._backlog
+        if backlog is None:
+            backlog = self._backlog = deque()
+        backlog.append(message)
 
     def __call__(self):
         """Scheduled hop: settle the oldest reply, or dispatch the
@@ -446,11 +477,13 @@ class Endpoint:
             self._settle_wait = self._settle_reply = None
             wait.settle(reply)
             return
+        self._dispatch_inbound(self._head)
         backlog = self._backlog
-        self._dispatch_inbound(backlog[0])
-        backlog.popleft()
         if backlog:
+            self._head = backlog.popleft()
             self._sim._lane.append(self)
+        else:
+            self._head = None
 
     def _dispatch_inbound(self, message):
         kind = message.kind

@@ -12,6 +12,17 @@ from repro.legion.loid import class_loid, mint_loid
 # ----------------------------------------------------------------------
 
 
+def test_loids_survive_copies_and_pickles():
+    import copy
+    import pickle
+
+    loid = mint_loid("d", "T")
+    for clone in (copy.deepcopy(loid), pickle.loads(pickle.dumps(loid))):
+        assert clone == loid
+        assert hash(clone) == hash(loid)
+        assert str(clone) == str(loid)
+
+
 def test_minted_loids_are_unique():
     a = mint_loid("d", "T")
     b = mint_loid("d", "T")

@@ -574,9 +574,12 @@ def test_seen_requests_expire_after_ttl():
     assert server.requests_served == 2
 
 
-def test_seen_requests_bounded_by_cap():
-    # Also with the table rebuilt after every eviction.
+def test_seen_requests_bounded_by_cap(monkeypatch):
+    # Also with the table rebuilt after every eviction.  An endpoint is
+    # slotted, so the limits are set on the class.
+    monkeypatch.setattr(Endpoint, "SEEN_REQUEST_LIMIT", 2)
     for rebuild_after in (Endpoint.SEEN_REBUILD_EVICTIONS, 1):
+        monkeypatch.setattr(Endpoint, "SEEN_REBUILD_EVICTIONS", rebuild_after)
         sim, net = make_net()
         client = Endpoint(net, "client")
         served = []
@@ -587,8 +590,6 @@ def test_seen_requests_bounded_by_cap():
             yield  # pragma: no cover - uniform generator shape
 
         server = Endpoint(net, "server", request_handler=handler)
-        server.SEEN_REQUEST_LIMIT = 2
-        server.SEEN_REBUILD_EVICTIONS = rebuild_after
 
         def proc():
             for i in range(5):
