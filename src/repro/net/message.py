@@ -63,6 +63,13 @@ class Message:
     term:
         Optional :class:`ManagerTerm` fencing token.  ``None`` (the
         default) means unfenced traffic; receivers skip the term check.
+    horizon:
+        For requests, the sender's completion horizon: the id of its
+        oldest request attempt still waiting for a reply, or this
+        message's own id when no older attempt is waiting.  Message ids
+        only grow, so every id the sender issued below its horizon is
+        settled, and a server refuses a request below it.  ``0`` (the
+        default) settles nothing.
     """
 
     source: str
@@ -72,6 +79,7 @@ class Message:
     kind: str = "oneway"
     correlation_id: int = 0
     term: object = None
+    horizon: int = 0
     message_id: int = field(default_factory=next_message_id)
 
     def __post_init__(self):

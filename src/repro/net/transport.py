@@ -19,11 +19,26 @@ neither allocates.
 Request handlers are generators, so servicing a request can itself
 perform simulated work and nested calls.  Remote exceptions propagate
 back to the caller as :class:`RemoteError`.
+
+Execution is at most once per request id, by caller horizons rather
+than a table of served ids (the scheme of RIFL, Lee et al., SOSP 2015).
+Every attempt is a fresh message, and every request carries its
+sender's *horizon*: the id of the sender's oldest attempt still waiting
+for a reply, or its own id when none older waits.  Message ids only
+grow, so the sender has settled every id it issued below its horizon.
+A server keeps one record per caller: the highest horizon it has seen
+and the few ids at or above it that it has served.  It refuses a
+request whose id is in the record (a duplicate) or below the horizon
+(stale: an attempt whose sender gave up on it, or a late copy of one
+it settled), counting ``transport.duplicate_requests`` and
+``transport.stale_requests``.  A record is dropped once its caller has
+sent nothing for ``dedupe_ttl_s``.
 """
 
+import struct
 from collections import deque
 
-from repro.net.message import Message
+from repro.net.message import Message, next_message_id
 from repro.net.retry import DEFAULT_REQUEST_RETRY
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
@@ -124,6 +139,22 @@ class _ErrorReply:
         self.cause = cause
 
 
+#: A caller's record when it remembers one served id (nearly always):
+#: its horizon, the time of its latest request, and that id.  Packed,
+#: it is one 57-byte object that the collector does not track.  A
+#: record remembering more ids is the tuple ``(horizon, time, *ids)``.
+_RECORD = struct.Struct("<qdq")
+
+
+def _unpack(record):
+    """``(horizon, time of the latest request, remembered ids)`` of a
+    caller's record."""
+    if type(record) is bytes:
+        horizon, last, served_id = _RECORD.unpack(record)
+        return horizon, last, (served_id,)
+    return record[0], record[1], record[2:]
+
+
 #: What a request attempt's wait resolves to when no reply won.
 _TIMED_OUT = object()
 _HEDGE_DUE = object()
@@ -137,9 +168,14 @@ class _Attempt(Event):
     two scheduled hops, the same two that a reply event and its
     ``AnyOf`` took.  Whichever resolves it first wins; the hedge point
     re-arms it for the rest of the attempt.
+
+    The attempts an endpoint still waits on form a list in issue order
+    (``older``/``newer``), so the oldest, whose ``message_id`` is the
+    horizon every request carries, is found in O(1), and an attempt
+    leaves the list in O(1) wherever it is.
     """
 
-    __slots__ = ()
+    __slots__ = ("message_id", "older", "newer")
 
     def settle(self, outcome):
         """Scheduled call: resolve with a reply or a timer's marker,
@@ -184,15 +220,24 @@ class Endpoint:
         its attempt/deadline limits are not consulted — the request's
         own ``max_attempts`` bounds the loop.
     dedupe_ttl_s:
-        How long a served request id is remembered for duplicate
-        suppression after its reply went out.  Entries are evicted
-        lazily so the table stays bounded under heavy traffic.
+        How long a caller may stay idle (send nothing) before this
+        endpoint, as a server, drops its record.  A copy of a request
+        that arrives within the TTL of the first copy is always
+        refused; a later one is refused while its caller has not gone
+        idle for the TTL since.  It bounds the records a server keeps
+        by the callers active within the TTL.
 
     Every active object owns an endpoint, so its backlog builds no
     container until two messages wait: the head, the one message with a
     dispatch hop scheduled, is a slot (``_head``), and a deque is built
     only for a message that lands while the head is still waiting.  The
     common path (one message at a time) allocates nothing per message.
+
+    As a server it keeps its callers' records in the order of their
+    latest requests, so the idle ones lead: a request past
+    ``_evict_at`` (when the first record goes idle) drops them, and each
+    record is dropped once.  A sender finds its horizon in O(1): its
+    waiting attempts are linked in issue order (see :class:`_Attempt`).
     """
 
     __slots__ = (
@@ -211,19 +256,13 @@ class Endpoint:
         "_settle_wait",
         "_settle_reply",
         "_pending_replies",
-        "_seen_requests",
-        "_seen_evictions",
+        "_oldest",
+        "_newest",
+        "_callers",
+        "_evict_at",
         "_closed",
         "requests_served",
     )
-
-    #: Hard cap on remembered request ids; beyond it the oldest
-    #: completed entries are evicted even if their TTL has not expired.
-    SEEN_REQUEST_LIMIT = 4096
-    #: Evictions after which the served-request table is rebuilt.  A
-    #: dict keeps deleted slots at its head until it resizes, and
-    #: finding the oldest entry walks them.
-    SEEN_REBUILD_EVICTIONS = 256
 
     def __init__(
         self,
@@ -255,13 +294,15 @@ class Endpoint:
         # settles; at most one is ever queued (see ``__call__``).
         self._settle_wait = None
         self._settle_reply = None
-        # message id -> the attempt waiting for its reply.
+        # message id -> the attempt waiting for its reply, and the
+        # oldest and newest of those attempts.
         self._pending_replies = {}
-        # message_id -> completion time (None while still being served);
-        # insertion-ordered so TTL/size eviction walks the oldest first.
-        # Ints to floats: the collector does not track it.
-        self._seen_requests = {}
-        self._seen_evictions = 0
+        self._oldest = None
+        self._newest = None
+        # caller address -> its record, in the order of the callers'
+        # latest requests; and a time no record expires before.
+        self._callers = {}
+        self._evict_at = dedupe_ttl_s
         self._closed = False
         self.requests_served = 0
         network.register_endpoint(self)
@@ -382,6 +423,18 @@ class Endpoint:
             if self._closed:
                 # Closed while backing off (e.g. our host crashed).
                 raise TransportError(f"endpoint {self._address!r} is closed")
+            message_id = next_message_id()
+            wait = _Attempt(sim)
+            wait.message_id = message_id
+            wait.newer = None
+            # Queue the attempt behind the others still waiting; the
+            # oldest of them is this request's horizon.
+            newest = wait.older = self._newest
+            if newest is None:
+                self._oldest = wait
+            else:
+                newest.newer = wait
+            self._newest = wait
             message = Message(
                 source=self._address,
                 destination=destination,
@@ -389,38 +442,56 @@ class Endpoint:
                 size_bytes=size_bytes,
                 kind="request",
                 term=term,
+                horizon=self._oldest.message_id,
+                message_id=message_id,
             )
-            wait = _Attempt(sim)
-            self._pending_replies[message.message_id] = wait
-            network.send(message)
+            pending = self._pending_replies
+            pending[message_id] = wait
             backup = None
-            if hedge_delay_s is None:
-                timer = sim._schedule_call(wait.expire, timeout_s)
-                reply = yield wait
-            else:
-                timer = sim._schedule_call(wait.hedge, hedge_delay_s)
-                reply = yield wait
-                if reply is _HEDGE_DUE:
-                    # Primary is late: race a backup copy against it for
-                    # the remainder of the attempt budget.
-                    backup = Message(
-                        source=self._address,
-                        destination=destination,
-                        payload=payload,
-                        size_bytes=size_bytes,
-                        kind="request",
-                        term=term,
-                    )
-                    wait.rearm()
-                    self._pending_replies[backup.message_id] = wait
-                    network.send(backup)
-                    network.count("transport.hedges")
-                    timer = sim._schedule_call(
-                        wait.expire, timeout_s - hedge_delay_s
-                    )
+            try:
+                network.send(message)
+                if hedge_delay_s is None:
+                    timer = sim._schedule_call(wait.expire, timeout_s)
                     reply = yield wait
-                    self._pending_replies.pop(backup.message_id, None)
-            self._pending_replies.pop(message.message_id, None)
+                else:
+                    timer = sim._schedule_call(wait.hedge, hedge_delay_s)
+                    reply = yield wait
+                    if reply is _HEDGE_DUE:
+                        # Primary is late: race a backup copy against it
+                        # for the remainder of the attempt budget.
+                        backup = Message(
+                            source=self._address,
+                            destination=destination,
+                            payload=payload,
+                            size_bytes=size_bytes,
+                            kind="request",
+                            term=term,
+                            horizon=self._oldest.message_id,
+                        )
+                        wait.rearm()
+                        pending[backup.message_id] = wait
+                        network.send(backup)
+                        network.count("transport.hedges")
+                        timer = sim._schedule_call(
+                            wait.expire, timeout_s - hedge_delay_s
+                        )
+                        reply = yield wait
+            finally:
+                # The attempt waits for nothing now: unqueue it, so the
+                # horizon moves past it.
+                older = wait.older
+                newer = wait.newer
+                if older is None:
+                    self._oldest = newer
+                else:
+                    older.newer = newer
+                if newer is None:
+                    self._newest = older
+                else:
+                    newer.older = older
+                if backup is not None:
+                    pending.pop(backup.message_id, None)
+                pending.pop(message_id, None)
             if reply is not _TIMED_OUT:
                 # A reply won the race: cancel the timer so it stops
                 # occupying the event queue and keeping run() alive.
@@ -512,13 +583,38 @@ class Endpoint:
             self._sim.spawn(result)
 
     def _serve_request(self, message):
-        if message.message_id in self._seen_requests:
-            # Duplicate of a request we served or are still serving (a
-            # retry racing our reply); at-most-once execution drops it.
-            self._network.count("transport.duplicate_requests")
-            return
-        self._evict_seen_requests()
-        self._seen_requests[message.message_id] = None
+        now = self._sim.now
+        if now > self._evict_at:
+            self._evict_idle_callers(now)
+        callers = self._callers
+        source = message.source
+        message_id = message.message_id
+        horizon = message.horizon
+        served = ()
+        if source in callers:
+            record = callers[source]
+            if type(record) is bytes:
+                known, __, served_id = _RECORD.unpack(record)
+                served = (served_id,)
+            else:
+                known = record[0]
+                served = record[2:]
+            if message_id < known or message_id in served:
+                self._refuse(message_id < known)
+                return
+            if horizon < known:
+                horizon = known
+            if type(record) is bytes:
+                if served_id < horizon:
+                    served = ()
+            else:
+                served = tuple(kept for kept in served if kept >= horizon)
+            # Move the caller behind the others: its request is the latest.
+            del callers[source]
+        if served:
+            callers[source] = (horizon, now, *served, message_id)
+        else:
+            callers[source] = _RECORD.pack(horizon, now, message_id)
         if self._request_handler is None:
             self._reply(message, _ErrorReply(TransportError("no request handler")))
             return
@@ -535,38 +631,40 @@ class Endpoint:
         """Send a reply unless we closed mid-service; True if it went out.
 
         A crashed/closed endpoint must not keep talking from a detached
-        address — the fabric would reject the unknown source.  The
-        served-request id stays remembered either way, stamped with the
-        completion time so TTL eviction can reclaim it.
+        address — the fabric would reject the unknown source.
         """
-        if message.message_id in self._seen_requests:
-            self._seen_requests[message.message_id] = self._sim.now
         if self._closed:
             return False
         self._network.send(message.reply_to(payload, size_bytes=size_bytes))
         return True
 
-    def _evict_seen_requests(self):
-        """Drop remembered request ids that are expired or over the cap.
+    def _refuse(self, stale):
+        """Count a request that must not run: below its caller's horizon
+        (``stale``: an attempt the caller gave up on, or a late copy of
+        one it settled), or a copy of one served here."""
+        self._network.count(
+            "transport.stale_requests" if stale else "transport.duplicate_requests"
+        )
 
-        Entries are insertion-ordered and only completed entries (a
-        non-``None`` completion time) are evictable; an in-flight entry
-        halts the walk since everything after it is newer.
+    def _evict_idle_callers(self, now):
+        """Drop the records of callers idle for longer than the TTL.
+
+        Records are in the order of their callers' latest requests, so
+        the idle ones lead; ``_evict_at`` becomes the time the first
+        one left goes idle.
         """
-        seen = self._seen_requests
-        now = self._sim.now
-        while seen:
-            oldest = next(iter(seen))
-            done = seen[oldest]
-            if done is None:
+        callers = self._callers
+        ttl = self._dedupe_ttl_s
+        self._evict_at = now + ttl
+        idle = []
+        for caller, record in callers.items():
+            last = _unpack(record)[1]
+            if now - last <= ttl:
+                self._evict_at = last + ttl
                 break
-            if now - done <= self._dedupe_ttl_s and len(seen) < self.SEEN_REQUEST_LIMIT:
-                break
-            del seen[oldest]
-            self._seen_evictions += 1
-        if self._seen_evictions >= self.SEEN_REBUILD_EVICTIONS:
-            self._seen_requests = dict(seen)
-            self._seen_evictions = 0
+            idle.append(caller)
+        for caller in idle:
+            del callers[caller]
 
     def __repr__(self):
         state = "closed" if self._closed else "open"

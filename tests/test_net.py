@@ -12,10 +12,12 @@ from repro.net import (
     PrefixPartition,
     RemoteError,
     RequestTimeout,
+    SlowLink,
     TransportError,
 )
 from repro.net.message import HEADER_BYTES
-from repro.sim import Simulator
+from repro.net.transport import _unpack
+from repro.sim import AllOf, Simulator
 
 
 def make_net(latency_s=0.001, bandwidth_bps=1_000_000):
@@ -557,46 +559,87 @@ def _echo(message):
     yield  # pragma: no cover - uniform generator shape
 
 
-def test_seen_requests_expire_after_ttl():
+def test_idle_caller_records_expire_after_ttl():
     sim, net = make_net()
-    client = Endpoint(net, "client")
+    first = Endpoint(net, "first")
+    second = Endpoint(net, "second")
     server = Endpoint(net, "server", request_handler=_echo, dedupe_ttl_s=5.0)
 
     def proc():
-        yield from client.request("server", 1)
-        yield sim.timeout(20.0)  # far past the dedupe TTL
-        yield from client.request("server", 2)
+        yield from first.request("server", 1)
+        yield sim.timeout(3.0)
+        yield from second.request("server", 2)
+        # Both callers were active within the TTL.
+        assert list(server._callers) == ["first", "second"]
+        yield sim.timeout(3.0)
+        yield from second.request("server", 3)
 
     sim.run_process(proc())
+    # The first caller has been idle for 6 s, past the TTL.
+    assert list(server._callers) == ["second"]
+    assert server.requests_served == 3
+
+
+def test_server_keeps_one_record_per_caller():
+    sim, net = make_net()
+    client = Endpoint(net, "client")
+    served = []
+
+    def handler(message):
+        served.append(message.message_id)
+        yield sim.timeout(0.01)
+        return message.payload
+
+    server = Endpoint(net, "server", request_handler=handler)
+
+    def record():
+        """The client's record: its horizon and the ids it remembers."""
+        (caller, value), = server._callers.items()
+        assert caller == "client"
+        horizon, __, remembered = _unpack(value)
+        return horizon, remembered
+
+    def proc():
+        for index in range(5):
+            yield from client.request("server", index)
+        # One request at a time: each is its own horizon, and the
+        # record holds only that id.
+        assert record() == (served[-1], (served[-1],))
+        calls = [sim.spawn(client.request("server", index)) for index in range(3)]
+        yield sim.timeout(0.005)
+        # Three at once: the oldest is every one's horizon, so the
+        # record holds all three.
+        assert record() == (served[-3], tuple(served[-3:]))
+        yield AllOf(sim, calls)
+        yield from client.request("server", "last")
+        assert record() == (served[-1], (served[-1],))
+
+    sim.run_process(proc())
+    assert server.requests_served == 9
+
+
+def test_attempt_its_sender_gave_up_on_is_refused():
+    sim, net = make_net()
+    # The first attempt crawls; the second one, sent after the first
+    # timed out, overtakes it.
+    net.faults.add_delay_rule(SlowLink(["client"], ["server"], extra_s=2.0, end=0.5))
+    client = Endpoint(net, "client")
+    served = []
+
+    def handler(message):
+        served.append(message.message_id)
+        return message.payload
+        yield  # pragma: no cover - uniform generator shape
+
+    Endpoint(net, "server", request_handler=handler)
+
+    def proc():
+        return (yield from client.request("server", "x", timeout_s=1.0, max_attempts=2))
+
+    assert sim.run_process(proc()) == "x"
     sim.run()
-    # The first request's id was evicted when the second arrived.
-    assert len(server._seen_requests) == 1
-    assert server.requests_served == 2
-
-
-def test_seen_requests_bounded_by_cap(monkeypatch):
-    # Also with the table rebuilt after every eviction.  An endpoint is
-    # slotted, so the limits are set on the class.
-    monkeypatch.setattr(Endpoint, "SEEN_REQUEST_LIMIT", 2)
-    for rebuild_after in (Endpoint.SEEN_REBUILD_EVICTIONS, 1):
-        monkeypatch.setattr(Endpoint, "SEEN_REBUILD_EVICTIONS", rebuild_after)
-        sim, net = make_net()
-        client = Endpoint(net, "client")
-        served = []
-
-        def handler(message):
-            served.append(message.message_id)
-            return message.payload
-            yield  # pragma: no cover - uniform generator shape
-
-        server = Endpoint(net, "server", request_handler=handler)
-
-        def proc():
-            for i in range(5):
-                yield from client.request("server", i)
-
-        sim.run_process(proc())
-        sim.run()
-        # The oldest ids went first.
-        assert list(server._seen_requests) == served[-2:]
-        assert server.requests_served == 5
+    # The first attempt arrived below the client's horizon: it ran once
+    # (as the second attempt), not twice.
+    assert len(served) == 1
+    assert net.count_value("transport.stale_requests") == 1
+    assert net.count_value("transport.duplicate_requests") == 0
