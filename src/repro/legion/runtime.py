@@ -199,11 +199,15 @@ class LegionRuntime:
         Used by crash recovery: the replacement shares the crashed
         manager's deterministic class LOID, so from every client's view
         it *is* the same object, back at a new address under a new
-        binding incarnation.
+        binding incarnation.  The predecessor leaves its host's index.
         """
+        predecessor = self._classes.get(class_object.type_name)
         self._classes[class_object.type_name] = class_object
         self._objects[class_object.loid] = class_object
-        self._index_on_host(class_object, class_object.host.name)
+        if predecessor is not None:
+            self.reindex_object(class_object, predecessor.host.name)
+        else:
+            self._index_on_host(class_object, class_object.host.name)
         self.context_space.bind(
             f"/classes/{class_object.type_name}", class_object.loid
         )

@@ -158,6 +158,7 @@ def _unpack(record):
 #: What a request attempt's wait resolves to when no reply won.
 _TIMED_OUT = object()
 _HEDGE_DUE = object()
+_CLOSED = object()
 
 
 class _Attempt(Event):
@@ -167,7 +168,8 @@ class _Attempt(Event):
     from a scheduled call, and the event then resumes the requester:
     two scheduled hops, the same two that a reply event and its
     ``AnyOf`` took.  Whichever resolves it first wins; the hedge point
-    re-arms it for the rest of the attempt.
+    re-arms it for the rest of the attempt.  Closing the endpoint
+    resolves it at once.
 
     The attempts an endpoint still waits on form a list in issue order
     (``older``/``newer``), so the oldest, whose ``message_id`` is the
@@ -339,7 +341,10 @@ class Endpoint:
         """Detach from the fabric; all later traffic to us is lost.
 
         A message already handed over for dispatch is still dispatched;
-        the ones queued behind it are dropped.
+        the ones queued behind it are dropped.  No reply can reach a
+        request still waiting here, so each one fails at once: its
+        :meth:`request` raises :class:`TransportError` at this instant
+        and cancels its timer.
         """
         if self._closed:
             return
@@ -347,9 +352,10 @@ class Endpoint:
         self._network.unregister_endpoint(self)
         self._network.detach(self._address)
         self._backlog = None
-        # Forget callers still waiting on replies: no reply can reach
-        # them now, and each attempt still ends at its own timer.
-        self._pending_replies = {}
+        attempt = self._oldest
+        while attempt is not None:
+            attempt.settle(_CLOSED)
+            attempt = attempt.newer
 
     # ------------------------------------------------------------------
     # Sending
@@ -456,7 +462,9 @@ class Endpoint:
                 else:
                     timer = sim._schedule_call(wait.hedge, hedge_delay_s)
                     reply = yield wait
-                    if reply is _HEDGE_DUE:
+                    if reply is _HEDGE_DUE and self._closed:
+                        reply = _CLOSED
+                    elif reply is _HEDGE_DUE:
                         # Primary is late: race a backup copy against it
                         # for the remainder of the attempt budget.
                         backup = Message(
@@ -492,6 +500,9 @@ class Endpoint:
                 if backup is not None:
                     pending.pop(backup.message_id, None)
                 pending.pop(message_id, None)
+            if reply is _CLOSED:
+                sim._cancel_entry(timer)
+                raise TransportError(f"endpoint {self._address!r} is closed")
             if reply is not _TIMED_OUT:
                 # A reply won the race: cancel the timer so it stops
                 # occupying the event queue and keeping run() alive.

@@ -1,8 +1,11 @@
 """Crash faults and recovery: hosts, CrashPlan, journal, manager rebuild."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.cluster import CrashPlan, HostDown, build_lan
+from repro.cluster import CrashPlan, HostDown, Supervisor, build_lan, deploy_relays
 from repro.cluster.chaos import crash_host
 from repro.core import (
     DeliveryStatus,
@@ -18,6 +21,7 @@ from repro.net import Endpoint, PrefixPartition, RetryPolicy
 from repro.sim.errors import SimulationError
 
 from tests.conftest import create_dcdo, make_counter_class, make_sorter_manager
+from tests.test_availability import FAST_RETRY, build_fleet, derive_v2
 
 RETRY = RetryPolicy(base_s=0.5, multiplier=2.0, max_backoff_s=10.0, max_attempts=6)
 
@@ -424,3 +428,47 @@ def test_recovery_aborts_a_rearmed_transactional_wave():
     for loid in (a, b, c, d):
         assert recovered.record(loid).obj.version == v1
         assert recovered.instance_version(loid) == v1
+
+
+def test_a_deposed_manager_is_freed_after_failover():
+    """A crashed primary's relay wave fails when its endpoint closes,
+    not at the end of its 60 s relay attempt, and the promotee replaces
+    it in its host's index: nothing keeps the deposed manager (its
+    table, management locks and trackers) alive."""
+    runtime, manager, journal, loids = build_fleet(
+        instances=3,
+        update_policy=ReliableUpdatePolicy(retry_policy=FAST_RETRY),
+    )
+    relays = deploy_relays(runtime, hosts=["host01", "host02", "host03"])
+    manager.use_relays(relays, fanout_k=2)
+    supervisor = Supervisor(
+        runtime,
+        "Sorter",
+        standby_hosts=("host04", "host05"),
+        detector_host_name="host05",
+        heartbeat_interval_s=0.5,
+        heartbeat_timeout_s=0.4,
+        suspicion_threshold=3,
+        retry_policy=FAST_RETRY,
+        relays=relays,
+        relay_fanout_k=2,
+    ).start()
+    v2 = derive_v2(manager)
+    sim = runtime.sim
+
+    def scenario():
+        yield sim.timeout(0.5)
+        manager.set_current_version_async(v2)
+        yield sim.timeout(0.010)  # the relay wave is in flight
+        crash_host(runtime, runtime.host("host00"))
+
+    sim.run_process(scenario())
+    sim.run(until=sim.now + 20.0)
+    promoted = runtime.class_of("Sorter")
+    assert supervisor.promotions == 1 and promoted is not manager
+    assert all(promoted.record(loid).obj.version == v2 for loid in loids)
+    deposed = weakref.ref(manager)
+    del manager, journal
+    gc.collect()
+    assert deposed() is None
+    supervisor.stop()

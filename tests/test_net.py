@@ -534,12 +534,35 @@ def test_closing_client_fails_its_next_request_attempt():
         yield from client.request("server", "ping", timeout_s=1.0, max_attempts=2)
 
     sim.spawn(closer())
-    # Attempt 1 was in flight when we closed; it times out normally
-    # (bounded by its own timeout, never dangling), and attempt 2 then
-    # refuses to speak from the closed endpoint.
+    # Attempt 1 was in flight when we closed; it fails at the close,
+    # and no attempt 2 speaks from the closed endpoint.
     with pytest.raises(TransportError, match="closed"):
         sim.run_process(proc())
-    assert sim.now < 2.0
+    assert sim.now == 0.5
+
+
+def test_closing_fails_a_waiting_request_at_once():
+    sim, net = make_net()
+    client = Endpoint(net, "client")
+
+    def closer():
+        yield sim.timeout(1.0)
+        client.close()
+
+    def proc():
+        try:
+            # Nothing listens at "nowhere": only the timer would end it.
+            yield from client.request("nowhere", "ping", timeout_s=5.0)
+        except TransportError as error:
+            return sim.now, error
+
+    sim.spawn(closer())
+    failed_at, error = sim.run_process(proc())
+    # TransportError at the close, not RequestTimeout at 5.0 s, and the
+    # attempt's timer is cancelled.
+    assert failed_at == 1.0
+    assert type(error) is TransportError and "closed" in str(error)
+    assert sim.pending == 0
 
 
 def test_closed_endpoint_rejects_new_requests_outright():
