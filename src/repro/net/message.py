@@ -67,7 +67,7 @@ class Message:
         For requests, the sender's completion horizon: the id of its
         oldest request attempt still waiting for a reply, or this
         message's own id when no older attempt is waiting.  Message ids
-        only grow, so every id the sender issued below its horizon is
+        only grow, so every id the sender used below its horizon is
         settled, and a server refuses a request below it.  ``0`` (the
         default) settles nothing.
     """

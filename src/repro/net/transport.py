@@ -25,7 +25,7 @@ than a table of served ids (the scheme of RIFL, Lee et al., SOSP 2015).
 Every attempt is a fresh message, and every request carries its
 sender's *horizon*: the id of the sender's oldest attempt still waiting
 for a reply, or its own id when none older waits.  Message ids only
-grow, so the sender has settled every id it issued below its horizon.
+grow, so the sender has settled every id it used below its horizon.
 A server keeps one record per caller: the highest horizon it has seen
 and the few ids at or above it that it has served.  It refuses a
 request whose id is in the record (a duplicate) or below the horizon
@@ -33,6 +33,10 @@ request whose id is in the record (a duplicate) or below the horizon
 it settled), counting ``transport.duplicate_requests`` and
 ``transport.stale_requests``.  A record is dropped once its caller has
 sent nothing for ``dedupe_ttl_s``.
+
+Closing an endpoint fails every request still waiting on it at once:
+no reply can reach it, so :meth:`Endpoint.request` raises
+:class:`TransportError` at the close instead of waiting out its timer.
 """
 
 import struct
@@ -171,10 +175,10 @@ class _Attempt(Event):
     re-arms it for the rest of the attempt.  Closing the endpoint
     resolves it at once.
 
-    The attempts an endpoint still waits on form a list in issue order
-    (``older``/``newer``), so the oldest, whose ``message_id`` is the
-    horizon every request carries, is found in O(1), and an attempt
-    leaves the list in O(1) wherever it is.
+    The attempts an endpoint still waits on form a list in the order
+    they were sent (``older``/``newer``), so the oldest, whose
+    ``message_id`` is the horizon every request carries, is found in
+    O(1), and an attempt leaves the list in O(1) wherever it is.
     """
 
     __slots__ = ("message_id", "older", "newer")
@@ -239,7 +243,8 @@ class Endpoint:
     latest requests, so the idle ones lead: a request past
     ``_evict_at`` (when the first record goes idle) drops them, and each
     record is dropped once.  A sender finds its horizon in O(1): its
-    waiting attempts are linked in issue order (see :class:`_Attempt`).
+    waiting attempts are linked in the order they were sent (see
+    :class:`_Attempt`).
     """
 
     __slots__ = (
@@ -615,6 +620,7 @@ class Endpoint:
                 return
             if horizon < known:
                 horizon = known
+            # Forget the ids now below the horizon: the caller settled them.
             if type(record) is bytes:
                 if served_id < horizon:
                     served = ()
