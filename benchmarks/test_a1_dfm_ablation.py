@@ -3,9 +3,11 @@
 The simulated experiments charge the paper's calibrated 10-15 us; this
 ablation measures what the indirection costs in *this* implementation:
 a hot :meth:`DynamicFunctionMapper.lookup` against a direct Python
-call, across DFM sizes.  The claim being checked is structural — the
-lookup is O(entries) in the worst case here, but stays cheap at the
-paper's scales (up to 500 functions).
+call, across DFM sizes, and the per-call thread accounting
+(``enter``/``leave``, which count per instance).  The claim being
+checked is structural: the lookup is one probe of the enabled-entry
+index, so its cost stays flat from 10 to 500 functions (the paper's
+scales).
 """
 
 import pytest

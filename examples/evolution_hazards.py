@@ -38,6 +38,13 @@ def report(ctx):
     return f"report[{summary}]"
 
 
+def sleepy_report(ctx):
+    """``report`` with a pause before its outcall, for hazard [3]."""
+    yield ctx.work(2.0)  # thread inactive here
+    result = yield from ctx.call("summarize")
+    return result
+
+
 def summarize(ctx):
     return "ok"
 
@@ -47,10 +54,12 @@ def slow_job(ctx, seconds):
     return "job done"
 
 
-def build_service(runtime, type_name, remove_policy=None, with_dependencies=False):
+def build_service(
+    runtime, type_name, remove_policy=None, with_dependencies=False, report_body=report
+):
     reporting = (
         ComponentBuilder("reporting")
-        .function("report", report)
+        .function("report", report_body)
         .function("summarize", summarize)
         .function("slow_job", slow_job)
         .variant(size_bytes=100_000)
@@ -119,23 +128,10 @@ def hazard_2_missing_internal_function():
 def hazard_3_disappearing_internal_function():
     print("\n[3] Disappearing internal function (during an outcall)")
     runtime = build_dcdo_system(hosts=4, seed=3)
-    __, loid = build_service(runtime, "Svc3")
-    obj = runtime.find_object(loid)
-
-    def sleepy_report(ctx):
-        yield ctx.work(2.0)  # thread inactive here
-        result = yield from ctx.call("summarize")
-        return result
-
+    __, loid = build_service(runtime, "Svc3", report_body=sleepy_report)
     client_a = runtime.make_client("host02")
     client_b = runtime.make_client("host03")
     outcomes = {}
-
-    # Swap in the sleepy implementation for the demonstration.
-    from repro.core.functions import FunctionDef
-
-    entry = obj.dfm.lookup("report")
-    entry.function_def = FunctionDef(name="report", body=sleepy_report)
 
     def worker():
         try:

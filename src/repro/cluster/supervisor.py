@@ -384,6 +384,9 @@ class Supervisor:
         # Promotion done: clear the guard *before* convergence so a
         # second failure mid-convergence can trigger a fresh failover.
         self._promote_in_progress = False
+        # The stopped link's primary is the deposed manager: this frame
+        # must not keep it alive while convergence runs.
+        link = None
         yield from self._converge(manager)
 
     def _converge(self, manager):

@@ -8,7 +8,8 @@ Public API:
   component code and descriptors.
 - :class:`ImplementationComponent` / :class:`ComponentBuilder` — the
   unit of replaceable implementation.
-- :class:`DynamicFunctionMapper` — the per-object indirection table.
+- :class:`DynamicFunctionMapper` — the per-object indirection table, in
+  a :class:`DFMConfiguration` shared by every object configured alike.
 - :class:`DFMDescriptor` — manager-side version definitions.
 - :class:`VersionId` / :class:`VersionTree` — §2.1 version identifiers.
 - :class:`Dependency` — §3.2 function dependencies (types A-D).
@@ -44,7 +45,12 @@ from repro.core.descriptor import (
     DFMDescriptor,
     diff_descriptors,
 )
-from repro.core.dfm import DFMEntry, DynamicFunctionMapper, IncorporatedComponent
+from repro.core.dfm import (
+    DFMConfiguration,
+    DFMEntry,
+    DynamicFunctionMapper,
+    IncorporatedComponent,
+)
 from repro.core.errors import (
     AmbiguousFunction,
     ComponentAlreadyIncorporated,
@@ -111,6 +117,7 @@ __all__ = [
     "DCDOManager",
     "DCDOStub",
     "InterfaceCache",
+    "DFMConfiguration",
     "DFMDescriptor",
     "DFMEntry",
     "Dependency",

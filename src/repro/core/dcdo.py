@@ -120,7 +120,7 @@ class DynamicCallContext(CallContext):
     @property
     def component_state(self):
         """The executing component's private data structures (§2)."""
-        return self._obj.dfm.component(self._entry.component_id).private_state
+        return self._obj.dfm.private_state(self._entry.component_id)
 
 
 class DCDO(LegionObject):
@@ -542,10 +542,11 @@ class DCDO(LegionObject):
 
     def _await_functions_idle(self, function_names):
         def active():
+            dfm = self.dfm
             return sum(
-                entry.active_threads
+                dfm.active_threads(entry)
                 for name in function_names
-                for entry in self.dfm.entries_for(name)
+                for entry in dfm.entries_for(name)
             )
 
         while active() > 0:
@@ -693,7 +694,7 @@ class DCDO(LegionObject):
             self.dfm.record_entry_states(component_id, undo)
             yield from self.remove_component(component_id, validate=False)
             txn.removed.append((incorporated.component, incorporated.variant))
-        validation.check_state_consistent(self.dfm)
+        self.dfm.check_consistent()
         from_version = self._version
         if diff.target_version is not None:
             self._version = diff.target_version
@@ -738,7 +739,7 @@ class DCDO(LegionObject):
                 self.dfm.restore_entry_states(txn.entry_states)
             self.dfm.restore_restrictions(txn.restrictions)
             yield self.host.cpu_work(self.calibration.dfm_update_s)
-            validation.check_state_consistent(self.dfm)
+            self.dfm.check_consistent()
         except Exception as rollback_error:
             raise RollbackFailed(cause, rollback_error)
         self.rollbacks += 1
@@ -855,16 +856,17 @@ class DCDO(LegionObject):
         yield  # pragma: no cover - uniform generator shape
 
     def _m_get_function_status(self, ctx, function):
+        dfm = self.dfm
         return [
             {
                 "component": entry.component_id,
                 "enabled": entry.enabled,
                 "exported": entry.exported,
-                "active_threads": entry.active_threads,
-                "calls": entry.calls,
-                "marking": self.dfm.marking(function).value,
+                "active_threads": dfm.active_threads(entry),
+                "calls": dfm.calls(entry),
+                "marking": dfm.marking(function).value,
             }
-            for entry in self.dfm.entries_for(function)
+            for entry in dfm.entries_for(function)
         ]
         yield  # pragma: no cover - uniform generator shape
 

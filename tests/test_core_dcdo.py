@@ -3,13 +3,16 @@ thread activity monitoring, and removal policies."""
 
 import pytest
 
+from repro.cluster import build_lan
 from repro.core import (
     ComponentBuilder,
     ComponentBusy,
     Dependency,
     FunctionNotEnabled,
     RemovePolicy,
+    define_dcdo_type,
 )
+from repro.legion import LegionRuntime
 from repro.legion.errors import MethodNotFound
 from tests.conftest import create_dcdo, make_sorter_manager
 
@@ -409,3 +412,77 @@ def test_disable_wait_for_dependents_postpones(runtime):
     runtime.sim.spawn(disabler())
     runtime.sim.run()
     assert times["disabled"] >= times["sort_done"]
+
+
+def slow_work_body(ctx, seconds):
+    yield ctx.work(seconds)
+    return "slow"
+
+
+def quick_work_body(ctx, seconds):
+    return "quick"
+    yield  # pragma: no cover - uniform generator shape
+
+
+def note_body(ctx):
+    ctx.component_state["noted"] = ctx.component_state.get("noted", 0) + 1
+    return ctx.component_state["noted"]
+    yield  # pragma: no cover - uniform generator shape
+
+
+def test_rollback_adds_a_removed_component_again_at_the_end_with_fresh_counts():
+    """v2 drops two components; the first goes, the second is busy, so
+    the rollback maps the first in again.  It goes to the end of table
+    order, and its call counts and private state start fresh."""
+    runtime = LegionRuntime(build_lan(4, seed=7))
+    manager = define_dcdo_type(runtime, "Pair")
+    builds = {
+        "note-a": ("note", note_body),
+        "work-b": ("work", slow_work_body),
+        "work-c": ("work", quick_work_body),
+    }
+    for component_id, (function, body) in builds.items():
+        component = (
+            ComponentBuilder(component_id)
+            .function(function, body)
+            .variant(size_bytes=64_000)
+            .build()
+        )
+        manager.register_component(component, host_name="host00")
+    v1 = manager.new_version()
+    manager.incorporate_into(v1, "note-a")
+    manager.incorporate_into(v1, "work-b")
+    manager.descriptor_of(v1).enable("note", "note-a")
+    manager.descriptor_of(v1).enable("work", "work-b")
+    manager.mark_instantiable(v1)
+    manager.set_current_version(v1)
+    loid, obj = create_dcdo(runtime, manager, host_name="host01")
+    v2 = manager.derive_version(v1)
+    manager.incorporate_into(v2, "work-c")
+    descriptor = manager.descriptor_of(v2)
+    descriptor.enable("work", "work-c", replace_current=True)
+    descriptor.remove_component("note-a")
+    descriptor.remove_component("work-b")
+    manager.mark_instantiable(v2)
+    manager.set_current_version(v2)
+    client = runtime.make_client("host02")
+    assert client.call_sync(loid, "note") == 1
+    assert obj.dfm.calls(obj.dfm.lookup("note")) == 1
+
+    def scenario():
+        runtime.sim.spawn(
+            client.invoke(loid, "work", 30.0, timeout_schedule=(60.0,)),
+            name="busy-caller",
+        )
+        yield runtime.sim.timeout(1.0)  # a thread is inside work-b
+        with pytest.raises(ComponentBusy):
+            yield from manager.evolve_instance(loid, v2)
+
+    runtime.sim.run_process(scenario())
+    assert obj.version == v1 and obj.rollbacks == 1
+    assert list(obj.dfm.to_descriptor().component_refs()) == ["work-b", "note-a"]
+    assert obj.dfm.enabled_components_of("note") == {"note-a"}
+    assert obj.dfm.calls(obj.dfm.lookup("note")) == 0
+    assert obj.dfm.private_state("note-a") == {}
+    assert obj.dfm.total_calls == 2
+    assert client.call_sync(loid, "note") == 1

@@ -76,11 +76,11 @@ def test_enter_leave_tracks_active_threads():
     entry = dfm.lookup("f")
     dfm.enter(entry)
     dfm.enter(entry)
-    assert entry.active_threads == 2
+    assert dfm.active_threads(entry) == 2
     assert dfm.active_threads_in("c1") == 2
     dfm.leave(entry)
-    assert entry.active_threads == 1
-    assert entry.calls == 2
+    assert dfm.active_threads(entry) == 1
+    assert dfm.calls(entry) == 2
     assert dfm.total_calls == 2
 
 
@@ -113,8 +113,8 @@ def test_remove_unvalidated_still_requires_presence():
 
 def test_component_private_state_is_per_component():
     dfm = make_dfm(component("c1"), component("c2", functions=("g",)))
-    dfm.component("c1").private_state["x"] = 1
-    assert dfm.component("c2").private_state == {}
+    dfm.private_state("c1")["x"] = 1
+    assert dfm.private_state("c2") == {}
 
 
 def test_component_required_markings_adopted():

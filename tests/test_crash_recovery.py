@@ -472,3 +472,53 @@ def test_a_deposed_manager_is_freed_after_failover():
     gc.collect()
     assert deposed() is None
     supervisor.stop()
+
+
+def test_a_deposed_manager_is_freed_at_promotion_while_convergence_waits():
+    """The supervisor's failover frame drops the stopped replication
+    link (whose primary is the deposed manager) once promotion is done,
+    so the deposed manager is freed while the promotee's convergence
+    still waits on a crashed relay."""
+    runtime, manager, journal, loids = build_fleet(
+        instances=3,
+        update_policy=ReliableUpdatePolicy(retry_policy=FAST_RETRY),
+    )
+    relays = deploy_relays(runtime, hosts=["host01", "host02", "host03"])
+    manager.use_relays(relays, fanout_k=2)
+    supervisor = Supervisor(
+        runtime,
+        "Sorter",
+        standby_hosts=("host04", "host05"),
+        detector_host_name="host05",
+        heartbeat_interval_s=0.5,
+        heartbeat_timeout_s=0.4,
+        suspicion_threshold=3,
+        retry_policy=FAST_RETRY,
+        relays=relays,
+        relay_fanout_k=2,
+    ).start()
+    v2 = derive_v2(manager)
+    sim = runtime.sim
+
+    def scenario():
+        yield sim.timeout(0.5)
+        manager.set_current_version_async(v2)
+        yield sim.timeout(0.010)  # the relay wave is in flight
+        crash_host(runtime, runtime.host("host00"))
+        crash_host(runtime, runtime.host("host02"))
+
+    sim.run_process(scenario())
+    promoted_at = None
+    while promoted_at is None and sim.now < 30.0:
+        sim.run(until=sim.now + 0.5)
+        if supervisor.promotions:
+            promoted_at = sim.now
+    assert promoted_at is not None
+    sim.run(until=promoted_at + 5.0)
+    assert runtime.class_of("Sorter") is not manager
+    assert supervisor._converging  # still waiting on host02's relay
+    deposed = weakref.ref(manager)
+    del manager, journal
+    gc.collect()
+    assert deposed() is None
+    supervisor.stop()

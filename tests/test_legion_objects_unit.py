@@ -168,9 +168,9 @@ def test_dynamic_calls_counted_per_entry(runtime):
     client.call_sync(loid, "sort", [3, 1, 2])
     sort_entry = obj.dfm.entry("sort", "sorter")
     compare_entry = obj.dfm.entry("compare", "compare-asc")
-    assert sort_entry.calls == 1
-    assert compare_entry.calls >= 2
-    assert obj.dfm.total_calls == sort_entry.calls + compare_entry.calls
+    assert obj.dfm.calls(sort_entry) == 1
+    assert obj.dfm.calls(compare_entry) >= 2
+    assert obj.dfm.total_calls == obj.dfm.calls(sort_entry) + obj.dfm.calls(compare_entry)
 
 
 def test_evolving_deactivated_instance_rejected(runtime):

@@ -861,6 +861,14 @@ class Side:
         self.snapshot = None
         self.entered = []
 
+    def counts(self, entry):
+        """An entry's (active threads, calls): fields of the oracle's
+        entries, the live DFM's per-instance accessors."""
+        dfm = self.dfm
+        if isinstance(dfm, live.DynamicFunctionMapper):
+            return dfm.active_threads(entry), dfm.calls(entry)
+        return entry.active_threads, entry.calls
+
     def step(self, op):
         """Run one step; returns its result (a change count or None)."""
         dfm = self.dfm
@@ -908,20 +916,18 @@ class Side:
         raise AssertionError(kind)
 
 
-def _row(entry):
+def _row(side, entry):
     return (
         entry.function,
         entry.component_id,
         entry.enabled,
         entry.exported,
-        entry.active_threads,
-        entry.calls,
-    )
+    ) + side.counts(entry)
 
 
-def _lookup(dfm, function, external):
+def _lookup(side, function, external):
     try:
-        return _row(dfm.lookup(function, external=external))
+        return _row(side, side.dfm.lookup(function, external=external))
     except (FunctionNotEnabled, FunctionNotExported) as error:
         return type(error)
 
@@ -932,16 +938,16 @@ def _view(side):
     descriptor = dfm.to_descriptor()
     return {
         "lookup": [
-            _lookup(dfm, function, external)
+            _lookup(side, function, external)
             for function in MAPPER_FUNCTIONS
             for external in (False, True)
         ],
         "entries_for": [
-            [_row(entry) for entry in dfm.entries_for(function)]
+            [_row(side, entry) for entry in dfm.entries_for(function)]
             for function in MAPPER_FUNCTIONS
         ],
         "entries_in": [
-            [_row(entry) for entry in dfm.entries_in(component_id)]
+            [_row(side, entry) for entry in dfm.entries_in(component_id)]
             for component_id in MAPPER_COMPONENTS
         ],
         "enabled_components_of": [
@@ -1008,9 +1014,108 @@ def test_the_later_enabled_entry_in_table_order_serves():
 def test_private_state_is_built_on_first_use():
     mapper = live.DynamicFunctionMapper()
     mapper.add_component(POOL["c0"], "variant")
-    incorporated = mapper.component("c0")
-    assert incorporated._private_state is None
-    incorporated.private_state["x"] = 1
-    assert mapper.component("c0").private_state == {"x": 1}
+    assert mapper._private is None and mapper._counts is None
+    mapper.private_state("c0")["x"] = 1
+    assert mapper.private_state("c0") == {"x": 1}
+    with pytest.raises(ComponentNotIncorporated):
+        mapper.private_state("c1")
     with pytest.raises(ComponentNotIncorporated):
         mapper.component("c1")
+
+
+# ----------------------------------------------------------------------
+# Shared configurations
+# ----------------------------------------------------------------------
+
+
+def _step_both(oracle, mapper, op):
+    expected = _outcome(oracle, op)
+    assert _outcome(mapper, op) == expected, op
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(components, min_size=1, max_size=4, unique=True),
+    st.lists(steps, max_size=20),
+    st.lists(st.tuples(st.integers(0, 2), steps), min_size=5, max_size=40),
+)
+def test_dfms_that_share_a_prefix_then_diverge_each_match_their_oracle(
+    initial, prefix, program
+):
+    """Three live DFMs take the same steps, then each its own.  Each is
+    checked against its own oracle after every step of any of them, so
+    a step on one DFM never changes another's view; and while their
+    steps agree, they share one configuration object."""
+    pairs = [
+        (Side(DynamicFunctionMapper()), Side(live.DynamicFunctionMapper()))
+        for __ in range(3)
+    ]
+
+    def check_every_view(op):
+        for oracle, mapper in pairs:
+            assert _view(mapper) == _view(oracle), op
+
+    for op in [("add", component_id, False) for component_id in initial] + prefix:
+        for oracle, mapper in pairs:
+            _step_both(oracle, mapper, op)
+        check_every_view(op)
+        assert len({id(mapper.dfm.configuration) for __, mapper in pairs}) == 1
+    for which, op in program:
+        oracle, mapper = pairs[which]
+        _step_both(oracle, mapper, op)
+        check_every_view(op)
+
+
+def test_a_thread_inside_a_removed_component_keeps_its_count_off_the_copy_added_again():
+    oracle = Side(DynamicFunctionMapper())
+    mapper = Side(live.DynamicFunctionMapper())
+    program = [
+        ("add", "c0", True),
+        ("enable", "f", "c0", False),
+        ("enter", "f"),
+        ("enter", "f"),
+        ("leave",),
+        ("remove", "c0", False),
+        ("add", "c0", True),
+        ("enable", "f", "c0", False),
+    ]
+    for op in program:
+        _step_both(oracle, mapper, op)
+        assert _view(mapper) == _view(oracle), op
+    dfm = mapper.dfm
+    (inside,) = mapper.entered
+    added_again = dfm.lookup("f")
+    assert added_again is not inside
+    assert (dfm.active_threads(inside), dfm.calls(inside)) == (1, 2)
+    assert (dfm.active_threads(added_again), dfm.calls(added_again)) == (0, 0)
+    assert dfm.active_threads_in("c0") == 0
+    # The thread leaves the copy it entered; the new copy never saw it.
+    _step_both(oracle, mapper, ("leave",))
+    assert _view(mapper) == _view(oracle)
+    assert dfm.active_threads(inside) == 0
+    with pytest.raises(RuntimeError, match="underflow"):
+        dfm.leave(added_again)
+
+
+def test_counts_and_private_state_start_fresh_for_a_component_added_again():
+    mapper = live.DynamicFunctionMapper()
+    other = live.DynamicFunctionMapper()
+    for dfm in (mapper, other):
+        dfm.add_component(POOL["c0"], "variant")
+        dfm.enable("f", "c0")
+        entry = dfm.lookup("f")
+        dfm.enter(entry)
+        dfm.leave(entry)
+        dfm.private_state("c0")["x"] = 1
+    assert mapper.configuration is other.configuration
+    mapper.remove_component("c0", validate=False)
+    mapper.add_component(POOL["c0"], "variant")
+    mapper.enable("f", "c0")
+    added_again = mapper.lookup("f")
+    assert mapper.calls(added_again) == 0 and mapper.total_calls == 1
+    assert mapper.private_state("c0") == {}
+    # The other DFM, still on the first copy, keeps what it had.
+    kept = other.lookup("f")
+    assert kept is not added_again
+    assert other.calls(kept) == 1 and other.private_state("c0") == {"x": 1}
+    assert [entry.component_id for entry in other.entries_for("f")] == ["c0"]
