@@ -87,9 +87,9 @@ SPEEDUP_FLOOR = 5.0
 FLATNESS_TOLERANCE = 0.20
 
 #: Committed object counts per instance, and the allowed rise above them.
-OBJECTS_COMMITTED = {"at_rest": 26.27, "wave_survivors": 5.14, "wave_young": 24.08}
+OBJECTS_COMMITTED = {"at_rest": 15.31, "wave_survivors": 2.14, "wave_young": 20.97}
 #: Committed traced bytes per instance (tracemalloc), same tolerance.
-BYTES_COMMITTED = {"at_rest": 4242.14, "wave_survivors": 1260.11}
+BYTES_COMMITTED = {"at_rest": 2805.38, "wave_survivors": 824.16}
 OBJECTS_TOLERANCE = 0.05
 
 

@@ -33,7 +33,7 @@ from tests.conftest import create_dcdo, make_sorter_manager
 
 INSTANCES = 128
 #: Traced bytes per instance at rest for the 128-instance fleet.
-AT_REST_BYTES = 4689.0
+AT_REST_BYTES = 3196.4
 
 
 def _bytes_at_rest(seed, scale):

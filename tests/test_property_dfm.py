@@ -13,11 +13,14 @@ descriptors — they are staging areas (§2.4); it IS guaranteed whenever
 ``validate_instantiable`` passes, which the last property checks.
 
 The second part checks the live :class:`DynamicFunctionMapper`, which
-keeps one table, against the mapper as it stood with three
-overlapping tables: ``_entries`` keyed by ``(function, component)``,
+keeps one table in a configuration it shares with every DFM configured
+alike, against the mapper as it stood with three overlapping tables of
+its own: ``_entries`` keyed by ``(function, component)``,
 ``_by_component`` holding the same entries in the same table order,
 and ``_by_function`` with a dict per function, beside the
-enabled-entry index.  That oracle is copied below unchanged.  Random
+enabled-entry index.  That oracle is copied below unchanged; only the
+harness reads its counts from its entries and the live DFM's through
+the per-instance accessors.  Random
 programs over components that share function names add and remove
 components (validated and not), enable and disable (valid and
 refused), move functions between interfaces, flip entry states against
@@ -29,7 +32,10 @@ function's lookup (internal and external, or the exception type), the
 order of ``entries_for`` and ``entries_in``, ``entry_count``,
 ``component_ids``, ``exported_interface``, ``epoch``, the change
 counts, the undo logs, and the entries of ``to_descriptor`` in order.
-A refused step must raise the same exception type in both.
+A refused step must raise the same exception type in both.  The same
+check runs on three live DFMs that take the same steps and then
+diverge, each against its own oracle, so that a step on one DFM never
+changes what another sees.
 """
 
 from dataclasses import dataclass, field
