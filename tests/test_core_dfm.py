@@ -165,3 +165,24 @@ def test_mark_permanent_conflict_raises():
     dfm.mark_permanent("f", "c1")
     with pytest.raises(PermanenceViolation):
         dfm.mark_permanent("f", "c2")
+
+
+def test_check_consistent_raises_for_every_dfm_in_an_inconsistent_configuration():
+    from repro.core import AmbiguousFunction, DescriptorEntry
+
+    components = (component("c1"), component("c2"))
+    first, second = make_dfm(*components), make_dfm(*components)
+    for dfm in (first, second):
+        both = dfm.to_descriptor()
+        for component_id in ("c1", "c2"):
+            both._entries[("f", component_id)] = DescriptorEntry("f", component_id, True, True)
+        assert dfm.apply_entry_states(both) == 2
+    assert first.configuration is second.configuration
+    for dfm in (first, second, first):
+        with pytest.raises(AmbiguousFunction):
+            dfm.check_consistent()
+    # A consistent configuration is checked once and stays accepted.
+    for dfm in (first, second):
+        dfm.disable("f", "c1")
+        dfm.check_consistent()
+    assert first.configuration is second.configuration
